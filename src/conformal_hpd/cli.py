@@ -117,7 +117,7 @@ def _dataset_from_csv(path, target):
     return names, Dataset(data[:, covariates], data[:, t])
 
 
-def _covariates_from_csv(path, names, target):
+def _covariates_from_csv(path, names):
     header, data = _read_numeric_csv(path)
     missing = [n for n in names if n not in header]
     if missing:
@@ -234,19 +234,12 @@ def cmd_simulate(args) -> int:
 
 
 def _sequential_plan(n: int, fractions, shuffle_seed=None) -> SplitPlan:
-    f1, f2, fc = fractions
     order = np.arange(n)
     if shuffle_seed is not None:
         key = np.array([shuffle_seed & 0xFFFFFFFFFFFFFFFF, 1], dtype=np.uint64)
         order = np.random.Generator(np.random.Philox(key=key)).permutation(n)
-    n1 = int(round(f1 * n))
-    n2 = int(round(f2 * n))
-    return SplitPlan(
-        idx_train1=order[:n1],
-        idx_train2=order[n1 : n1 + n2],
-        idx_cal=order[n1 + n2 :],
-        fractions=tuple(fractions),
-    )
+    n1, n2 = (int(round(f * n)) for f in fractions[:2])
+    return SplitPlan.sequential(order, n1, n2)
 
 
 def cmd_predict(args) -> int:
@@ -256,13 +249,16 @@ def cmd_predict(args) -> int:
             f"unknown method {args.method!r}; valid tags: {', '.join(usable)}"
         )
     names, train = _dataset_from_csv(args.train, args.target)
-    x_test = _covariates_from_csv(args.test, names, args.target)
+    x_test = _covariates_from_csv(args.test, names)
     scale_on = _scale_on(args.scale_model, None)
     fractions = (0.25, 0.25, 0.5) if scale_on else (0.5, 0.0, 0.5)
     if args.split:
-        parts = [float(p) for p in args.split.split(",")]
-        if len(parts) != 3 or any(p < 0 for p in parts) or sum(parts) > 1 + 1e-9:
-            raise UsageError("--split must be three non-negative fractions summing to <= 1")
+        try:
+            parts = [float(p) for p in args.split.split(",")]
+        except ValueError:
+            parts = []
+        if len(parts) != 3 or not all(p >= 0 for p in parts) or not abs(sum(parts) - 1) <= 1e-9:
+            raise UsageError("--split must be three non-negative fractions summing to 1")
         fractions = tuple(parts)
     plan = _sequential_plan(
         train.n, fractions, shuffle_seed=args.seed if args.shuffle else None
@@ -410,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="permute rows (seeded) before splitting folds",
     )
-    pred_p.add_argument("--split", default="", help="train1,train2,cal fractions")
+    pred_p.add_argument("--split", default="", help="train1,train2,cal fractions summing to 1")
     pred_p.add_argument("--scale-model", choices=["on", "off"], default="off")
     pred_p.add_argument("--outdir", default=".")
     pred_p.set_defaults(func=cmd_predict)

@@ -2,8 +2,8 @@
 
 Every fit function trains on the plan's training fold(s), computes
 nonconformity scores on the calibration fold, and returns an immutable
-model whose ``predict_region`` maps a covariate vector to a finite union
-of closed intervals with finite-sample marginal coverage.
+model whose ``predict_regions`` maps covariate rows of shape (n, d) to
+finite unions of closed intervals with finite-sample marginal coverage.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from conformal_hpd.regress import (
     QuantileConfig,
     ScaleConfig,
     ScaleEstimator,
+    _as_matrix,
+    _design,
+    _ols,
     fit_mean,
     fit_quantile_ladder,
     fit_scale,
@@ -89,12 +92,9 @@ class KdeHpdPipeline:
     def n_intervals(self) -> int:
         return len(self.eta_gamma)
 
-    def predict_region(self, x) -> PredictionRegion:
-        return self.predict_regions(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
     def predict_regions(self, xs) -> list[PredictionRegion]:
-        g = np.atleast_1d(predict_mean(self.gh, xs))
-        s = np.atleast_1d(predict_scale(self.sh, xs))
+        g = predict_mean(self.gh, xs)
+        s = predict_scale(self.sh, xs)
         out = []
         for gi, si in zip(g, s):
             ivals = tuple((gi + eta * si, gi + gamma * si) for eta, gamma in self.eta_gamma)
@@ -119,16 +119,9 @@ def fit_kde_hpd(
     if plan.idx_cal.size == 0:
         raise ValueError("no calibration scores")
     gh = fit_mean(data.subset(plan.idx_train1), config.mean)
-    if config.scale.kind == "constant-one":
-        sh = fit_scale(None, None, config.scale)
-    else:
-        if plan.idx_train2.size == 0:
-            raise ValueError("scale fold is empty")
-        sh = fit_scale(data.subset(plan.idx_train2), gh, config.scale)
+    sh = fit_scale(data.subset(plan.idx_train2), gh, config.scale)
     cal = data.subset(plan.idx_cal)
-    g_cal = np.atleast_1d(predict_mean(gh, cal.x))
-    s_cal = np.atleast_1d(predict_scale(sh, cal.x))
-    scores = ScoreVector((cal.y - g_cal) / s_cal)
+    scores = ScoreVector((cal.y - predict_mean(gh, cal.x)) / predict_scale(sh, cal.x))
     model = fit_kde(scores.v)
     hpd = smallest_mass_region(model, alpha)
     eta_gamma = []
@@ -160,17 +153,6 @@ def secpr_corrections(scores: ScoreVector, alpha1: float, alpha2: float) -> tupl
     return conformal_r(scores, alpha1), conformal_q(scores, 1.0 - alpha2)
 
 
-def _mirrored_order_stat(flipped_sorted: np.ndarray, k: int) -> float:
-    # k-th smallest of v equals minus the (n + 1 - k)-th smallest of -v
-    n = flipped_sorted.size
-    m = n + 1 - k
-    if m < 1:
-        return math.inf
-    if m > n:
-        return -math.inf
-    return -float(flipped_sorted[m - 1])
-
-
 @dataclass(frozen=True)
 class SecprModel:
     """Signed-error conformal interval around a fitted mean."""
@@ -184,11 +166,8 @@ class SecprModel:
     lower: float
     upper: float
 
-    def predict_region(self, x) -> PredictionRegion:
-        return self.predict_regions(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
     def predict_regions(self, xs) -> list[PredictionRegion]:
-        g = np.atleast_1d(predict_mean(self.gh, xs))
+        g = predict_mean(self.gh, xs)
         return [
             coalesce(PredictionRegion(((gi + self.lower, gi + self.upper),)))
             for gi in g
@@ -201,31 +180,16 @@ def fit_secpr(
     alpha1: float,
     alpha2: float,
     config: MeanConfig = MeanConfig(),
-    flip_scores: bool = False,
 ) -> SecprModel:
-    """Signed-error region with split tail budgets ``alpha1 + alpha2``.
-
-    ``flip_scores`` computes the same interval through negated scores and
-    mirrored ranks; the two routes must agree exactly and the flag exists
-    so tests can check that.
-    """
+    """Signed-error region with split tail budgets ``alpha1 + alpha2``."""
     plan.check_against(data.n)
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
     gh = fit_mean(data.subset(idx_train), config)
     cal = data.subset(plan.idx_cal)
     if cal.n == 0:
         raise ValueError("no calibration scores")
-    v = cal.y - np.atleast_1d(predict_mean(gh, cal.x))
-    scores = ScoreVector(v)
-    if flip_scores:
-        flipped = np.sort(-v)
-        n = scores.n
-        k_lower = math.ceil(round(alpha1 * (n + 1) - 1.0, 9))
-        k_upper = math.ceil(round((1.0 - alpha2) * (n + 1), 9))
-        lower = _mirrored_order_stat(flipped, k_lower)
-        upper = _mirrored_order_stat(flipped, k_upper)
-    else:
-        lower, upper = secpr_corrections(scores, alpha1, alpha2)
+    scores = ScoreVector(cal.y - predict_mean(gh, cal.x))
+    lower, upper = secpr_corrections(scores, alpha1, alpha2)
     return SecprModel(
         gh=gh, scores=scores, alpha1=alpha1, alpha2=alpha2, lower=lower, upper=upper
     )
@@ -246,12 +210,9 @@ class CqrModel:
     level_high: float
     correction: float
 
-    def predict_region(self, x) -> PredictionRegion:
-        return self.predict_regions(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
     def predict_regions(self, xs) -> list[PredictionRegion]:
-        lo = np.atleast_1d(predict_quantile(self.ladder, xs, self.level_low))
-        hi = np.atleast_1d(predict_quantile(self.ladder, xs, self.level_high))
+        lo = predict_quantile(self.ladder, xs, self.level_low)
+        hi = predict_quantile(self.ladder, xs, self.level_high)
         out = []
         for li, ui in zip(lo, hi):
             a, b = li - self.correction, ui + self.correction
@@ -279,8 +240,8 @@ def fit_cqr(
     cal = data.subset(plan.idx_cal)
     if cal.n == 0:
         raise ValueError("no calibration scores")
-    qlo = np.atleast_1d(predict_quantile(ladder, cal.x, level_low))
-    qhi = np.atleast_1d(predict_quantile(ladder, cal.x, level_high))
+    qlo = predict_quantile(ladder, cal.x, level_low)
+    qhi = predict_quantile(ladder, cal.x, level_high)
     scores = ScoreVector(np.maximum(qlo - cal.y, cal.y - qhi))
     correction = conformal_q(scores, 1.0 - alpha)
     return CqrModel(
@@ -361,11 +322,8 @@ class DcpModel:
     levels: np.ndarray = field(default_factory=lambda: DCP_LADDER_LEVELS)
 
     def _monotone_ladder(self, xs) -> np.ndarray:
-        qmat = predict_quantile(self.ladder, np.atleast_2d(np.asarray(xs, dtype=float)))
+        qmat = predict_quantile(self.ladder, xs)
         return np.maximum.accumulate(qmat, axis=1)
-
-    def predict_region(self, x) -> PredictionRegion:
-        return self.predict_regions(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
     def predict_regions(self, xs) -> list[PredictionRegion]:
         qmat = self._monotone_ladder(xs)
@@ -428,14 +386,8 @@ class ParametricNormalModel:
     alpha: float
     d: int
 
-    def predict_region(self, x) -> PredictionRegion:
-        return self.predict_regions(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
     def predict_regions(self, xs) -> list[PredictionRegion]:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if xs.shape[1] != self.d:
-            raise ValueError(f"covariate dimension mismatch: expected {self.d} columns")
-        design = np.hstack([np.ones((xs.shape[0], 1)), xs])
+        design = _design(_as_matrix(xs, self.d), ("raw",))
         center = design @ self.coef
         leverage = np.einsum("ij,jk,ik->i", design, self.xtx_inv, design)
         half = norm.ppf(1.0 - self.alpha / 2.0) * self.s * np.sqrt(1.0 + leverage)
@@ -446,10 +398,8 @@ class ParametricNormalModel:
 
 def fit_parametric_normal(data: Dataset, alpha: float) -> ParametricNormalModel:
     """Fit on every row of ``data`` (no calibration fold is needed)."""
-    design = np.hstack([np.ones((data.n, 1)), data.x])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise ValueError("singular design matrix")
-    coef, *_ = np.linalg.lstsq(design, data.y, rcond=None)
+    design = _design(data.x, ("raw",))
+    coef = _ols(design, data.y)
     resid = data.y - design @ coef
     dof = data.n - design.shape[1]
     if dof <= 0:
@@ -466,10 +416,10 @@ def fit_parametric_normal(data: Dataset, alpha: float) -> ParametricNormalModel:
 
 
 def predict_region(model, x) -> PredictionRegion:
-    """Prediction region at a single covariate vector."""
-    return model.predict_region(x)
+    """Prediction region for one covariate row, ``x`` of shape (1, d)."""
+    return predict_regions(model, x)[0]
 
 
 def predict_regions(model, xs) -> list[PredictionRegion]:
-    """Prediction regions for a batch of covariate rows."""
-    return model.predict_regions(np.atleast_2d(np.asarray(xs, dtype=float)))
+    """Prediction regions for covariate rows ``xs`` of shape (n, d)."""
+    return model.predict_regions(xs)

@@ -88,7 +88,6 @@ class SplitPlan:
     idx_train1: np.ndarray
     idx_train2: np.ndarray
     idx_cal: np.ndarray
-    fractions: tuple = (0.5, 0.0, 0.5)
 
     def __post_init__(self):
         for name in ("idx_train1", "idx_train2", "idx_cal"):
@@ -97,8 +96,6 @@ class SplitPlan:
                 raise ValueError(f"{name} must be a flat index list")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if any(f < 0 for f in self.fractions) or sum(self.fractions) > 1 + 1e-12:
-            raise ValueError("fractions must be non-negative and sum to <= 1")
         all_idx = np.concatenate([self.idx_train1, self.idx_train2, self.idx_cal])
         if all_idx.size and (all_idx < 0).any():
             raise ValueError("negative fold index")
@@ -113,21 +110,9 @@ class SplitPlan:
                 raise ValueError(f"{name} contains index >= n={n}")
 
     @classmethod
-    def random(cls, n: int, fractions, rng) -> "SplitPlan":
-        """Draw a random split of ``range(n)`` with the given fold fractions."""
-        f1, f2, fc = fractions
-        if f1 < 0 or f2 < 0 or fc < 0 or f1 + f2 + fc > 1 + 1e-12:
-            raise ValueError("fractions must be non-negative and sum to <= 1")
-        perm = rng.permutation(n)
-        n1 = int(round(f1 * n))
-        n2 = int(round(f2 * n))
-        nc = min(int(round(fc * n)), n - n1 - n2)
-        return cls(
-            idx_train1=perm[:n1],
-            idx_train2=perm[n1 : n1 + n2],
-            idx_cal=perm[n1 + n2 : n1 + n2 + nc],
-            fractions=(f1, f2, fc),
-        )
+    def sequential(cls, order, n1: int, n2: int) -> "SplitPlan":
+        """Folds from ``order``: the first ``n1`` entries, the next ``n2``, the rest to calibration."""
+        return cls(order[:n1], order[n1 : n1 + n2], order[n1 + n2 :])
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,18 @@ import numpy as np
 
 from conformal_hpd.kde import KdeModel, kde_cdf, kde_eval
 
-__all__ = ["HpdResult", "find_cutoff", "extract_intervals", "quantile_pairs", "smallest_mass_region"]
+__all__ = [
+    "HpdResult",
+    "find_cutoff",
+    "superlevel_intervals",
+    "extract_intervals",
+    "quantile_pairs",
+    "smallest_mass_region",
+]
 
 # Intervals holding less smoothed mass than this are treated as tail
 # wiggles: their conformal indices would clamp and blow up region size.
 MIN_COMPONENT_MASS = 1e-3
-
-_REFINE_ITERATIONS = 20
 
 
 def _sublevel_mass(grid: np.ndarray, density: np.ndarray, lam: float) -> float:
@@ -49,41 +54,51 @@ def find_cutoff(model: KdeModel, alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _refine_crossing(model: KdeModel, lam: float, z_below: float, z_above: float) -> float:
-    # Bisect f(z) - lam between a grid point at-or-below the cutoff and an
-    # adjacent one above it; 20 halvings localize to span * 2**-20.
-    a, b = z_below, z_above
-    for _ in range(_REFINE_ITERATIONS):
-        mid = 0.5 * (a + b)
-        if kde_eval(model, mid) > lam:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+def superlevel_intervals(density, grid, values, lam, iterations) -> list[tuple[float, float]]:
+    """Maximal intervals where ``density`` exceeds ``lam``, refined off-grid.
+
+    ``values`` is ``density`` on the sorted ``grid``. Runs of grid points
+    above ``lam`` give the intervals; every interior boundary is then
+    bisected between its grid point at-or-below the cutoff and the
+    adjacent one above it, all boundaries together with one vectorised
+    ``density`` call per iteration, to ``step * 2**-iterations``. A run
+    touching either end of the grid keeps that grid point. Returns an
+    empty list when no grid point exceeds ``lam``.
+    """
+    padded = np.concatenate(([False], values > lam, [False]))
+    starts = np.flatnonzero(padded[1:] & ~padded[:-1])
+    ends = np.flatnonzero(~padded[1:] & padded[:-1]) - 1
+    lo, hi = grid[starts], grid[ends]
+    inner_lo = starts > 0
+    inner_hi = ends < grid.size - 1
+    below = np.concatenate((grid[starts[inner_lo] - 1], grid[ends[inner_hi] + 1]))
+    above = np.concatenate((lo[inner_lo], hi[inner_hi]))
+    for _ in range(iterations):
+        mid = 0.5 * (below + above)
+        up = density(mid) > lam
+        above = np.where(up, mid, above)
+        below = np.where(up, below, mid)
+    cross = 0.5 * (below + above)
+    k = int(inner_lo.sum())
+    lo[inner_lo] = cross[:k]
+    hi[inner_hi] = cross[k:]
+    return [(float(a), float(b)) for a, b in zip(lo, hi)]
 
 
 def extract_intervals(model: KdeModel, lambda_hat: float) -> list[tuple[float, float]]:
     """Maximal disjoint intervals where the density exceeds ``lambda_hat``.
 
     Scans the cached grid for runs above the cutoff and refines each run
-    boundary by bisection on the exact density between adjacent grid
-    points. Raises if the cutoff is at or above the density maximum.
+    boundary by 20 bisection steps on the exact density. Raises if the
+    cutoff is at or above the density maximum.
     """
     if lambda_hat < 0:
         raise ValueError("cutoff must be non-negative")
-    grid, density = model.grid, model.grid_density
-    above = density > lambda_hat
-    if not above.any():
+    intervals = superlevel_intervals(
+        lambda z: kde_eval(model, z), model.grid, model.grid_density, lambda_hat, 20
+    )
+    if not intervals:
         raise ValueError("empty HPD set")
-    padded = np.concatenate(([False], above, [False]))
-    starts = np.flatnonzero(padded[1:] & ~padded[:-1])
-    ends = np.flatnonzero(~padded[1:] & padded[:-1]) - 1
-    intervals = []
-    for s, e in zip(starts, ends):
-        lo = grid[s] if s == 0 else _refine_crossing(model, lambda_hat, grid[s - 1], grid[s])
-        n = grid.size
-        hi = grid[e] if e == n - 1 else _refine_crossing(model, lambda_hat, grid[e + 1], grid[e])
-        intervals.append((float(lo), float(hi)))
     return intervals
 
 

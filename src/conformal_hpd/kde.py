@@ -50,7 +50,6 @@ class KdeModel:
 
     points: np.ndarray
     h: float
-    kernel: str = "gaussian"
     grid: np.ndarray = field(init=False)
     grid_density: np.ndarray = field(init=False)
 
@@ -62,8 +61,6 @@ class KdeModel:
             raise ValueError("points must be finite")
         if not self.h > 0:
             raise ValueError("bandwidth must be positive")
-        if self.kernel != "gaussian":
-            raise ValueError(f"unsupported kernel: {self.kernel!r}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         lo = pts.min() - _GRID_PAD * self.h

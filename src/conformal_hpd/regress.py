@@ -23,7 +23,6 @@ __all__ = [
     "QuantileEstimator",
     "fit_mean",
     "fit_scale",
-    "fit_quantile",
     "fit_quantile_ladder",
     "predict_mean",
     "predict_scale",
@@ -84,22 +83,13 @@ def _ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _as_matrix(x, d: int) -> np.ndarray:
+    """Covariate rows as an (n, d) float array; raises on any other shape or a non-finite entry."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim == 1 and arr.shape[0] == d:
-        arr = arr.reshape(1, d)
-    elif arr.ndim == 1 and d == 1:
-        arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[1] != d:
-        raise ValueError(f"covariate dimension mismatch: expected {d} columns")
+        raise ValueError(f"covariate dimension mismatch: expected (n, {d}) array")
+    if not np.isfinite(arr).all():
+        raise ValueError("covariates must be finite")
     return arr
-
-
-def _maybe_scalar(values: np.ndarray, x) -> float | np.ndarray:
-    if np.ndim(x) == 2:
-        return values
-    return float(values[0]) if values.shape[0] == 1 else values
 
 
 class _Knn:
@@ -169,36 +159,32 @@ def fit_mean(data: Dataset, config: MeanConfig = MeanConfig()) -> MeanEstimator:
     return MeanEstimator(kind=config.kind, d=data.d, coef=coef, feature_map=fmap)
 
 
-def predict_mean(gh: MeanEstimator, x) -> float | np.ndarray:
-    """Evaluate a fitted mean estimator at one or many covariate vectors."""
+def predict_mean(gh: MeanEstimator, x) -> np.ndarray:
+    """Evaluate a fitted mean estimator at covariate rows ``x`` of shape (n, d)."""
     xm = _as_matrix(x, gh.d)
     if gh.kind == "constant":
-        vals = np.full(xm.shape[0], gh.value)
-    elif gh.kind == "knn-mean":
-        vals = gh.knn.neighbor_targets(xm).mean(axis=1)
-    else:
-        vals = _design(xm, gh.feature_map) @ gh.coef
-    return _maybe_scalar(vals, x)
+        return np.full(xm.shape[0], gh.value)
+    if gh.kind == "knn-mean":
+        return gh.knn.neighbor_targets(xm).mean(axis=1)
+    return _design(xm, gh.feature_map) @ gh.coef
 
 
 def fit_scale(
-    data: Dataset | None,
-    gh: MeanEstimator | None,
-    config: ScaleConfig = ScaleConfig(),
+    data: Dataset, gh: MeanEstimator | None, config: ScaleConfig = ScaleConfig()
 ) -> ScaleEstimator:
     """Train the scale model on absolute residuals from the mean fit.
 
-    ``constant-one`` needs no data; every other kind regresses
-    |y - mean(x)| on x, clamped below at ``config.floor``.
+    ``constant-one`` uses only the covariate dimension of ``data`` (its
+    rows may be empty); every other kind regresses |y - mean(x)| on x,
+    clamped below at ``config.floor``.
     """
     if config.kind not in SCALE_KINDS:
         raise ValueError(f"unknown scale estimator kind: {config.kind!r}")
     if config.kind == "constant-one":
-        d = data.d if data is not None else 0
-        return ScaleEstimator(kind="constant-one", d=d, floor=config.floor)
-    if data is None or data.n == 0:
+        return ScaleEstimator(kind="constant-one", d=data.d, floor=config.floor)
+    if data.n == 0:
         raise ValueError("scale fold is empty")
-    absres = np.abs(data.y - np.atleast_1d(predict_mean(gh, data.x)))
+    absres = np.abs(data.y - predict_mean(gh, data.x))
     if config.kind == "ols-absres":
         coef = _ols(_design(data.x, ("raw",)), absres)
         return ScaleEstimator(kind=config.kind, d=data.d, floor=config.floor, coef=coef)
@@ -240,18 +226,11 @@ def fit_scale(
     )
 
 
-def predict_scale(sh: ScaleEstimator, x) -> float | np.ndarray:
-    """Evaluate the scale model; output is clamped at the floor."""
-    if sh.kind == "constant-one":
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim == 0:
-            return 1.0
-        if arr.ndim == 2:
-            return np.ones(arr.shape[0])
-        if sh.d > 1 and arr.shape[0] == sh.d:
-            return 1.0
-        return np.ones(arr.shape[0]) if arr.shape[0] > 1 else 1.0
+def predict_scale(sh: ScaleEstimator, x) -> np.ndarray:
+    """Evaluate the scale model at rows ``x`` of shape (n, d); clamped at the floor."""
     xm = _as_matrix(x, sh.d)
+    if sh.kind == "constant-one":
+        return np.ones(xm.shape[0])
     if sh.kind == "ols-absres":
         vals = _design(xm, ("raw",)) @ sh.coef
     elif sh.kind == "knn-quantile-absres":
@@ -261,8 +240,7 @@ def predict_scale(sh: ScaleEstimator, x) -> float | np.ndarray:
         centers = 0.5 * (sh.bin_edges[:-1] + sh.bin_edges[1:])
         idx = np.abs(xm[:, 0][:, None] - centers[None, :]).argmin(axis=1)
         vals = sh.bin_values[idx]
-    vals = np.maximum(vals, sh.floor)
-    return _maybe_scalar(vals, x)
+    return np.maximum(vals, sh.floor)
 
 
 def _pinball_descent(
@@ -337,18 +315,11 @@ def fit_quantile_ladder(
     )
 
 
-def fit_quantile(
-    data: Dataset, level: float, config: QuantileConfig = QuantileConfig()
-) -> QuantileEstimator:
-    """Estimate the conditional ``level``-quantile of y given x."""
-    return fit_quantile_ladder(data, [level], config)
-
-
 def predict_quantile(qe: QuantileEstimator, x, level: float | None = None):
-    """Evaluate fitted quantile(s) at ``x``.
+    """Evaluate fitted quantile(s) at covariate rows ``x`` of shape (n, d).
 
     With ``level=None`` returns the full ladder, shape (n, L); with a
-    fitted level returns that column (scalar for a single query).
+    fitted level returns that column, shape (n,).
     """
     xm = _as_matrix(x, qe.d)
     if qe.kind == "knn-quantile":
@@ -362,5 +333,4 @@ def predict_quantile(qe: QuantileEstimator, x, level: float | None = None):
     matches = np.flatnonzero(np.isclose(qe.levels, level))
     if matches.size == 0:
         raise ValueError(f"level {level} was not fitted")
-    col = vals[:, matches[0]]
-    return _maybe_scalar(col, x)
+    return vals[:, matches[0]]

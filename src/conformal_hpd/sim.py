@@ -33,6 +33,7 @@ from conformal_hpd.core import (
     region_contains,
     region_length,
 )
+from conformal_hpd.hpd import superlevel_intervals
 from conformal_hpd.regress import MeanConfig, QuantileConfig, ScaleConfig
 
 __all__ = [
@@ -93,36 +94,6 @@ def _mean_fn(x: np.ndarray) -> np.ndarray:
 # Oracle residual laws and smallest 1-alpha sets
 
 
-def _superlevel_intervals(pdf, grid, dens, lam):
-    above = dens > lam
-    if not above.any():
-        return []
-    padded = np.concatenate(([False], above, [False]))
-    starts = np.flatnonzero(padded[1:] & ~padded[:-1])
-    ends = np.flatnonzero(~padded[1:] & padded[:-1]) - 1
-    out = []
-    for s, e in zip(starts, ends):
-        lo = grid[s] if s == 0 else _bisect_crossing(pdf, lam, grid[s - 1], grid[s])
-        hi = (
-            grid[e]
-            if e == grid.size - 1
-            else _bisect_crossing(pdf, lam, grid[e + 1], grid[e])
-        )
-        out.append((float(lo), float(hi)))
-    return out
-
-
-def _bisect_crossing(pdf, lam, z_below, z_above):
-    a, b = z_below, z_above
-    for _ in range(40):
-        mid = 0.5 * (a + b)
-        if pdf(mid) > lam:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
-
-
 def level_set_hpd(pdf, cdf, lo, hi, alpha, tol=1e-8):
     """Smallest 1-alpha set of an analytic density on [lo, hi].
 
@@ -137,7 +108,7 @@ def level_set_hpd(pdf, cdf, lo, hi, alpha, tol=1e-8):
     ivals = [(lo, hi)]
     for _ in range(80):
         lam = 0.5 * (lam_lo + lam_hi)
-        ivals = _superlevel_intervals(pdf, grid, dens, lam)
+        ivals = superlevel_intervals(pdf, grid, dens, lam, 40)
         mass = sum(cdf(u) - cdf(l) for l, u in ivals)
         if abs(mass - target) < tol:
             break
@@ -325,21 +296,8 @@ class MethodSummary:
 
 
 def _build_plan(n_obs: int, n_train: int, scale_on: bool) -> SplitPlan:
-    idx = np.arange(n_obs)
-    if scale_on:
-        n1 = n_train // 2
-        return SplitPlan(
-            idx_train1=idx[:n1],
-            idx_train2=idx[n1:n_train],
-            idx_cal=idx[n_train:],
-            fractions=(n1 / n_obs, (n_train - n1) / n_obs, (n_obs - n_train) / n_obs),
-        )
-    return SplitPlan(
-        idx_train1=idx[:n_train],
-        idx_train2=idx[:0],
-        idx_cal=idx[n_train:],
-        fractions=(n_train / n_obs, 0.0, (n_obs - n_train) / n_obs),
-    )
+    n1 = n_train // 2 if scale_on else n_train
+    return SplitPlan.sequential(np.arange(n_obs), n1, n_train - n1)
 
 
 def fit_method(tag, observed, plan, alpha, scale_on):

@@ -209,6 +209,37 @@ class TestPredict:
         assert code == 1
         assert "singular" in capsys.readouterr().err
 
+    def test_split_must_sum_to_one(self, sim_csvs, tmp_path, capsys):
+        _, train_path, test_path = sim_csvs
+        args = ("predict", "--train", str(train_path), "--test", str(test_path),
+                "--target", "price")
+        bad = tmp_path / "bad"
+        assert run_cli(*args, "--split", "0.25,0.25,0.3", "--outdir", str(bad)) == 2
+        assert "--split" in capsys.readouterr().err
+        assert not (bad / "predictions.csv").exists()
+        good = tmp_path / "good"
+        assert run_cli(*args, "--split", "0.3,0.2,0.5", "--outdir", str(good)) == 0
+        assert (good / "predictions.csv").exists()
+
+    def test_non_finite_test_covariate_exits_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-5, 5, 100)
+        y = 5 + 2 * x + rng.standard_normal(100)
+        train = tmp_path / "train.csv"
+        write_csv(
+            train, ["x0", "y"], [[repr(float(a)), repr(float(b))] for a, b in zip(x, y)]
+        )
+        test = tmp_path / "test.csv"
+        write_csv(test, ["x0", "y"], [["1.0", "7.0"], ["nan", "7.0"]])
+        out = tmp_path / "o"
+        code = run_cli(
+            "predict", "--train", str(train), "--test", str(test),
+            "--target", "y", "--outdir", str(out),
+        )
+        assert code == 1
+        assert "covariates must be finite" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
     def test_missing_target_column_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
         write_csv(train, ["x0", "y"], [["1.0", "2.0"], ["2.0", "3.0"]])

@@ -49,7 +49,6 @@ def half_split(n):
     idx = np.arange(n)
     return SplitPlan(
         idx_train1=idx[: n // 2], idx_train2=[], idx_cal=idx[n // 2 :],
-        fractions=(0.5, 0.0, 0.5),
     )
 
 
@@ -87,7 +86,7 @@ class TestKdeHpdPipeline:
             data, plan, 0.1, KdeHpdConfig(mean=MeanConfig(kind="constant"))
         )
         np.testing.assert_array_equal(pipe.scores.v, y[40:])
-        region = pipe.predict_region(np.array([3.0]))
+        region = predict_region(pipe, np.array([[3.0]]))
         from conformal_hpd.core import coalesce
 
         expected = coalesce(PredictionRegion(pipe.eta_gamma))
@@ -113,11 +112,11 @@ class TestKdeHpdPipeline:
         eta = conformal_r(pipe.scores, a1)
         gamma = conformal_q(pipe.scores, 1.0 - b1)
         assert pipe.eta_gamma[0] == (eta, gamma)
-        x = np.array([1.5])
+        x = np.array([[1.5]])
         from conformal_hpd.regress import predict_mean
 
-        g = predict_mean(pipe.gh, x)
-        region = pipe.predict_region(x)
+        g = predict_mean(pipe.gh, x)[0]
+        region = predict_region(pipe, x)
         assert region.intervals[0][0] == g + eta
         assert region.intervals[0][1] == g + gamma
 
@@ -152,19 +151,19 @@ def stub_pipeline(center, scale_coef, eta_gamma):
 class TestPredictRegion:
     def test_affine_map(self):
         pipe = stub_pipeline(9.0, 1.0, ((-1.65, 1.65),))
-        region = pipe.predict_region(0.0)
+        region = predict_region(pipe, [[0.0]])
         assert region.intervals[0] == pytest.approx((7.35, 10.65))
 
     def test_scale_doubles_length(self):
         narrow = stub_pipeline(9.0, 1.0, ((-1.65, 1.65),))
         wide = stub_pipeline(9.0, 2.0, ((-1.65, 1.65),))
-        assert region_length(wide.predict_region(0.0)) == pytest.approx(
-            2 * region_length(narrow.predict_region(0.0))
+        assert region_length(predict_region(wide, [[0.0]])) == pytest.approx(
+            2 * region_length(predict_region(narrow, [[0.0]]))
         )
 
     def test_overlapping_mapped_intervals_coalesce(self):
         pipe = stub_pipeline(0.0, 1.0, ((-1.0, 0.5), (0.2, 1.0)))
-        region = pipe.predict_region(0.0)
+        region = predict_region(pipe, [[0.0]])
         assert region.intervals == ((-1.0, 1.0),)
 
     def test_batch_matches_single(self):
@@ -172,7 +171,7 @@ class TestPredictRegion:
         xs = np.array([[0.0], [2.0], [5.0]])
         batch = predict_regions(pipe, xs)
         for row, reg in zip(xs, batch):
-            assert predict_region(pipe, row).intervals == reg.intervals
+            assert predict_region(pipe, row[None, :]).intervals == reg.intervals
 
 
 class TestSecpr:
@@ -207,14 +206,29 @@ class TestSecpr:
         assert abs(hits / total - target) <= 3 * se
 
     def test_flipped_scores_give_identical_interval(self):
+        # The same interval through negated scores and mirrored ranks: the
+        # k-th smallest of v is minus the (n + 1 - k)-th smallest of -v.
+        # The ranks here use round(., 9) before ceil, not _ceil_index.
+        def mirrored_order_stat(flipped_sorted, k):
+            n = flipped_sorted.size
+            m = n + 1 - k
+            if m < 1:
+                return math.inf
+            if m > n:
+                return -math.inf
+            return -float(flipped_sorted[m - 1])
+
         rng = np.random.default_rng(88)
         for alpha1, alpha2 in [(0.05, 0.05), (0.02, 0.08), (0.0, 0.1), (0.3, 0.0)]:
             data = make_line_data(rng, 300, lambda n: rng.standard_normal(n))
             plan = half_split(300)
             direct = fit_secpr(data, plan, alpha1, alpha2)
-            flipped = fit_secpr(data, plan, alpha1, alpha2, flip_scores=True)
-            assert direct.lower == flipped.lower
-            assert direct.upper == flipped.upper
+            flipped = np.sort(-direct.scores.v)
+            n = direct.scores.n
+            k_lower = math.ceil(round(alpha1 * (n + 1) - 1.0, 9))
+            k_upper = math.ceil(round((1.0 - alpha2) * (n + 1), 9))
+            assert direct.lower == mirrored_order_stat(flipped, k_lower)
+            assert direct.upper == mirrored_order_stat(flipped, k_upper)
 
 
 class TestCqr:
@@ -245,7 +259,7 @@ class TestCqr:
         data = Dataset(x, np.zeros(40))
         plan = half_split(40)
         fitted = fit_cqr(data, plan, 0.1, QuantileConfig(kind="knn-quantile", k=5))
-        region = fitted.predict_region(np.array([0.5]))
+        region = predict_region(fitted, np.array([[0.5]]))
         assert region.is_empty or region_length(region) >= 0.0
 
 
@@ -274,7 +288,7 @@ class TestDcp:
             0.10,
             QuantileConfig(kind="linear-quantile", feature_map=("raw", "square")),
         )
-        region = model.predict_region(np.array([0.0]))
+        region = predict_region(model, np.array([[0.0]]))
         lo, hi = region.intervals[0]
         assert lo == pytest.approx(5.0 + norm.ppf(0.05), abs=0.25)
         assert hi == pytest.approx(5.0 + norm.ppf(0.95), abs=0.25)
@@ -287,7 +301,7 @@ class TestDcp:
         )
         model = fit_dcp(data, half_split(800), 0.10)
         for x in np.linspace(-5, 5, 7):
-            assert len(model.predict_region(np.array([x]))) == 1
+            assert len(predict_region(model, np.array([[x]]))) == 1
 
 
 class TestParametricNormal:
@@ -295,7 +309,7 @@ class TestParametricNormal:
         x = np.linspace(-5, 5, 60).reshape(-1, 1)
         data = Dataset(x, 5.0 + 2.0 * x[:, 0])
         model = fit_parametric_normal(data, 0.1)
-        region = model.predict_region(np.array([1.0]))
+        region = predict_region(model, np.array([[1.0]]))
         assert region.intervals[0][0] == pytest.approx(7.0, abs=1e-7)
         assert region.intervals[0][1] == pytest.approx(7.0, abs=1e-7)
 
@@ -303,7 +317,7 @@ class TestParametricNormal:
         rng = np.random.default_rng(70)
         data = make_line_data(rng, 4000, lambda n: rng.standard_normal(n))
         model = fit_parametric_normal(data, 0.1)
-        region = model.predict_region(np.array([0.0]))
+        region = predict_region(model, np.array([[0.0]]))
         half = 0.5 * region_length(region)
         assert half == pytest.approx(norm.ppf(0.95) * model.s, rel=1e-3)
 
@@ -321,28 +335,33 @@ class TestParametricNormal:
         assert hits / total == pytest.approx(0.90, abs=0.02)
 
 
+METHODS = ["kde-hpd", "secpr", "cqr", "dcp", "parametric"]
+
+
+def fit_by_method(method, ds, plan):
+    if method == "kde-hpd":
+        return fit_kde_hpd(ds, plan, 0.1)
+    if method == "secpr":
+        return fit_secpr(ds, plan, 0.05, 0.05)
+    if method == "cqr":
+        return fit_cqr(ds, plan, 0.1, QuantileConfig(kind="knn-quantile", k=20))
+    if method == "dcp":
+        return fit_dcp(ds, plan, 0.1)
+    return fit_parametric_normal(ds, 0.1)
+
+
 class TestSharedInvariants:
-    @pytest.mark.parametrize("method", ["kde-hpd", "secpr", "cqr", "dcp", "parametric"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_translation_equivariance(self, method):
         rng = np.random.default_rng(80)
         data = make_line_data(rng, 400, lambda n: rng.standard_normal(n))
         shift = 37.5
         shifted = Dataset(data.x, data.y + shift)
         plan = half_split(400)
-        x_probe = np.array([1.25])
+        x_probe = np.array([[1.25]])
 
         def fit_and_predict(ds):
-            if method == "kde-hpd":
-                model = fit_kde_hpd(ds, plan, 0.1)
-            elif method == "secpr":
-                model = fit_secpr(ds, plan, 0.05, 0.05)
-            elif method == "cqr":
-                model = fit_cqr(ds, plan, 0.1, QuantileConfig(kind="knn-quantile", k=20))
-            elif method == "dcp":
-                model = fit_dcp(ds, plan, 0.1)
-            else:
-                model = fit_parametric_normal(ds, 0.1)
-            return model.predict_region(x_probe)
+            return predict_region(fit_by_method(method, ds, plan), x_probe)
 
         base = fit_and_predict(data)
         moved = fit_and_predict(shifted)
@@ -357,9 +376,20 @@ class TestSharedInvariants:
         c = 3.0
         scaled = Dataset(data.x, data.y * c)
         plan = half_split(500)
-        base = fit_kde_hpd(data, plan, 0.1).predict_region(np.array([0.5]))
-        up = fit_kde_hpd(scaled, plan, 0.1).predict_region(np.array([0.5]))
+        base = predict_region(fit_kde_hpd(data, plan, 0.1), np.array([[0.5]]))
+        up = predict_region(fit_kde_hpd(scaled, plan, 0.1), np.array([[0.5]]))
         assert len(base) == len(up)
         for (lo0, hi0), (lo1, hi1) in zip(base, up):
             assert lo1 == pytest.approx(c * lo0, rel=1e-7)
             assert hi1 == pytest.approx(c * hi0, rel=1e-7)
+
+
+class TestNonFiniteCovariates:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_predict_regions_rejects_non_finite_rows(self, method, bad):
+        rng = np.random.default_rng(90)
+        data = make_line_data(rng, 200, lambda n: rng.standard_normal(n))
+        model = fit_by_method(method, data, half_split(200))
+        with pytest.raises(ValueError, match="finite"):
+            predict_regions(model, np.array([[0.5], [bad]]))

@@ -234,7 +234,7 @@ class TestDatasetAndSplit:
 
     def test_split_plan_random(self):
         rng = np.random.default_rng(0)
-        plan = SplitPlan.random(100, (0.25, 0.25, 0.5), rng)
+        plan = SplitPlan.sequential(rng.permutation(100), 25, 25)
         assert plan.idx_train1.size == 25
         assert plan.idx_train2.size == 25
         assert plan.idx_cal.size == 50

@@ -9,6 +9,7 @@ from conformal_hpd.hpd import (
     find_cutoff,
     quantile_pairs,
     smallest_mass_region,
+    superlevel_intervals,
 )
 from conformal_hpd.kde import fit_kde, kde_cdf
 
@@ -107,6 +108,37 @@ class TestExtractIntervals:
         for lo, hi in extract_intervals(bimodal_model, lam):
             assert kde_eval(bimodal_model, lo) == pytest.approx(lam, rel=1e-3)
             assert kde_eval(bimodal_model, hi) == pytest.approx(lam, rel=1e-3)
+
+
+class TestSuperlevelIntervals:
+    @pytest.mark.parametrize("iterations", [20, 40])
+    def test_interior_crossings_match_normal_root(self, iterations):
+        grid = np.linspace(-6.0, 6.0, 301)
+        lam = 0.1
+        root = np.sqrt(-2.0 * np.log(lam * np.sqrt(2.0 * np.pi)))
+        (lo, hi), = superlevel_intervals(norm.pdf, grid, norm.pdf(grid), lam, iterations)
+        tol = (grid[1] - grid[0]) * 2.0**-iterations
+        assert abs(lo + root) <= tol
+        assert abs(hi - root) <= tol
+
+    def test_runs_touching_the_grid_ends_stay_on_the_grid(self):
+        lam = 0.1
+        root = np.sqrt(-2.0 * np.log(lam * np.sqrt(2.0 * np.pi)))
+        right = np.linspace(0.5, 3.0, 101)
+        (lo, hi), = superlevel_intervals(norm.pdf, right, norm.pdf(right), lam, 40)
+        assert lo == right[0]
+        assert hi == pytest.approx(root, abs=1e-12)
+        left = -right[::-1]
+        (lo, hi), = superlevel_intervals(norm.pdf, left, norm.pdf(left), lam, 40)
+        assert lo == pytest.approx(-root, abs=1e-12)
+        assert hi == left[-1]
+        assert superlevel_intervals(norm.pdf, right, norm.pdf(right), 0.0, 40) == [
+            (right[0], right[-1])
+        ]
+
+    def test_empty_when_nothing_exceeds_the_cutoff(self):
+        grid = np.linspace(-3.0, 3.0, 61)
+        assert superlevel_intervals(norm.pdf, grid, norm.pdf(grid), 1.0, 20) == []
 
 
 class TestQuantilePairs:

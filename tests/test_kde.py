@@ -71,8 +71,6 @@ class TestDensity:
             KdeModel(points=np.array([0.0, 1.0]), h=0.0)
         with pytest.raises(ValueError, match="nonempty"):
             KdeModel(points=np.array([]), h=1.0)
-        with pytest.raises(ValueError, match="kernel"):
-            KdeModel(points=np.array([0.0]), h=1.0, kernel="tophat")
 
 
 class TestCdf:

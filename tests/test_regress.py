@@ -8,7 +8,7 @@ from conformal_hpd.regress import (
     QuantileConfig,
     ScaleConfig,
     fit_mean,
-    fit_quantile,
+    fit_quantile_ladder,
     fit_scale,
     predict_mean,
     predict_quantile,
@@ -27,8 +27,8 @@ def line_dataset(n=50, noise=None, rng=None):
 class TestFitMean:
     def test_exact_line_recovered(self):
         gh = fit_mean(line_dataset())
-        assert predict_mean(gh, 0.0) == pytest.approx(5.0, abs=1e-10)
-        assert predict_mean(gh, 2.0) == pytest.approx(9.0, abs=1e-10)
+        assert predict_mean(gh, [[0.0]])[0] == pytest.approx(5.0, abs=1e-10)
+        assert predict_mean(gh, [[2.0]])[0] == pytest.approx(9.0, abs=1e-10)
         grid = np.linspace(-5, 5, 11).reshape(-1, 1)
         np.testing.assert_allclose(
             predict_mean(gh, grid), 5.0 + 2.0 * grid[:, 0], atol=1e-10
@@ -44,13 +44,13 @@ class TestFitMean:
     def test_constant_kind(self):
         data = line_dataset(40)
         gh = fit_mean(data, MeanConfig(kind="constant"))
-        assert predict_mean(gh, 3.3) == pytest.approx(data.y.mean())
-        assert predict_mean(gh, -4.0) == pytest.approx(data.y.mean())
+        assert predict_mean(gh, [[3.3]])[0] == pytest.approx(data.y.mean())
+        assert predict_mean(gh, [[-4.0]])[0] == pytest.approx(data.y.mean())
 
     def test_knn_mean_with_k_equal_n(self):
         data = line_dataset(30)
         gh = fit_mean(data, MeanConfig(kind="knn-mean", k=30))
-        assert predict_mean(gh, 1.0) == pytest.approx(data.y.mean())
+        assert predict_mean(gh, [[1.0]])[0] == pytest.approx(data.y.mean())
 
     def test_ols_with_features(self):
         x = np.linspace(-3, 3, 80).reshape(-1, 1)
@@ -58,7 +58,7 @@ class TestFitMean:
         gh = fit_mean(
             Dataset(x, y), MeanConfig(kind="ols-with-features", feature_map=("raw", "square"))
         )
-        assert predict_mean(gh, 2.0) == pytest.approx(1 + 1 + 8, abs=1e-8)
+        assert predict_mean(gh, [[2.0]])[0] == pytest.approx(1 + 1 + 8, abs=1e-8)
 
     def test_singular_design_raises(self):
         x = np.ones((10, 2))  # two identical constant columns
@@ -81,11 +81,29 @@ class TestFitMean:
         with pytest.raises(ValueError, match="dimension mismatch"):
             predict_mean(gh, np.ones((4, 3)))
 
+    @pytest.mark.parametrize("x", [0.5, np.array([0.5]), np.array([0.5, 1.0])])
+    def test_scalar_and_one_dimensional_input_rejected(self, x):
+        data = line_dataset(100)
+        gh = fit_mean(data)
+        estimators = [
+            lambda: predict_mean(gh, x),
+            lambda: predict_quantile(
+                fit_quantile_ladder(data, [0.5], QuantileConfig(k=10)), x, 0.5
+            ),
+        ]
+        for kind in ("constant-one", "ols-absres"):
+            sh = fit_scale(data, gh, ScaleConfig(kind=kind))
+            estimators.append(lambda sh=sh: predict_scale(sh, x))
+        for predict in estimators:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                predict()
+
 
 class TestFitScale:
     def test_constant_one(self):
-        sh = fit_scale(None, None, ScaleConfig(kind="constant-one"))
-        assert predict_scale(sh, 0.7) == 1.0
+        no_rows = Dataset(np.zeros((0, 2)), np.zeros(0))
+        sh = fit_scale(no_rows, None, ScaleConfig(kind="constant-one"))
+        assert predict_scale(sh, [[0.7, 0.7]])[0] == 1.0
         assert np.all(predict_scale(sh, np.zeros((5, 2))) == 1.0)
 
     def test_bowtie_scale_increases_with_abs_x(self):
@@ -108,7 +126,7 @@ class TestFitScale:
         gh = fit_mean(data, MeanConfig(kind="constant"))
         sh = fit_scale(data, gh, ScaleConfig(kind="binned-quantile-absres"))
         for q in [-4.9, -1.0, 0.3, 4.9]:
-            assert predict_scale(sh, q) == pytest.approx(c, abs=1e-9)
+            assert predict_scale(sh, [[q]])[0] == pytest.approx(c, abs=1e-9)
 
     def test_floor_clamps_negative_fit(self):
         # absolute residuals shrink linearly in x; OLS extrapolates negative
@@ -117,7 +135,7 @@ class TestFitScale:
         data = Dataset(x, y)
         gh = fit_mean(data, MeanConfig(kind="constant"))
         sh = fit_scale(data, gh, ScaleConfig(kind="ols-absres", floor=1e-6))
-        assert predict_scale(sh, 5.0) == pytest.approx(1e-6)
+        assert predict_scale(sh, [[5.0]])[0] == pytest.approx(1e-6)
 
     def test_binned_out_of_range_uses_nearest_bin(self):
         rng = np.random.default_rng(4)
@@ -126,8 +144,8 @@ class TestFitScale:
         data = Dataset(x, y)
         gh = fit_mean(data, MeanConfig(kind="constant"))
         sh = fit_scale(data, gh, ScaleConfig(kind="binned-quantile-absres", bins=5))
-        assert predict_scale(sh, -10.0) == pytest.approx(sh.bin_values[0])
-        assert predict_scale(sh, 10.0) == pytest.approx(sh.bin_values[-1])
+        assert predict_scale(sh, [[-10.0]])[0] == pytest.approx(sh.bin_values[0])
+        assert predict_scale(sh, [[10.0]])[0] == pytest.approx(sh.bin_values[-1])
 
     def test_scale_never_below_floor(self):
         rng = np.random.default_rng(8)
@@ -143,7 +161,8 @@ class TestFitScale:
     def test_empty_fold_rejected(self):
         gh = fit_mean(line_dataset())
         with pytest.raises(ValueError, match="empty"):
-            fit_scale(None, gh, ScaleConfig(kind="ols-absres"))
+            no_rows = Dataset(np.zeros((0, 1)), np.zeros(0))
+            fit_scale(no_rows, gh, ScaleConfig(kind="ols-absres"))
 
 
 class TestFitQuantile:
@@ -151,35 +170,33 @@ class TestFitQuantile:
         rng = np.random.default_rng(31)
         x = rng.uniform(-5, 5, 5000).reshape(-1, 1)
         y = rng.standard_normal(5000)
-        qe = fit_quantile(Dataset(x, y), 0.95, QuantileConfig(kind="knn-quantile", k=500))
-        assert predict_quantile(qe, 0.0, 0.95) == pytest.approx(norm.ppf(0.95), abs=0.15)
+        qe = fit_quantile_ladder(Dataset(x, y), [0.95], QuantileConfig(kind="knn-quantile", k=500))
+        assert predict_quantile(qe, [[0.0]], 0.95)[0] == pytest.approx(norm.ppf(0.95), abs=0.15)
 
     def test_median_matches_mean_under_symmetry(self):
         rng = np.random.default_rng(32)
         x = rng.uniform(-5, 5, 4000).reshape(-1, 1)
         y = 1.0 + rng.standard_normal(4000)
         data = Dataset(x, y)
-        qe = fit_quantile(data, 0.5, QuantileConfig(kind="knn-quantile", k=400))
+        qe = fit_quantile_ladder(data, [0.5], QuantileConfig(kind="knn-quantile", k=400))
         gh = fit_mean(data, MeanConfig(kind="knn-mean", k=400))
         for q in [-2.0, 0.0, 2.0]:
-            assert predict_quantile(qe, q, 0.5) == pytest.approx(
-                predict_mean(gh, q), abs=0.15
+            assert predict_quantile(qe, [[q]], 0.5)[0] == pytest.approx(
+                predict_mean(gh, [[q]])[0], abs=0.15
             )
 
     def test_constant_response(self):
         x = np.linspace(0, 1, 60).reshape(-1, 1)
         data = Dataset(x, np.full(60, 2.5))
         for level in (0.1, 0.5, 0.9):
-            qe = fit_quantile(data, level, QuantileConfig(kind="knn-quantile", k=20))
-            assert predict_quantile(qe, 0.5, level) == pytest.approx(2.5)
+            qe = fit_quantile_ladder(data, [level], QuantileConfig(kind="knn-quantile", k=20))
+            assert predict_quantile(qe, [[0.5]], level)[0] == pytest.approx(2.5)
 
     def test_monotone_in_level(self):
         rng = np.random.default_rng(33)
         x = rng.uniform(-5, 5, 1500).reshape(-1, 1)
         y = rng.standard_normal(1500) * (1 + 0.3 * np.abs(x[:, 0]))
         data = Dataset(x, y)
-        from conformal_hpd.regress import fit_quantile_ladder
-
         qe = fit_quantile_ladder(data, np.arange(0.1, 0.95, 0.1), QuantileConfig(kind="knn-quantile"))
         vals = predict_quantile(qe, np.array([[0.0], [3.0]]))
         assert (np.diff(vals, axis=1) >= 0).all()
@@ -189,19 +206,19 @@ class TestFitQuantile:
         n = 2000
         x = rng.uniform(-5, 5, n).reshape(-1, 1)
         y = 5.0 + 2.0 * x[:, 0] + rng.standard_normal(n)
-        qe = fit_quantile(
-            Dataset(x, y), 0.9, QuantileConfig(kind="linear-quantile", feature_map=("raw",))
+        qe = fit_quantile_ladder(
+            Dataset(x, y), [0.9], QuantileConfig(kind="linear-quantile", feature_map=("raw",))
         )
         for q in (-3.0, 0.0, 3.0):
             expected = 5.0 + 2.0 * q + norm.ppf(0.9)
-            assert predict_quantile(qe, q, 0.9) == pytest.approx(expected, abs=0.25)
+            assert predict_quantile(qe, [[q]], 0.9)[0] == pytest.approx(expected, abs=0.25)
 
     def test_unfitted_level_raises(self):
         data = line_dataset(100)
-        qe = fit_quantile(data, 0.5, QuantileConfig(kind="knn-quantile", k=10))
+        qe = fit_quantile_ladder(data, [0.5], QuantileConfig(kind="knn-quantile", k=10))
         with pytest.raises(ValueError, match="not fitted"):
-            predict_quantile(qe, 0.0, 0.9)
+            predict_quantile(qe, [[0.0]], 0.9)
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="levels"):
-            fit_quantile(line_dataset(), 1.5)
+            fit_quantile_ladder(line_dataset(), [1.5])
