@@ -105,6 +105,13 @@ def _read_numeric_csv(path):
     return header, data
 
 
+def _reject_where(path, header, bad, what):
+    """Raise naming the first flagged cell of ``bad`` (rows x columns of ``header``)."""
+    rows, cols = np.nonzero(bad)
+    if rows.size:
+        raise UsageError(f"{path}: {what} value at row {rows[0] + 1}, column {header[cols[0]]!r}")
+
+
 def _dataset_from_csv(path, target):
     header, data = _read_numeric_csv(path)
     if target not in header:
@@ -285,6 +292,8 @@ def _read_predictions(path):
         raise UsageError(f"{path}: expected header {expected}, found {header}")
     if data.shape[0] == 0:
         raise UsageError(f"{path}: no prediction rows")
+    # +-inf endpoints are valid (clamped order statistics); NaN never is
+    _reject_where(path, header, np.isnan(data), "NaN")
     intervals: dict = {}
     for row_id, _, lo, hi in data:
         intervals.setdefault(int(row_id), []).append((lo, hi))
@@ -303,6 +312,7 @@ def cmd_evaluate(args) -> int:
             for i, row in enumerate(rows, start=1)
         ]
     )
+    _reject_where(args.truth, [args.target], ~np.isfinite(y)[:, None], "non-finite")
     if set(intervals) != set(range(len(y))):
         raise UsageError(
             f"row keys mismatch: predictions cover {len(intervals)} rows,"

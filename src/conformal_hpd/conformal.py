@@ -9,7 +9,7 @@ finite unions of closed intervals with finite-sample marginal coverage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -110,15 +110,20 @@ def fit_kde_hpd(
 ) -> KdeHpdPipeline:
     """Fit the full pipeline: mean, scale, scores, KDE level set, indices.
 
+    The mean trains on train1 when a scale model is fitted on train2, and
+    on train1 + train2 under the constant-one scale, as the baselines do.
     Quantile pairs whose conformal indices cross (possible for sliver
     intervals after clamping) are dropped from the union and counted.
     """
     plan.check_against(data.n)
-    if plan.idx_train1.size == 0:
+    idx_mean = plan.idx_train1
+    if config.scale.kind == "constant-one":
+        idx_mean = np.concatenate([plan.idx_train1, plan.idx_train2])
+    if idx_mean.size == 0:
         raise ValueError("training fold is empty")
     if plan.idx_cal.size == 0:
         raise ValueError("no calibration scores")
-    gh = fit_mean(data.subset(plan.idx_train1), config.mean)
+    gh = fit_mean(data.subset(idx_mean), config.mean)
     sh = fit_scale(data.subset(plan.idx_train2), gh, config.scale)
     cal = data.subset(plan.idx_cal)
     scores = ScoreVector((cal.y - predict_mean(gh, cal.x)) / predict_scale(sh, cal.x))
@@ -179,12 +184,11 @@ def fit_secpr(
     plan: SplitPlan,
     alpha1: float,
     alpha2: float,
-    config: MeanConfig = MeanConfig(),
 ) -> SecprModel:
     """Signed-error region with split tail budgets ``alpha1 + alpha2``."""
     plan.check_against(data.n)
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
-    gh = fit_mean(data.subset(idx_train), config)
+    gh = fit_mean(data.subset(idx_train))
     cal = data.subset(plan.idx_cal)
     if cal.n == 0:
         raise ValueError("no calibration scores")
@@ -228,11 +232,10 @@ def fit_cqr(
     plan: SplitPlan,
     alpha: float,
     config: QuantileConfig = QuantileConfig(),
-    levels: tuple | None = None,
 ) -> CqrModel:
-    """CQR with quantile bands at ``levels`` (default equal tails alpha/2)."""
+    """CQR with equal-tailed quantile bands at alpha/2 and 1 - alpha/2."""
     plan.check_against(data.n)
-    level_low, level_high = levels if levels is not None else (alpha / 2, 1 - alpha / 2)
+    level_low, level_high = alpha / 2, 1 - alpha / 2
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
     ladder = fit_quantile_ladder(
         data.subset(idx_train), [level_low, level_high], config
@@ -319,7 +322,6 @@ class DcpModel:
     ladder: object
     alpha: float
     cutoff: float
-    levels: np.ndarray = field(default_factory=lambda: DCP_LADDER_LEVELS)
 
     def _monotone_ladder(self, xs) -> np.ndarray:
         qmat = predict_quantile(self.ladder, xs)
@@ -327,7 +329,7 @@ class DcpModel:
 
     def predict_regions(self, xs) -> list[PredictionRegion]:
         qmat = self._monotone_ladder(xs)
-        b_hat = optimal_lower_level(qmat, self.levels, self.alpha)
+        b_hat = optimal_lower_level(qmat, DCP_LADDER_LEVELS, self.alpha)
         center = b_hat + 0.5 * (1.0 - self.alpha)
         lo_level = center - self.cutoff
         hi_level = center + self.cutoff
@@ -336,8 +338,8 @@ class DcpModel:
             # levels beyond the ladder range clamp to the outer quantiles,
             # keeping the interval finite (generalized inversion would
             # return an unbounded endpoint there)
-            lo = float(_ladder_quantile(qmat[i : i + 1], self.levels, lo_level[i])[0])
-            hi = float(_ladder_quantile(qmat[i : i + 1], self.levels, hi_level[i])[0])
+            lo = float(_ladder_quantile(qmat[i : i + 1], DCP_LADDER_LEVELS, lo_level[i])[0])
+            hi = float(_ladder_quantile(qmat[i : i + 1], DCP_LADDER_LEVELS, hi_level[i])[0])
             out.append(PredictionRegion(((lo, hi),)))
         return out
 

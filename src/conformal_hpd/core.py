@@ -50,11 +50,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        if x.ndim != 2:
-            raise ValueError("covariate matrix must be 2-dimensional")
+        x = _as_readonly(self.x, ndim=2)
         y = _as_readonly(self.y, ndim=1)
-        x = _as_readonly(x, ndim=2)
         if x.shape[0] != y.shape[0]:
             raise ValueError(
                 f"row mismatch: x has {x.shape[0]} rows, y has {y.shape[0]}"

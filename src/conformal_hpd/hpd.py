@@ -103,11 +103,13 @@ def extract_intervals(model: KdeModel, lambda_hat: float) -> list[tuple[float, f
 
 
 def quantile_pairs(model: KdeModel, intervals) -> list[tuple[float, float]]:
-    """Tail-mass pair (lower mass below lo, upper mass above hi) per interval."""
-    pairs = []
-    for lo, hi in intervals:
-        pairs.append((float(kde_cdf(model, lo)), float(1.0 - kde_cdf(model, hi))))
-    return pairs
+    """Tail-mass pair (lower mass below lo, upper mass above hi) per interval.
+
+    One vectorised ``kde_cdf`` call covers every endpoint.
+    """
+    ends = np.asarray(intervals, dtype=np.float64).reshape(-1)
+    cdf = kde_cdf(model, ends).reshape(-1, 2)
+    return [(float(lo), float(1.0 - hi)) for lo, hi in cdf]
 
 
 @dataclass(frozen=True)
@@ -121,20 +123,21 @@ class HpdResult:
 
 
 def smallest_mass_region(model: KdeModel, alpha: float) -> HpdResult:
-    """Full extraction: cutoff, intervals, sliver suppression, tail pairs."""
+    """Full extraction: cutoff, intervals, tail pairs, sliver suppression.
+
+    The pairs of all found intervals come from one ``quantile_pairs`` call;
+    an interval whose pair mass 1 - a - b is below ``MIN_COMPONENT_MASS``
+    is a sliver and is dropped together with its pair.
+    """
     lam = find_cutoff(model, alpha)
     intervals = extract_intervals(model, lam)
-    kept = [
-        (lo, hi)
-        for lo, hi in intervals
-        if kde_cdf(model, hi) - kde_cdf(model, lo) >= MIN_COMPONENT_MASS
-    ]
+    pairs = quantile_pairs(model, intervals)
+    kept = [j for j, (a, b) in enumerate(pairs) if 1.0 - a - b >= MIN_COMPONENT_MASS]
     if not kept:  # every component was a sliver; keep the widest instead
-        kept = [max(intervals, key=lambda iv: iv[1] - iv[0])]
-    pairs = quantile_pairs(model, kept)
+        kept = [max(range(len(intervals)), key=lambda j: intervals[j][1] - intervals[j][0])]
     return HpdResult(
         lambda_hat=lam,
-        intervals=tuple(kept),
-        pairs=tuple(pairs),
+        intervals=tuple(intervals[j] for j in kept),
+        pairs=tuple(pairs[j] for j in kept),
         alpha=alpha,
     )

@@ -66,7 +66,7 @@ class KdeModel:
         lo = pts.min() - _GRID_PAD * self.h
         hi = pts.max() + _GRID_PAD * self.h
         grid = np.linspace(lo, hi, _GRID_SIZE)
-        dens = kde_eval(self, grid, _skip_cache=True)
+        dens = kde_eval(self, grid)
         grid.flags.writeable = False
         dens.flags.writeable = False
         object.__setattr__(self, "grid", grid)
@@ -84,29 +84,24 @@ def fit_kde(points, h: float | None = None) -> KdeModel:
     return KdeModel(points=np.asarray(points, dtype=np.float64), h=float(h))
 
 
-def _blocked(model: KdeModel, z: np.ndarray, kernel_fn) -> np.ndarray:
-    out = np.empty(z.shape, dtype=np.float64)
+def _blocked(model: KdeModel, z, kernel_fn) -> np.ndarray:
+    zs = np.asarray(z, dtype=np.float64)
+    if zs.ndim != 1:
+        raise ValueError(f"query points must be a 1-dimensional array, got {zs.ndim} dimensions")
+    out = np.empty(zs.shape, dtype=np.float64)
     step = max(1, _MAX_BLOCK // model.n)
-    for start in range(0, z.size, step):
-        block = z[start : start + step]
+    for start in range(0, zs.size, step):
+        block = zs[start : start + step]
         t = (block[:, None] - model.points[None, :]) / model.h
         out[start : start + step] = kernel_fn(t).mean(axis=1)
     return out
 
 
-def kde_eval(model: KdeModel, z, _skip_cache: bool = False):
-    """Exact kernel density value(s) at ``z`` (no grid interpolation)."""
-    zs = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    dens = _blocked(model, zs, lambda t: np.exp(-0.5 * t * t) / (_SQRT_2PI * model.h))
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return float(dens[0])
-    return dens
+def kde_eval(model: KdeModel, z) -> np.ndarray:
+    """Exact kernel density values at the 1-D array ``z`` (no grid interpolation)."""
+    return _blocked(model, z, lambda t: np.exp(-0.5 * t * t) / (_SQRT_2PI * model.h))
 
 
-def kde_cdf(model: KdeModel, z):
-    """Exact smoothed CDF: the average of the kernel CDF at each point."""
-    zs = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    cdf = _blocked(model, zs, ndtr)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return float(cdf[0])
-    return cdf
+def kde_cdf(model: KdeModel, z) -> np.ndarray:
+    """Exact smoothed CDF at the 1-D array ``z``: the average kernel CDF over the points."""
+    return _blocked(model, z, ndtr)

@@ -29,31 +29,28 @@ __all__ = [
     "predict_quantile",
 ]
 
-MEAN_KINDS = ("ols-linear", "ols-with-features", "knn-mean", "constant")
-SCALE_KINDS = ("constant-one", "ols-absres", "knn-quantile-absres", "binned-quantile-absres")
+MEAN_KINDS = ("ols-linear", "constant")
+SCALE_KINDS = ("constant-one", "knn-quantile-absres")
 QUANTILE_KINDS = ("knn-quantile", "linear-quantile")
+
+# Lower clamp on predicted scales, so standardized scores stay finite.
+SCALE_FLOOR = 1e-6
 
 _FEATURES = {
     "raw": lambda x: x,
     "square": lambda x: x * x,
-    "abs": lambda x: np.abs(x),
 }
 
 
 @dataclass(frozen=True)
 class MeanConfig:
     kind: str = "ols-linear"
-    feature_map: tuple = ("raw",)
-    k: int | None = None  # knn neighbourhood size; default n // 10
 
 
 @dataclass(frozen=True)
 class ScaleConfig:
     kind: str = "constant-one"
-    floor: float = 1e-6
     level: float = 0.9
-    k: int | None = None
-    bins: int = 10
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,6 @@ class MeanEstimator:
     kind: str
     d: int
     coef: np.ndarray | None = None
-    feature_map: tuple = ("raw",)
-    knn: _Knn | None = None
     value: float = 0.0
 
 
@@ -125,12 +120,8 @@ class MeanEstimator:
 class ScaleEstimator:
     kind: str
     d: int
-    floor: float = 1e-6
     level: float = 0.9
-    coef: np.ndarray | None = None
     knn: _Knn | None = None
-    bin_edges: np.ndarray | None = None
-    bin_values: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -146,17 +137,13 @@ class QuantileEstimator:
 
 
 def fit_mean(data: Dataset, config: MeanConfig = MeanConfig()) -> MeanEstimator:
-    """Train a point estimator on the first training fold."""
+    """Train a point estimator: OLS on the raw covariates, or the sample mean."""
     if config.kind not in MEAN_KINDS:
         raise ValueError(f"unknown mean estimator kind: {config.kind!r}")
     if config.kind == "constant":
         return MeanEstimator(kind="constant", d=data.d, value=float(data.y.mean()))
-    if config.kind == "knn-mean":
-        k = config.k if config.k is not None else max(10, data.n // 10)
-        return MeanEstimator(kind="knn-mean", d=data.d, knn=_Knn(data.x, data.y, k))
-    fmap = config.feature_map if config.kind == "ols-with-features" else ("raw",)
-    coef = _ols(_design(data.x, fmap), data.y)
-    return MeanEstimator(kind=config.kind, d=data.d, coef=coef, feature_map=fmap)
+    coef = _ols(_design(data.x, ("raw",)), data.y)
+    return MeanEstimator(kind=config.kind, d=data.d, coef=coef)
 
 
 def predict_mean(gh: MeanEstimator, x) -> np.ndarray:
@@ -164,9 +151,7 @@ def predict_mean(gh: MeanEstimator, x) -> np.ndarray:
     xm = _as_matrix(x, gh.d)
     if gh.kind == "constant":
         return np.full(xm.shape[0], gh.value)
-    if gh.kind == "knn-mean":
-        return gh.knn.neighbor_targets(xm).mean(axis=1)
-    return _design(xm, gh.feature_map) @ gh.coef
+    return _design(xm, ("raw",)) @ gh.coef
 
 
 def fit_scale(
@@ -175,72 +160,31 @@ def fit_scale(
     """Train the scale model on absolute residuals from the mean fit.
 
     ``constant-one`` uses only the covariate dimension of ``data`` (its
-    rows may be empty); every other kind regresses |y - mean(x)| on x,
-    clamped below at ``config.floor``.
+    rows may be empty). ``knn-quantile-absres`` takes the ``config.level``
+    quantile of |y - mean(x)| over the max(10, round(sqrt(n))) nearest
+    rows; sqrt-n neighbourhoods keep the scale curve local (n/10 visibly
+    over-smooths a steep sigma).
     """
     if config.kind not in SCALE_KINDS:
         raise ValueError(f"unknown scale estimator kind: {config.kind!r}")
     if config.kind == "constant-one":
-        return ScaleEstimator(kind="constant-one", d=data.d, floor=config.floor)
+        return ScaleEstimator(kind="constant-one", d=data.d)
     if data.n == 0:
         raise ValueError("scale fold is empty")
     absres = np.abs(data.y - predict_mean(gh, data.x))
-    if config.kind == "ols-absres":
-        coef = _ols(_design(data.x, ("raw",)), absres)
-        return ScaleEstimator(kind=config.kind, d=data.d, floor=config.floor, coef=coef)
-    if config.kind == "knn-quantile-absres":
-        # sqrt-n neighbourhoods: the scale curve needs locality more than
-        # variance reduction (n/10 visibly over-smooths a steep sigma)
-        k = config.k if config.k is not None else max(10, round(math.sqrt(data.n)))
-        return ScaleEstimator(
-            kind=config.kind,
-            d=data.d,
-            floor=config.floor,
-            level=config.level,
-            knn=_Knn(data.x, absres, k),
-        )
-    # binned-quantile-absres: per-bin empirical quantile over one covariate
-    if data.d != 1:
-        raise ValueError("binned-quantile-absres requires a single covariate")
-    x1 = data.x[:, 0]
-    edges = np.linspace(x1.min(), x1.max(), config.bins + 1)
-    which = np.clip(np.digitize(x1, edges[1:-1]), 0, config.bins - 1)
-    values = np.full(config.bins, np.nan)
-    for b in range(config.bins):
-        sel = which == b
-        if sel.any():
-            values[b] = np.quantile(absres[sel], config.level)
-    # backfill empty bins from the nearest populated one
-    filled = np.flatnonzero(~np.isnan(values))
-    if filled.size == 0:
-        raise ValueError("scale fold is empty")
-    for b in np.flatnonzero(np.isnan(values)):
-        values[b] = values[filled[np.abs(filled - b).argmin()]]
+    k = max(10, round(math.sqrt(data.n)))
     return ScaleEstimator(
-        kind=config.kind,
-        d=1,
-        floor=config.floor,
-        level=config.level,
-        bin_edges=edges,
-        bin_values=values,
+        kind=config.kind, d=data.d, level=config.level, knn=_Knn(data.x, absres, k)
     )
 
 
 def predict_scale(sh: ScaleEstimator, x) -> np.ndarray:
-    """Evaluate the scale model at rows ``x`` of shape (n, d); clamped at the floor."""
+    """Evaluate the scale model at rows ``x`` of shape (n, d); clamped at ``SCALE_FLOOR``."""
     xm = _as_matrix(x, sh.d)
     if sh.kind == "constant-one":
         return np.ones(xm.shape[0])
-    if sh.kind == "ols-absres":
-        vals = _design(xm, ("raw",)) @ sh.coef
-    elif sh.kind == "knn-quantile-absres":
-        vals = np.quantile(sh.knn.neighbor_targets(xm), sh.level, axis=1)
-    else:
-        # nearest bin also serves queries outside the training range
-        centers = 0.5 * (sh.bin_edges[:-1] + sh.bin_edges[1:])
-        idx = np.abs(xm[:, 0][:, None] - centers[None, :]).argmin(axis=1)
-        vals = sh.bin_values[idx]
-    return np.maximum(vals, sh.floor)
+    vals = np.quantile(sh.knn.neighbor_targets(xm), sh.level, axis=1)
+    return np.maximum(vals, SCALE_FLOOR)
 
 
 def _pinball_descent(

@@ -34,7 +34,7 @@ from conformal_hpd.core import (
     region_length,
 )
 from conformal_hpd.hpd import superlevel_intervals
-from conformal_hpd.regress import MeanConfig, QuantileConfig, ScaleConfig
+from conformal_hpd.regress import ScaleConfig
 
 __all__ = [
     "SCENARIO_TAGS",
@@ -219,9 +219,6 @@ class OracleHandle:
     tag: str
     law: _Law
 
-    def mean(self, x):
-        return _mean_fn(x)
-
     def region(self, x, alpha) -> PredictionRegion:
         x = float(np.asarray(x).reshape(-1)[0])
         g = _mean_fn(x)
@@ -308,20 +305,13 @@ def fit_method(tag, observed, plan, alpha, scale_on):
             if scale_on
             else ScaleConfig(kind="constant-one")
         )
-        return fit_kde_hpd(
-            observed, plan, alpha, KdeHpdConfig(mean=MeanConfig(), scale=scale)
-        )
+        return fit_kde_hpd(observed, plan, alpha, KdeHpdConfig(scale=scale))
     if tag == "secpr":
         return fit_secpr(observed, plan, alpha / 2.0, alpha / 2.0)
     if tag == "cqr":
-        return fit_cqr(observed, plan, alpha, QuantileConfig(kind="knn-quantile"))
+        return fit_cqr(observed, plan, alpha)
     if tag == "dcp":
-        return fit_dcp(
-            observed,
-            plan,
-            alpha,
-            QuantileConfig(kind="linear-quantile", feature_map=("raw", "square")),
-        )
+        return fit_dcp(observed, plan, alpha)
     if tag == "parametric":
         return fit_parametric_normal(observed, alpha)
     raise ValueError(f"unknown method {tag!r}; valid tags: {', '.join(METHOD_TAGS)}")
@@ -485,18 +475,15 @@ def conditional_coverage(reports, slicer) -> dict:
     return out
 
 
-def hausdorff_diagnostic(
-    scn: Scenario, method: str, ns, reps: int, x_grid=None, threads: int = 1
-) -> list[tuple[int, float]]:
+def hausdorff_diagnostic(scn: Scenario, method: str, ns, reps: int) -> list[tuple[int, float]]:
     """Median distance to the oracle region across a sample-size ladder.
 
     For each total observed size ``n`` (split evenly between training and
     calibration), runs ``reps`` replications, measures the Hausdorff
-    distance at each grid covariate, and reports the median. Regions with
-    unbounded endpoints count as infinitely far.
+    distance at the covariates -4, -2, 0, 2, 4, and reports the median.
+    Regions with unbounded endpoints count as infinitely far.
     """
-    if x_grid is None:
-        x_grid = np.linspace(-4.0, 4.0, 5)
+    grid = np.linspace(-4.0, 4.0, 5)
     rows = []
     for n in ns:
         scn_n = replace(scn, n_train=n // 2, n_cal=n - n // 2, n_test=1)
@@ -505,12 +492,12 @@ def hausdorff_diagnostic(
             seed_rep = scn_n.seed + rep
             observed, _, oracle = generate(replace(scn_n, seed=seed_rep))
             if method == "oracle":
-                regions = [oracle.region(x, scn.alpha) for x in x_grid]
+                regions = [oracle.region(x, scn.alpha) for x in grid]
             else:
                 plan = _build_plan(observed.n, scn_n.n_train, scn.tag == "bowtie")
                 model = fit_method(method, observed, plan, scn.alpha, scn.tag == "bowtie")
-                regions = model.predict_regions(x_grid.reshape(-1, 1))
-            for x, region in zip(x_grid, regions):
+                regions = model.predict_regions(grid.reshape(-1, 1))
+            for x, region in zip(grid, regions):
                 target = oracle.region(x, scn.alpha)
                 try:
                     dists.append(hausdorff(region, target))

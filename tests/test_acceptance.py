@@ -209,8 +209,9 @@ class TestCriterion9PropertySuites:
         total = float(np.trapezoid(model.grid_density, model.grid))
         assert abs(total - 1.0) < 5e-3
         for z in (-2.0, 0.5, 3.0):
-            fd = (kde_cdf(model, z + 1e-4) - kde_cdf(model, z - 1e-4)) / 2e-4
-            assert abs(fd - kde_eval(model, z)) / kde_eval(model, z) < 1e-6
+            fd = (kde_cdf(model, np.array([z + 1e-4]))[0] - kde_cdf(model, np.array([z - 1e-4]))[0]) / 2e-4
+            dens = kde_eval(model, np.array([z]))[0]
+            assert abs(fd - dens) / dens < 1e-6
         report(9, True, f"KDE mass {total:.4f}; CDF-density consistency < 1e-6 rel")
 
     def test_reduction_to_secpr_is_exact(self):

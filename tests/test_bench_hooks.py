@@ -1,20 +1,25 @@
-"""The traced benchmark patches library functions by name.
+"""The benchmark's contract with the library.
 
 ``bench/spans.py`` replaces functions and methods in the namespaces where
-their callers look them up. A rename in the library would otherwise
-surface only when the traced benchmark runs; these tests fail first.
+their callers look them up, and ``bench/workloads.py`` builds configs and
+split plans through the public API. A rename or a dropped argument in the
+library would otherwise surface only when the benchmark runs; these tests
+fail first.
 """
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import conformal_hpd
 from conformal_hpd import cli, conformal, hpd, kde, sim
 from conformal_hpd.core import Dataset, SplitPlan
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+SPANS_PATH = BENCH_DIR / "spans.py"
+WORKLOADS_PATH = BENCH_DIR / "workloads.py"
 OWNERS = (
     conformal_hpd,
     cli,
@@ -29,11 +34,15 @@ OWNERS = (
 )
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_module("bench_spans", SPANS_PATH)
 
 
 def snapshot():
@@ -72,3 +81,11 @@ def test_traced_fit_reaches_the_patched_names():
     names = {span.name for span in tracer.spans}
     assert {"hpd.extract_intervals", "conformal.predict_regions.kde-hpd"} <= names
     assert tracer.counts["hpd.kde_eval_calls"] > 0
+
+
+@pytest.mark.parametrize("name", ["replication-table", "kde-hpd-fit", "batch-predict"])
+def test_workload_runs_one_smoke_operation(name, tmp_path):
+    workloads = load_module("bench_workloads", WORKLOADS_PATH)
+    workload = workloads.WORKLOADS[name](1, smoke=True)
+    workload.setup(str(tmp_path))
+    assert workload.op_ok(workload.op(0, 0))

@@ -270,6 +270,45 @@ class TestEvaluate:
         assert float(rows[("coverage", "ALL")]) == 1.0
         assert rows[("mean_size", "ALL")] == "inf"
 
+    @pytest.mark.parametrize("column", ["row", "interval_index", "lo", "hi"])
+    def test_nan_prediction_cell_exits_2(self, tmp_path, capsys, column):
+        header = ["row", "interval_index", "lo", "hi"]
+        second = ["1", "0", "0.0", "10.0"]
+        second[header.index(column)] = "nan"
+        preds = tmp_path / "predictions.csv"
+        write_csv(preds, header, [["0", "0", "-inf", "inf"], second])
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["y"], [["3.0"], ["4.0"]])
+        code = run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--outdir", str(tmp_path / "m"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "predictions.csv" in err
+        assert "row 2" in err and repr(column) in err
+        assert not (tmp_path / "m" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_truth_target_exits_2(self, tmp_path, capsys, bad):
+        preds = tmp_path / "predictions.csv"
+        write_csv(
+            preds,
+            ["row", "interval_index", "lo", "hi"],
+            [["0", "0", "0.0", "10.0"], ["1", "0", "0.0", "10.0"]],
+        )
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["x", "y"], [["nan", "3.0"], ["1.0", bad]])
+        code = run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--outdir", str(tmp_path / "m"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "truth.csv" in err
+        assert "row 2" in err and "'y'" in err
+        assert not (tmp_path / "m" / "metrics.csv").exists()
+
     def test_row_mismatch_exits_2(self, tmp_path):
         preds = tmp_path / "predictions.csv"
         write_csv(preds, ["row", "interval_index", "lo", "hi"], [["0", "0", "0", "1"]])

@@ -36,6 +36,7 @@ from conformal_hpd.regress import (
     QuantileConfig,
     ScaleConfig,
     ScaleEstimator,
+    _Knn,
 )
 
 
@@ -120,6 +121,21 @@ class TestKdeHpdPipeline:
         assert region.intervals[0][0] == g + eta
         assert region.intervals[0][1] == g + gamma
 
+    def test_constant_scale_trains_the_mean_on_both_folds(self):
+        # with the constant-one scale, a non-empty train2 joins the mean
+        # fit exactly as in SECPR, and the criterion-9 reduction holds
+        rng = np.random.default_rng(44)
+        data = make_line_data(rng, 1000, lambda n: rng.standard_normal(n))
+        plan = SplitPlan.sequential(np.arange(1000), 300, 200)
+        pipe = fit_kde_hpd(data, plan, 0.1)
+        assert pipe.n_intervals == 1
+        a1, b1 = pipe.hpd.pairs[0]
+        secpr = fit_secpr(data, plan, a1, b1)
+        np.testing.assert_array_equal(pipe.gh.coef, secpr.gh.coef)
+        np.testing.assert_array_equal(pipe.scores.v, secpr.scores.v)
+        assert pipe.eta_gamma[0] == secpr_corrections(pipe.scores, a1, b1)
+        assert pipe.eta_gamma[0] == (secpr.lower, secpr.upper)
+
     def test_empty_folds_rejected(self):
         rng = np.random.default_rng(43)
         data = make_line_data(rng, 20, lambda n: rng.standard_normal(n))
@@ -134,13 +150,16 @@ class TestKdeHpdPipeline:
                 data,
                 half_split(20),
                 0.1,
-                KdeHpdConfig(scale=ScaleConfig(kind="ols-absres")),
+                KdeHpdConfig(scale=ScaleConfig(kind="knn-quantile-absres")),
             )
 
 
 def stub_pipeline(center, scale_coef, eta_gamma):
     gh = MeanEstimator(kind="constant", d=1, value=center)
-    sh = ScaleEstimator(kind="ols-absres", d=1, coef=np.array([scale_coef, 0.0]))
+    # every neighbour's target is scale_coef, so the scale is scale_coef everywhere
+    x_fit = np.linspace(-5, 5, 20).reshape(-1, 1)
+    knn = _Knn(x_fit, np.full(20, scale_coef), 10)
+    sh = ScaleEstimator(kind="knn-quantile-absres", d=1, knn=knn)
     scores = ScoreVector(np.linspace(-2, 2, 9))
     hpd = HpdResult(lambda_hat=0.1, intervals=((-1, 1),), pairs=((0.05, 0.05),), alpha=0.1)
     return KdeHpdPipeline(

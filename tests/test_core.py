@@ -218,6 +218,11 @@ class TestDatasetAndSplit:
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array([[np.nan]]), np.array([1.0]))
 
+    def test_dataset_rejects_one_dimensional_covariates(self):
+        # a 1-D x is a shape error, not a one-row matrix with n columns
+        with pytest.raises(ValueError, match="2-dimensional"):
+            Dataset(np.arange(5.0), np.zeros(5))
+
     def test_dataset_immutable(self):
         ds = Dataset(np.zeros((2, 1)), np.ones(2))
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from conformal_hpd import hpd
 from conformal_hpd.core import ScoreVector, conformal_q, conformal_r
 from conformal_hpd.hpd import (
     _sublevel_mass,
@@ -106,8 +107,8 @@ class TestExtractIntervals:
 
         lam = find_cutoff(bimodal_model, 0.10)
         for lo, hi in extract_intervals(bimodal_model, lam):
-            assert kde_eval(bimodal_model, lo) == pytest.approx(lam, rel=1e-3)
-            assert kde_eval(bimodal_model, hi) == pytest.approx(lam, rel=1e-3)
+            assert kde_eval(bimodal_model, np.array([lo]))[0] == pytest.approx(lam, rel=1e-3)
+            assert kde_eval(bimodal_model, np.array([hi]))[0] == pytest.approx(lam, rel=1e-3)
 
 
 class TestSuperlevelIntervals:
@@ -173,7 +174,7 @@ class TestSmallestMassRegion:
     def test_mass_accounting(self, bimodal_model):
         res = smallest_mass_region(bimodal_model, 0.10)
         covered = sum(
-            kde_cdf(bimodal_model, hi) - kde_cdf(bimodal_model, lo)
+            kde_cdf(bimodal_model, np.array([hi]))[0] - kde_cdf(bimodal_model, np.array([lo]))[0]
             for lo, hi in res.intervals
         )
         assert covered == pytest.approx(0.90, abs=0.01)
@@ -182,7 +183,10 @@ class TestSmallestMassRegion:
         res = smallest_mass_region(bimodal_model, 0.10)
         gaps = 0.0
         for (_, hi_prev), (lo_next, _) in zip(res.intervals[:-1], res.intervals[1:]):
-            gaps += kde_cdf(bimodal_model, lo_next) - kde_cdf(bimodal_model, hi_prev)
+            gaps += (
+                kde_cdf(bimodal_model, np.array([lo_next]))[0]
+                - kde_cdf(bimodal_model, np.array([hi_prev]))[0]
+            )
         total_miss = res.pairs[0][0] + res.pairs[-1][1] + gaps
         assert total_miss == pytest.approx(0.10, abs=0.01)
 
@@ -203,3 +207,17 @@ class TestSmallestMassRegion:
         model = fit_kde(pts, h=0.15)
         res = smallest_mass_region(model, 0.10)
         assert all(hi < 20 for _, hi in res.intervals)
+
+    @pytest.mark.parametrize("fixture", ["normal_model", "bimodal_model"])
+    def test_one_cdf_call_per_region(self, fixture, request, monkeypatch):
+        model = request.getfixturevalue(fixture)
+        calls = []
+
+        def counting_cdf(m, z):
+            calls.append(np.shape(z))
+            return kde_cdf(m, z)
+
+        monkeypatch.setattr(hpd, "kde_cdf", counting_cdf)
+        res = smallest_mass_region(model, 0.10)
+        assert len(calls) == 1
+        assert len(res.pairs) == len(res.intervals)

@@ -40,11 +40,11 @@ class TestBandwidth:
 class TestDensity:
     def test_single_point_standard_normal_height(self):
         model = KdeModel(points=np.array([0.0]), h=1.0)
-        assert kde_eval(model, 0.0) == pytest.approx(0.3989422804, abs=1e-9)
+        assert kde_eval(model, np.array([0.0]))[0] == pytest.approx(0.3989422804, abs=1e-9)
 
     def test_two_point_average(self):
         model = KdeModel(points=np.array([-1.0, 1.0]), h=1.0)
-        assert kde_eval(model, 0.0) == pytest.approx(norm.pdf(1.0), abs=1e-12)
+        assert kde_eval(model, np.array([0.0]))[0] == pytest.approx(norm.pdf(1.0), abs=1e-12)
 
     def test_grid_density_integrates_to_one(self):
         rng = np.random.default_rng(3)
@@ -76,12 +76,12 @@ class TestDensity:
 class TestCdf:
     def test_symmetry_at_center(self):
         model = KdeModel(points=np.array([0.0]), h=1.0)
-        assert kde_cdf(model, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert kde_cdf(model, np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_limits(self):
         model = KdeModel(points=np.array([-1.0, 1.0]), h=1.0)
-        assert kde_cdf(model, 60.0) == pytest.approx(1.0, abs=1e-12)
-        assert kde_cdf(model, -60.0) == pytest.approx(0.0, abs=1e-12)
+        assert kde_cdf(model, np.array([60.0]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert kde_cdf(model, np.array([-60.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_numeric_integration_of_density(self):
         rng = np.random.default_rng(9)
@@ -94,7 +94,7 @@ class TestCdf:
         probes = np.linspace(model.grid[0], model.grid[-1], 20)
         for z in probes:
             oracle = float(np.interp(z, fine, cum))
-            assert kde_cdf(model, z) == pytest.approx(oracle, abs=1e-4)
+            assert kde_cdf(model, np.array([z]))[0] == pytest.approx(oracle, abs=1e-4)
 
     def test_monotone_on_sorted_probes(self):
         rng = np.random.default_rng(10)
@@ -108,6 +108,15 @@ class TestCdf:
         model = fit_kde(rng.standard_normal(150))
         h_fd = 1e-4
         for z in [-1.3, -0.2, 0.7, 1.9]:
-            fd = (kde_cdf(model, z + h_fd) - kde_cdf(model, z - h_fd)) / (2 * h_fd)
-            dens = kde_eval(model, z)
+            fd = (kde_cdf(model, np.array([z + h_fd]))[0] - kde_cdf(model, np.array([z - h_fd]))[0]) / (2 * h_fd)
+            dens = kde_eval(model, np.array([z]))[0]
             assert abs(fd - dens) / dens < 1e-6
+
+
+class TestQueryShape:
+    @pytest.mark.parametrize("fn", [kde_eval, kde_cdf])
+    @pytest.mark.parametrize("z", [0.0, np.array(0.0), np.zeros((3, 1))])
+    def test_non_vector_queries_rejected(self, fn, z):
+        model = KdeModel(points=np.array([-1.0, 1.0]), h=1.0)
+        with pytest.raises(ValueError, match="1-dimensional"):
+            fn(model, z)

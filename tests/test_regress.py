@@ -47,19 +47,6 @@ class TestFitMean:
         assert predict_mean(gh, [[3.3]])[0] == pytest.approx(data.y.mean())
         assert predict_mean(gh, [[-4.0]])[0] == pytest.approx(data.y.mean())
 
-    def test_knn_mean_with_k_equal_n(self):
-        data = line_dataset(30)
-        gh = fit_mean(data, MeanConfig(kind="knn-mean", k=30))
-        assert predict_mean(gh, [[1.0]])[0] == pytest.approx(data.y.mean())
-
-    def test_ols_with_features(self):
-        x = np.linspace(-3, 3, 80).reshape(-1, 1)
-        y = 1.0 + 0.5 * x[:, 0] + 2.0 * x[:, 0] ** 2
-        gh = fit_mean(
-            Dataset(x, y), MeanConfig(kind="ols-with-features", feature_map=("raw", "square"))
-        )
-        assert predict_mean(gh, [[2.0]])[0] == pytest.approx(1 + 1 + 8, abs=1e-8)
-
     def test_singular_design_raises(self):
         x = np.ones((10, 2))  # two identical constant columns
         with pytest.raises(ValueError, match="singular design matrix"):
@@ -91,7 +78,7 @@ class TestFitMean:
                 fit_quantile_ladder(data, [0.5], QuantileConfig(k=10)), x, 0.5
             ),
         ]
-        for kind in ("constant-one", "ols-absres"):
+        for kind in ("constant-one", "knn-quantile-absres"):
             sh = fit_scale(data, gh, ScaleConfig(kind=kind))
             estimators.append(lambda sh=sh: predict_scale(sh, x))
         for predict in estimators:
@@ -118,34 +105,14 @@ class TestFitScale:
         rho = spearmanr(predict_scale(sh, grid), np.abs(grid[:, 0])).statistic
         assert rho > 0.9
 
-    def test_constant_absolute_residuals_binned(self):
-        x = np.linspace(-5, 5, 400).reshape(-1, 1)
-        c = 0.8
-        y = 1.0 + np.tile([c, -c], 200)  # |y - mean| == c everywhere
-        data = Dataset(x, y)
-        gh = fit_mean(data, MeanConfig(kind="constant"))
-        sh = fit_scale(data, gh, ScaleConfig(kind="binned-quantile-absres"))
-        for q in [-4.9, -1.0, 0.3, 4.9]:
-            assert predict_scale(sh, [[q]])[0] == pytest.approx(c, abs=1e-9)
-
     def test_floor_clamps_negative_fit(self):
-        # absolute residuals shrink linearly in x; OLS extrapolates negative
+        # a constant response leaves zero absolute residuals; the kNN
+        # quantile of zeros is clamped up to the floor
         x = np.linspace(0, 1, 50).reshape(-1, 1)
-        y = (1.0 - x[:, 0]) * np.tile([1.0, -1.0], 25)
-        data = Dataset(x, y)
+        data = Dataset(x, np.full(50, 2.5))
         gh = fit_mean(data, MeanConfig(kind="constant"))
-        sh = fit_scale(data, gh, ScaleConfig(kind="ols-absres", floor=1e-6))
+        sh = fit_scale(data, gh, ScaleConfig(kind="knn-quantile-absres"))
         assert predict_scale(sh, [[5.0]])[0] == pytest.approx(1e-6)
-
-    def test_binned_out_of_range_uses_nearest_bin(self):
-        rng = np.random.default_rng(4)
-        x = np.linspace(0, 1, 300).reshape(-1, 1)
-        y = rng.normal(0, 1 + x[:, 0], 300)
-        data = Dataset(x, y)
-        gh = fit_mean(data, MeanConfig(kind="constant"))
-        sh = fit_scale(data, gh, ScaleConfig(kind="binned-quantile-absres", bins=5))
-        assert predict_scale(sh, [[-10.0]])[0] == pytest.approx(sh.bin_values[0])
-        assert predict_scale(sh, [[10.0]])[0] == pytest.approx(sh.bin_values[-1])
 
     def test_scale_never_below_floor(self):
         rng = np.random.default_rng(8)
@@ -153,16 +120,15 @@ class TestFitScale:
         y = rng.normal(0, 0.001, 500)
         data = Dataset(x, y)
         gh = fit_mean(data)
-        for kind in ("ols-absres", "knn-quantile-absres", "binned-quantile-absres"):
-            sh = fit_scale(data, gh, ScaleConfig(kind=kind, floor=1e-6))
-            vals = np.atleast_1d(predict_scale(sh, rng.uniform(-20, 20, 200).reshape(-1, 1)))
-            assert (vals >= 1e-6).all()
+        sh = fit_scale(data, gh, ScaleConfig(kind="knn-quantile-absres"))
+        vals = predict_scale(sh, rng.uniform(-20, 20, 200).reshape(-1, 1))
+        assert (vals >= 1e-6).all()
 
     def test_empty_fold_rejected(self):
         gh = fit_mean(line_dataset())
         with pytest.raises(ValueError, match="empty"):
             no_rows = Dataset(np.zeros((0, 1)), np.zeros(0))
-            fit_scale(no_rows, gh, ScaleConfig(kind="ols-absres"))
+            fit_scale(no_rows, gh, ScaleConfig(kind="knn-quantile-absres"))
 
 
 class TestFitQuantile:
@@ -179,10 +145,11 @@ class TestFitQuantile:
         y = 1.0 + rng.standard_normal(4000)
         data = Dataset(x, y)
         qe = fit_quantile_ladder(data, [0.5], QuantileConfig(kind="knn-quantile", k=400))
-        gh = fit_mean(data, MeanConfig(kind="knn-mean", k=400))
         for q in [-2.0, 0.0, 2.0]:
+            # mean of the same 400 nearest neighbours the quantile sees
+            nearest = np.argsort(np.abs(x[:, 0] - q), kind="stable")[:400]
             assert predict_quantile(qe, [[q]], 0.5)[0] == pytest.approx(
-                predict_mean(gh, [[q]])[0], abs=0.15
+                data.y[nearest].mean(), abs=0.15
             )
 
     def test_constant_response(self):
