@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from conformal_hpd.core import Dataset, SplitPlan
+from conformal_hpd.core import Dataset, RegionBatch, SplitPlan
 from conformal_hpd.sim import (
     METHOD_TAGS,
     Scenario,
@@ -55,30 +56,52 @@ def _json_safe(node):
     return node
 
 
-def _write_csv(path, header, rows):
+def _csv_cell(text: str) -> str:
+    """One text cell, quoted as csv.writer quotes it (minimal quoting)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _write_csv(path, header, columns):
+    """Write ``header`` and ``columns`` (one per header name) in one write.
+
+    Array cells go through ``tolist()`` and ``repr``, which spells Python
+    ints and floats as ``_fmt`` does; text cells are quoted as csv.writer does.
+    """
+    cells = []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            cells.append(map(repr, col.tolist()))
+        else:
+            cells.append([_csv_cell(v) if isinstance(v, str) else _fmt(v) for v in col])
+    lines = [",".join(map(_csv_cell, header)), *map(",".join, zip(*cells))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write("\n".join(lines) + "\n")
 
 
-def _read_table(path):
+def _read_lines(path):
+    """The header row of a CSV file and its remaining physical lines."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise UsageError(f"{path}: empty file, header row required")
-            rows = list(reader)
+            lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise UsageError(f"{path}: empty file, header row required")
+    return header, lines[reader.line_num :]
+
+
+def _csv_rows(path, header, body):
+    rows = list(csv.reader(body))
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise UsageError(
                 f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
             )
-    return header, rows
+    return rows
 
 
 def _parse_cell(path, header, row_idx, col_idx, cell):
@@ -96,12 +119,30 @@ def _parse_cell(path, header, row_idx, col_idx, cell):
         ) from None
 
 
+def _loadtxt(body, n_cols):
+    """Every cell through numpy's parser, or None where the csv path must decide.
+
+    numpy rejects quoted cells, ``1_000`` and non-ASCII digits, which the
+    csv path accepts, and skips the blank lines that the csv path rejects.
+    """
+    if not body or not {"\n", "\r\n", "\r"}.isdisjoint(body):
+        return None
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(body), n_cols) else None
+
+
 def _read_numeric_csv(path):
-    header, rows = _read_table(path)
-    data = np.empty((len(rows), len(header)))
-    for i, row in enumerate(rows, start=1):
-        for j, cell in enumerate(row):
-            data[i - 1, j] = _parse_cell(path, header, i, j, cell)
+    header, body = _read_lines(path)
+    data = _loadtxt(body, len(header))
+    if data is None:
+        rows = _csv_rows(path, header, body)
+        data = np.empty((len(rows), len(header)))
+        for i, row in enumerate(rows, start=1):
+            for j, cell in enumerate(row):
+                data[i - 1, j] = _parse_cell(path, header, i, j, cell)
     return header, data
 
 
@@ -187,30 +228,10 @@ def cmd_simulate(args) -> int:
     summaries = summarize(reports)
     os.makedirs(args.outdir, exist_ok=True)
     if args.format in ("csv", "both"):
-        _write_csv(
-            os.path.join(args.outdir, "report.csv"),
-            [
-                "method",
-                "coverage",
-                "coverage_se",
-                "mean_size",
-                "size_se",
-                "mean_runtime_s",
-                "failures",
-            ],
-            [
-                (
-                    s.method,
-                    s.coverage,
-                    s.coverage_se,
-                    s.mean_size,
-                    s.size_se,
-                    s.mean_runtime_s,
-                    s.failures,
-                )
-                for s in summaries
-            ],
-        )
+        fields = ["method", "coverage", "coverage_se", "mean_size", "size_se",
+                  "mean_runtime_s", "failures"]
+        columns = [[getattr(s, f) for s in summaries] for f in fields]
+        _write_csv(os.path.join(args.outdir, "report.csv"), fields, columns)
     if args.format in ("json", "both"):
         payload = {
             "scenario": asdict(scn),
@@ -271,21 +292,18 @@ def cmd_predict(args) -> int:
         train.n, fractions, shuffle_seed=args.seed if args.shuffle else None
     )
     model = fit_method(args.method, train, plan, args.alpha, scale_on)
-    regions = model.predict_regions(x_test)
+    rows, index, lo, hi = model.predict_regions(x_test).flat()
     os.makedirs(args.outdir, exist_ok=True)
-    rows = []
-    for i, region in enumerate(regions):
-        for j, (lo, hi) in enumerate(region.intervals):
-            rows.append((i, j, lo, hi))
     _write_csv(
         os.path.join(args.outdir, "predictions.csv"),
         ["row", "interval_index", "lo", "hi"],
-        rows,
+        [rows, index, lo, hi],
     )
     return 0
 
 
 def _read_predictions(path):
+    """Row ids, lo and hi of every interval in ``path``, in file order."""
     header, data = _read_numeric_csv(path)
     expected = ["row", "interval_index", "lo", "hi"]
     if header != expected:
@@ -294,57 +312,57 @@ def _read_predictions(path):
         raise UsageError(f"{path}: no prediction rows")
     # +-inf endpoints are valid (clamped order statistics); NaN never is
     _reject_where(path, header, np.isnan(data), "NaN")
-    intervals: dict = {}
-    for row_id, _, lo, hi in data:
-        intervals.setdefault(int(row_id), []).append((lo, hi))
-    return intervals
+    row_id, _, lo, hi = data.T
+    not_id = ~np.isfinite(row_id) | (row_id < 0) | (np.floor(row_id) != row_id)
+    _reject_where(path, header, not_id[:, None], "non-integer or negative")
+    inverted = np.flatnonzero(lo > hi)
+    if inverted.size:
+        raise UsageError(f"{path}: interval with lo > hi at row {inverted[0] + 1}")
+    return row_id, lo, hi
 
 
 def cmd_evaluate(args) -> int:
-    intervals = _read_predictions(args.predictions)
-    header, rows = _read_table(args.truth)
+    row_id, lo, hi = _read_predictions(args.predictions)
+    header, body = _read_lines(args.truth)
+    # numeric files skip the csv rows unless group labels are asked for
+    data = _loadtxt(body, len(header))
+    if data is None or args.group_by:
+        rows = _csv_rows(args.truth, header, body)
     if args.target not in header:
         raise UsageError(f"{args.truth}: target column {args.target!r} not found")
     t = header.index(args.target)
-    y = np.array(
-        [
-            _parse_cell(args.truth, header, i, t, row[t])
-            for i, row in enumerate(rows, start=1)
-        ]
+    y = data[:, t] if data is not None else np.array(
+        [_parse_cell(args.truth, header, i, t, row[t]) for i, row in enumerate(rows, start=1)]
     )
     _reject_where(args.truth, [args.target], ~np.isfinite(y)[:, None], "non-finite")
-    if set(intervals) != set(range(len(y))):
+    keys = np.unique(row_id)
+    if keys.size != y.size or (keys != np.arange(y.size)).any():
         raise UsageError(
-            f"row keys mismatch: predictions cover {len(intervals)} rows,"
+            f"row keys mismatch: predictions cover {keys.size} rows,"
             f" truth has {len(y)}"
         )
-    groups = None
-    if args.group_by:
-        if args.group_by not in header:
-            raise UsageError(f"{args.truth}: group column {args.group_by!r} not found")
-        g = header.index(args.group_by)
-        groups = [row[g].strip() for row in rows]
-    covered = np.array(
-        [any(lo <= yi <= hi for lo, hi in intervals[i]) for i, yi in enumerate(y)]
-    )
-    sizes = np.array(
-        [sum(hi - lo for lo, hi in intervals[i]) for i in range(len(y))]
-    )
+    row_id = row_id.astype(np.intp)
+    y_row = y[row_id]
+    hit = (lo <= y_row) & (y_row <= hi)
+    covered = np.bincount(row_id[hit], minlength=y.size) > 0
+    # raw lengths summed per row in file order, without coalescing
+    sizes = np.bincount(row_id, weights=hi - lo, minlength=y.size)
     out_rows = [
         ("coverage", "ALL", float(covered.mean())),
         ("mean_size", "ALL", float(sizes.mean())),
         ("median_size", "ALL", float(np.median(sizes))),
     ]
-    if groups is not None:
+    if args.group_by:
+        if args.group_by not in header:
+            raise UsageError(f"{args.truth}: group column {args.group_by!r} not found")
+        g = header.index(args.group_by)
+        groups = [row[g].strip() for row in rows]
         for label in sorted(set(groups)):
             sel = np.array([g == label for g in groups])
-            out_rows.append((f"coverage", label, float(covered[sel].mean())))
+            out_rows.append(("coverage", label, float(covered[sel].mean())))
     os.makedirs(args.outdir, exist_ok=True)
-    _write_csv(
-        os.path.join(args.outdir, "metrics.csv"),
-        ["metric", "group", "value"],
-        out_rows,
-    )
+    metrics_path = os.path.join(args.outdir, "metrics.csv")
+    _write_csv(metrics_path, ["metric", "group", "value"], list(zip(*out_rows)))
     return 0
 
 
@@ -356,7 +374,7 @@ def cmd_regions(args) -> int:
         )
     grid = np.linspace(-5.0, 5.0, args.grid_points)
     if args.method == "oracle":
-        regions = [oracle_hpd(scn, x) for x in grid]
+        regions = RegionBatch.from_regions([oracle_hpd(scn, x) for x in grid])
     else:
         observed, _, _ = generate(scn)
         scale_on = _scale_on(args.scale_model, scn.tag)
@@ -366,15 +384,12 @@ def cmd_regions(args) -> int:
         )
         model = fit_method(args.method, observed, plan, scn.alpha, scale_on)
         regions = model.predict_regions(grid.reshape(-1, 1))
-    rows = []
-    for x, region in zip(grid, regions):
-        for j, (lo, hi) in enumerate(region.intervals):
-            rows.append((float(x), j, lo, hi))
+    rows, index, lo, hi = regions.flat()
     os.makedirs(args.outdir, exist_ok=True)
     _write_csv(
         os.path.join(args.outdir, "regions.csv"),
         ["x", "interval_index", "lo", "hi"],
-        rows,
+        [grid[rows], index, lo, hi],
     )
     return 0
 

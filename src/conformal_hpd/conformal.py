@@ -2,8 +2,8 @@
 
 Every fit function trains on the plan's training fold(s), computes
 nonconformity scores on the calibration fold, and returns an immutable
-model whose ``predict_regions`` maps covariate rows of shape (n, d) to
-finite unions of closed intervals with finite-sample marginal coverage.
+model whose ``predict_regions`` maps covariate rows of shape (n, d) to a
+``RegionBatch`` of interval unions with finite-sample marginal coverage.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from conformal_hpd.core import (
+from conformal_hpd.core import (  # noqa: F401 - coalesce stays patchable here for tracing
     Dataset,
     PredictionRegion,
+    RegionBatch,
     ScoreVector,
     SplitPlan,
     coalesce,
@@ -92,14 +93,12 @@ class KdeHpdPipeline:
     def n_intervals(self) -> int:
         return len(self.eta_gamma)
 
-    def predict_regions(self, xs) -> list[PredictionRegion]:
+    def predict_regions(self, xs) -> RegionBatch:
         g = predict_mean(self.gh, xs)
         s = predict_scale(self.sh, xs)
-        out = []
-        for gi, si in zip(g, s):
-            ivals = tuple((gi + eta * si, gi + gamma * si) for eta, gamma in self.eta_gamma)
-            out.append(coalesce(PredictionRegion(ivals)))
-        return out
+        eta, gamma = np.array(self.eta_gamma, dtype=np.float64).reshape(-1, 2).T
+        g, s = g[:, None], s[:, None]
+        return RegionBatch(g + eta * s, g + gamma * s)
 
 
 def fit_kde_hpd(
@@ -171,12 +170,9 @@ class SecprModel:
     lower: float
     upper: float
 
-    def predict_regions(self, xs) -> list[PredictionRegion]:
-        g = predict_mean(self.gh, xs)
-        return [
-            coalesce(PredictionRegion(((gi + self.lower, gi + self.upper),)))
-            for gi in g
-        ]
+    def predict_regions(self, xs) -> RegionBatch:
+        g = predict_mean(self.gh, xs)[:, None]
+        return RegionBatch(g + self.lower, g + self.upper)
 
 
 def fit_secpr(
@@ -209,22 +205,15 @@ class CqrModel:
 
     method = "cqr"
 
-    ladder: object
-    level_low: float
-    level_high: float
+    ladder: object  # two levels, alpha/2 then 1 - alpha/2
     correction: float
 
-    def predict_regions(self, xs) -> list[PredictionRegion]:
-        lo = predict_quantile(self.ladder, xs, self.level_low)
-        hi = predict_quantile(self.ladder, xs, self.level_high)
-        out = []
-        for li, ui in zip(lo, hi):
-            a, b = li - self.correction, ui + self.correction
-            if a > b:  # correction shrank the band past empty
-                out.append(PredictionRegion())
-            else:
-                out.append(PredictionRegion(((a, b),)))
-        return out
+    def predict_regions(self, xs) -> RegionBatch:
+        band = predict_quantile(self.ladder, xs)
+        lo = band[:, :1] - self.correction
+        hi = band[:, 1:] + self.correction
+        # a row whose correction shrank the band past empty has no interval
+        return RegionBatch(lo, hi, counts=~(lo > hi)[:, 0])
 
 
 def fit_cqr(
@@ -235,41 +224,36 @@ def fit_cqr(
 ) -> CqrModel:
     """CQR with equal-tailed quantile bands at alpha/2 and 1 - alpha/2."""
     plan.check_against(data.n)
-    level_low, level_high = alpha / 2, 1 - alpha / 2
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
-    ladder = fit_quantile_ladder(
-        data.subset(idx_train), [level_low, level_high], config
-    )
+    ladder = fit_quantile_ladder(data.subset(idx_train), [alpha / 2, 1 - alpha / 2], config)
     cal = data.subset(plan.idx_cal)
     if cal.n == 0:
         raise ValueError("no calibration scores")
-    qlo = predict_quantile(ladder, cal.x, level_low)
-    qhi = predict_quantile(ladder, cal.x, level_high)
-    scores = ScoreVector(np.maximum(qlo - cal.y, cal.y - qhi))
+    band = predict_quantile(ladder, cal.x)
+    scores = ScoreVector(np.maximum(band[:, 0] - cal.y, cal.y - band[:, 1]))
     correction = conformal_q(scores, 1.0 - alpha)
-    return CqrModel(
-        ladder=ladder,
-        level_low=level_low,
-        level_high=level_high,
-        correction=correction,
-    )
+    return CqrModel(ladder=ladder, correction=correction)
 
 
 # ---------------------------------------------------------------------------
 # Distributional conformal prediction (DCP)
 
 
-def _ladder_quantile(qmat: np.ndarray, levels: np.ndarray, tau: float) -> np.ndarray:
-    """Row-wise linear interpolation of the quantile ladder at one level."""
-    if tau <= levels[0]:
-        return qmat[:, 0]
-    if tau >= levels[-1]:
-        return qmat[:, -1]
-    j = int(np.searchsorted(levels, tau))
-    if levels[j] == tau:
-        return qmat[:, j]
-    w = (tau - levels[j - 1]) / (levels[j] - levels[j - 1])
-    return (1.0 - w) * qmat[:, j - 1] + w * qmat[:, j]
+def _ladder_quantile(qmat: np.ndarray, levels: np.ndarray, tau) -> np.ndarray:
+    """Row-wise linear interpolation of the ladder at levels ``tau``.
+
+    ``tau`` is one level for all rows, or an (n,) or (n, G) array of levels per row.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    tau = np.broadcast_to(tau, qmat.shape[:1] + tau.shape[1:])
+    rows = np.arange(qmat.shape[0]).reshape(-1, *[1] * (tau.ndim - 1))
+    j = np.clip(np.searchsorted(levels, tau), 1, levels.size - 1)
+    # levels beyond the ladder take the clamp branch below; clipping keeps w finite
+    w = (np.clip(tau, levels[0], levels[-1]) - levels[j - 1]) / (levels[j] - levels[j - 1])
+    below, above = qmat[rows, j - 1], qmat[rows, j]
+    out = np.where(levels[j] == tau, above, (1.0 - w) * below + w * above)
+    first, last = qmat[rows, 0], qmat[rows, -1]
+    return np.where(tau <= levels[0], first, np.where(tau >= levels[-1], last, out))
 
 
 def _ladder_cdf(qmat: np.ndarray, levels: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -303,13 +287,8 @@ def optimal_lower_level(
     feasible = (z_grid >= levels[0] - 1e-12) & (z_grid + 1.0 - alpha <= levels[-1] + 1e-12)
     if feasible.any():
         z_grid = z_grid[feasible]
-    widths = np.column_stack(
-        [
-            _ladder_quantile(qmat, levels, z + 1.0 - alpha)
-            - _ladder_quantile(qmat, levels, z)
-            for z in z_grid
-        ]
-    )
+    z = z_grid[None, :]
+    widths = _ladder_quantile(qmat, levels, z + 1.0 - alpha) - _ladder_quantile(qmat, levels, z)
     return z_grid[widths.argmin(axis=1)]
 
 
@@ -323,25 +302,16 @@ class DcpModel:
     alpha: float
     cutoff: float
 
-    def _monotone_ladder(self, xs) -> np.ndarray:
-        qmat = predict_quantile(self.ladder, xs)
-        return np.maximum.accumulate(qmat, axis=1)
-
-    def predict_regions(self, xs) -> list[PredictionRegion]:
-        qmat = self._monotone_ladder(xs)
+    def predict_regions(self, xs) -> RegionBatch:
+        qmat = np.maximum.accumulate(predict_quantile(self.ladder, xs), axis=1)
         b_hat = optimal_lower_level(qmat, DCP_LADDER_LEVELS, self.alpha)
         center = b_hat + 0.5 * (1.0 - self.alpha)
-        lo_level = center - self.cutoff
-        hi_level = center + self.cutoff
-        out = []
-        for i in range(qmat.shape[0]):
-            # levels beyond the ladder range clamp to the outer quantiles,
-            # keeping the interval finite (generalized inversion would
-            # return an unbounded endpoint there)
-            lo = float(_ladder_quantile(qmat[i : i + 1], DCP_LADDER_LEVELS, lo_level[i])[0])
-            hi = float(_ladder_quantile(qmat[i : i + 1], DCP_LADDER_LEVELS, hi_level[i])[0])
-            out.append(PredictionRegion(((lo, hi),)))
-        return out
+        # levels beyond the ladder range clamp to the outer quantiles,
+        # keeping the interval finite (generalized inversion would
+        # return an unbounded endpoint there)
+        lo = _ladder_quantile(qmat, DCP_LADDER_LEVELS, center - self.cutoff)
+        hi = _ladder_quantile(qmat, DCP_LADDER_LEVELS, center + self.cutoff)
+        return RegionBatch(lo[:, None], hi[:, None])
 
 
 def fit_dcp(
@@ -388,14 +358,12 @@ class ParametricNormalModel:
     alpha: float
     d: int
 
-    def predict_regions(self, xs) -> list[PredictionRegion]:
+    def predict_regions(self, xs) -> RegionBatch:
         design = _design(_as_matrix(xs, self.d), ("raw",))
         center = design @ self.coef
         leverage = np.einsum("ij,jk,ik->i", design, self.xtx_inv, design)
         half = norm.ppf(1.0 - self.alpha / 2.0) * self.s * np.sqrt(1.0 + leverage)
-        return [
-            PredictionRegion(((c - h, c + h),)) for c, h in zip(center, half)
-        ]
+        return RegionBatch((center - half)[:, None], (center + half)[:, None])
 
 
 def fit_parametric_normal(data: Dataset, alpha: float) -> ParametricNormalModel:
@@ -422,6 +390,6 @@ def predict_region(model, x) -> PredictionRegion:
     return predict_regions(model, x)[0]
 
 
-def predict_regions(model, xs) -> list[PredictionRegion]:
+def predict_regions(model, xs) -> RegionBatch:
     """Prediction regions for covariate rows ``xs`` of shape (n, d)."""
     return model.predict_regions(xs)

@@ -8,6 +8,8 @@ parallel replications.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +18,7 @@ __all__ = [
     "Dataset",
     "SplitPlan",
     "PredictionRegion",
+    "RegionBatch",
     "ScoreVector",
     "conformal_q",
     "conformal_r",
@@ -143,6 +146,74 @@ class PredictionRegion:
         return not self.intervals
 
 
+class RegionBatch(Sequence):
+    """Prediction regions of n covariate rows as (n, J) ``lo``/``hi`` arrays.
+
+    Row ``i`` is the union of ``[lo[i, j], hi[i, j]]`` for ``j < counts[i]``
+    (all ``J`` by default); later entries are padding, and a row may be
+    empty. The constructor coalesces every row as :func:`coalesce` does,
+    so stored rows are sorted with ``hi[i, j] < lo[i, j + 1]``. Indexing
+    and iteration give :class:`PredictionRegion` views of the rows.
+    """
+
+    def __init__(self, lo, hi, counts=None):
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        if lo.ndim != 2 or lo.shape != hi.shape:
+            raise ValueError("lo and hi must be (n, J) arrays of the same shape")
+        n, width = lo.shape
+        counts = np.full(n, width) if counts is None else np.asarray(counts)
+        present = np.arange(width) < counts[:, None]
+        bad = present & (np.isnan(lo) | np.isnan(hi) | (lo > hi))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            PredictionRegion(((lo[i, j], hi[i, j]),))  # raises as one region does
+        # sort each row by (lo, hi), padding last; lexsort is stable, as sorted() is
+        order = np.lexsort((hi, lo, ~present), axis=1)
+        lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+        # a merged interval starts where lo exceeds the running max of hi,
+        # which keeps its value on ties, as max() does
+        start, top = present.copy(), hi.copy()
+        for j in range(1, width):
+            start[:, j] &= lo[:, j] > top[:, j - 1]
+            top[:, j] = np.where(hi[:, j] > top[:, j - 1], hi[:, j], top[:, j - 1])
+        end = present.copy()
+        end[:, :-1] &= start[:, 1:] | ~present[:, 1:]
+        self.counts = start.sum(axis=1)
+        self.lo = np.full((n, self.counts.max(initial=0)), np.nan)
+        self.hi = self.lo.copy()
+        self.lo[self._present()] = lo[start]
+        self.hi[self._present()] = top[end]
+        for a in (self.lo, self.hi, self.counts):
+            a.flags.writeable = False
+
+    @classmethod
+    def from_regions(cls, regions) -> "RegionBatch":
+        """One batch row per :class:`PredictionRegion`."""
+        counts = [len(r) for r in regions]
+        lo = np.zeros((len(counts), max(counts, default=0)))
+        hi = np.zeros_like(lo)
+        for i, region in enumerate(regions):
+            lo[i, : counts[i]], hi[i, : counts[i]] = np.reshape(region.intervals, (-1, 2)).T
+        return cls(lo, hi, counts)
+
+    def _present(self) -> np.ndarray:
+        return np.arange(self.lo.shape[1]) < self.counts[:, None]
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __getitem__(self, i) -> PredictionRegion:
+        i = range(len(self))[operator.index(i)]
+        c = self.counts[i]
+        return PredictionRegion(tuple(zip(self.lo[i, :c].tolist(), self.hi[i, :c].tolist())))
+
+    def flat(self):
+        """Row index, interval index, lo and hi of every interval, row by row."""
+        rows, index = np.nonzero(self._present())
+        return rows, index, self.lo[self._present()], self.hi[self._present()]
+
+
 @dataclass(frozen=True)
 class ScoreVector:
     """Calibration nonconformity scores with a cached sorted copy."""
@@ -209,16 +280,7 @@ def coalesce(region: PredictionRegion) -> PredictionRegion:
     Closed intervals that overlap or touch are merged, so the output
     satisfies ``hi_j < lo_{j+1}`` strictly.
     """
-    if region.is_empty:
-        return region
-    ivals = sorted(region.intervals)
-    merged = [list(ivals[0])]
-    for lo, hi in ivals[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return PredictionRegion(tuple((lo, hi) for lo, hi in merged))
+    return RegionBatch.from_regions((region,))[0]
 
 
 def region_length(region: PredictionRegion) -> float:

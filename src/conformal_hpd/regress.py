@@ -36,6 +36,10 @@ QUANTILE_KINDS = ("knn-quantile", "linear-quantile")
 # Lower clamp on predicted scales, so standardized scores stay finite.
 SCALE_FLOOR = 1e-6
 
+# Query rows per kNN distance block: keeps the (rows, n, d) difference
+# tensor near 1 MB for fitted folds of hundreds of rows.
+KNN_BLOCK = 256
+
 _FEATURES = {
     "raw": lambda x: x,
     "square": lambda x: x * x,
@@ -102,10 +106,15 @@ class _Knn:
         self.k = int(min(max(k, 1), x.shape[0]))
 
     def neighbor_targets(self, x: np.ndarray) -> np.ndarray:
+        """Targets of the k nearest fitted rows, shape (m, k), in blocks of query rows."""
         q = (x - self.mu) / self.sd
-        d2 = ((q[:, None, :] - self.xs[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-        return self.targets[idx]
+        out = np.empty((q.shape[0], self.k), dtype=self.targets.dtype)
+        for start in range(0, q.shape[0], KNN_BLOCK):
+            block = q[start : start + KNN_BLOCK]
+            d2 = ((block[:, None, :] - self.xs[None, :, :]) ** 2).sum(axis=2)
+            idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
+            out[start : start + block.shape[0]] = self.targets[idx]
+        return out
 
 
 @dataclass(frozen=True)

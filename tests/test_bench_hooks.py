@@ -8,6 +8,8 @@ fail first.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from conformal_hpd import cli, conformal, hpd, kde, sim
 from conformal_hpd.core import Dataset, SplitPlan
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+RUN_PATH = BENCH_DIR / "run.py"
 SPANS_PATH = BENCH_DIR / "spans.py"
 WORKLOADS_PATH = BENCH_DIR / "workloads.py"
 OWNERS = (
@@ -89,3 +92,27 @@ def test_workload_runs_one_smoke_operation(name, tmp_path):
     workload = workloads.WORKLOADS[name](1, smoke=True)
     workload.setup(str(tmp_path))
     assert workload.op_ok(workload.op(0, 0))
+
+
+# Output digests of ``bench/run.py --seed 1 --seconds 0 --smoke``: a hash of
+# every result of the first pass (replication reports, fitted intervals,
+# predictions.csv + metrics.csv bytes). A speed change must leave them
+# as they are; a change that alters outputs on purpose updates them and
+# says so in CHANGES.md.
+SMOKE_DIGESTS = {
+    "replication-table": "1530e9b7860b286994a115455982fd074b4d0bfe3c57eddf781ddf29b7264ed9",
+    "kde-hpd-fit": "91814a6df3db34eee0e9735ebbbb06cc898015a458c626fe017baf90967e637a",
+    "batch-predict": "a506fceee4b0bf75dc07660b53f2e33924cf44798816fbd5abb28a29dfe66fe8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_DIGESTS))
+def test_smoke_run_reproduces_the_output_digest(name):
+    run = subprocess.run(
+        [sys.executable, str(RUN_PATH), "--workload", name, "--seed", "1",
+         "--seconds", "0", "--smoke"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    digests = [line for line in run.stdout.splitlines() if line.startswith("# digest ")]
+    assert digests == [f"# digest {SMOKE_DIGESTS[name]}"]

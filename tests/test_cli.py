@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import conformal_hpd.sim as sim
+from conformal_hpd import cli
 from conformal_hpd.cli import main
 from conformal_hpd.sim import Scenario, generate
 
@@ -289,6 +290,57 @@ class TestEvaluate:
         assert "row 2" in err and repr(column) in err
         assert not (tmp_path / "m" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("row_id", ["0.7", "inf", "-1"])
+    def test_row_id_must_be_a_non_negative_integer(self, tmp_path, capsys, row_id):
+        preds = tmp_path / "predictions.csv"
+        write_csv(
+            preds,
+            ["row", "interval_index", "lo", "hi"],
+            [["0", "0", "0.0", "10.0"], [row_id, "0", "20.0", "30.0"]],
+        )
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["y"], [["3.0"]])
+        code = run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--outdir", str(tmp_path / "m"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "predictions.csv" in err and "row 2" in err and "'row'" in err
+        assert not (tmp_path / "m" / "metrics.csv").exists()
+
+    def test_inverted_interval_exits_2(self, tmp_path, capsys):
+        preds = tmp_path / "predictions.csv"
+        write_csv(preds, ["row", "interval_index", "lo", "hi"], [["0", "0", "10.0", "0.0"]])
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["y"], [["3.0"]])
+        code = run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--outdir", str(tmp_path / "m"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "predictions.csv" in err and "lo > hi" in err and "row 1" in err
+
+    def test_sizes_sum_raw_lengths_in_file_order(self, tmp_path):
+        # overlapping intervals are not merged: size is the sum of lengths
+        preds = tmp_path / "predictions.csv"
+        write_csv(
+            preds,
+            ["row", "interval_index", "lo", "hi"],
+            [["1", "0", "0.0", "1.0"], ["0", "0", "0.0", "2.0"], ["0", "1", "1.0", "3.0"]],
+        )
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["y"], [["2.5"], ["5.0"]])
+        out = tmp_path / "m"
+        assert run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--outdir", str(out),
+        ) == 0
+        rows = {(r[0], r[1]): r[2] for r in read_csv(out / "metrics.csv")[1:]}
+        assert rows[("coverage", "ALL")] == "0.5"
+        assert rows[("mean_size", "ALL")] == "2.5"
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_truth_target_exits_2(self, tmp_path, capsys, bad):
         preds = tmp_path / "predictions.csv"
@@ -433,3 +485,79 @@ class TestRegions:
             widths[float(x)] = widths.get(float(x), 0.0) + float(hi) - float(lo)
         w_at = lambda target: min(widths.items(), key=lambda kv: abs(kv[0] - target))[1]
         assert w_at(4.0) >= 3.0 * w_at(0.5)
+
+
+# (file body after the header "a,b", parsed rows or the rejection message),
+# as accepted and rejected by the per-cell csv reader
+READER_CASES = [
+    (" 1 , 2 \n\t3,4\t\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("nan,inf\n-inf,-0.0\n", [[math.nan, math.inf], [-math.inf, -0.0]]),
+    ("1_000,2\n", [[1000.0, 2.0]]),
+    ('"3","4.5"\n', [[3.0, 4.5]]),
+    ("\u0661,2\n", [[1.0, 2.0]]),
+    ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+    ("", []),
+    ("1,2\n\n3,4\n", "row 2 has 0 fields, expected 2"),
+    ("1,2\n\n", "row 2 has 0 fields, expected 2"),
+    ("1,2,\n", "row 1 has 3 fields, expected 2"),
+    ("1,\n", "missing value at row 1, column 'b'"),
+    ("1, \n", "missing value at row 1, column 'b'"),
+    ('"1,5",2\n', "non-numeric value '1,5' at row 1, column 'a'"),
+    ("1,0x10\n", "non-numeric value '0x10' at row 1, column 'b'"),
+    ("1,2 3\n", "non-numeric value '2 3' at row 1, column 'b'"),
+]
+
+
+class TestNumericReader:
+    @pytest.mark.parametrize("body, expected", READER_CASES)
+    def test_pinned_accept_and_reject(self, tmp_path, body, expected):
+        path = tmp_path / "t.csv"
+        path.write_bytes(("a,b\n" + body).encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(cli.UsageError, match=expected):
+                cli._read_numeric_csv(path)
+            return
+        header, data = cli._read_numeric_csv(path)
+        assert header == ["a", "b"] and data.shape == (len(expected), 2)
+        np.testing.assert_array_equal(data, np.reshape(expected, (-1, 2)))
+        assert np.signbit(data).tolist() == np.signbit(np.reshape(expected, (-1, 2))).tolist()
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"")
+        with pytest.raises(cli.UsageError, match="header row required"):
+            cli._read_numeric_csv(path)
+
+
+def write_csv_reference(path, header, rows):
+    """The row-by-row csv.writer path that ``cli._write_csv`` replaces."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(v) for v in row])
+
+
+class TestCsvWriter:
+    def test_bytes_equal_the_csv_writer_path(self, tmp_path):
+        header = ["metric", "group, quoted \"g\"", "i", "value"]
+        labels = ["plain", "a,b", 'say "hi"', "", "two\nlines", " pad ", "cr\rx", "#"]
+        ints = np.arange(len(labels)) * 7 - 3
+        values = np.array(
+            [math.inf, -math.inf, math.nan, -0.0, 1e-300, 0.1, 1 / 3, 1.2345678901234567e17]
+        )
+        rows = list(zip(labels, labels[::-1], ints.tolist(), values.tolist()))
+        expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
+        write_csv_reference(expected, header, rows)
+        cli._write_csv(got, header, [labels, labels[::-1], ints, values])
+        assert got.read_bytes() == expected.read_bytes()
+        # list columns of Python numbers format the same way
+        cli._write_csv(got, header, [labels, labels[::-1], ints.tolist(), values.tolist()])
+        assert got.read_bytes() == expected.read_bytes()
+
+    def test_header_only_table(self, tmp_path):
+        expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
+        write_csv_reference(expected, ["row", "lo"], [])
+        cli._write_csv(got, ["row", "lo"], [np.array([], dtype=int), np.array([])])
+        assert got.read_bytes() == expected.read_bytes()

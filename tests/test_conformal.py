@@ -8,6 +8,7 @@ from scipy.stats import norm
 from conformal_hpd.conformal import (
     DCP_LADDER_LEVELS,
     KdeHpdConfig,
+    _ladder_quantile,
     KdeHpdPipeline,
     fit_cqr,
     fit_dcp,
@@ -22,6 +23,7 @@ from conformal_hpd.conformal import (
 from conformal_hpd.core import (
     Dataset,
     PredictionRegion,
+    RegionBatch,
     ScoreVector,
     SplitPlan,
     conformal_q,
@@ -312,6 +314,33 @@ class TestDcp:
         assert lo == pytest.approx(5.0 + norm.ppf(0.05), abs=0.25)
         assert hi == pytest.approx(5.0 + norm.ppf(0.95), abs=0.25)
 
+    def test_per_row_levels_match_the_scalar_interpolation(self):
+        def scalar(qmat, levels, tau):
+            if tau <= levels[0]:
+                return qmat[:, 0]
+            if tau >= levels[-1]:
+                return qmat[:, -1]
+            j = int(np.searchsorted(levels, tau))
+            if levels[j] == tau:
+                return qmat[:, j]
+            w = (tau - levels[j - 1]) / (levels[j] - levels[j - 1])
+            return (1.0 - w) * qmat[:, j - 1] + w * qmat[:, j]
+
+        rng = np.random.default_rng(62)
+        qmat = np.cumsum(rng.exponential(size=(40, DCP_LADDER_LEVELS.size)), axis=1)
+        tau = np.concatenate(
+            [
+                rng.uniform(-0.1, 1.1, 30),
+                DCP_LADDER_LEVELS[[0, 1, 50, -1]],
+                [-math.inf, math.inf, 0.005, 0.995, 0.0, 1.0],
+            ]
+        )
+        expected = [scalar(qmat[i : i + 1], DCP_LADDER_LEVELS, t)[0] for i, t in enumerate(tau)]
+        np.testing.assert_array_equal(_ladder_quantile(qmat, DCP_LADDER_LEVELS, tau), expected)
+        grid = tau[None, :]  # every level at every row, as the DCP window search asks
+        expected = np.column_stack([scalar(qmat, DCP_LADDER_LEVELS, t) for t in tau])
+        np.testing.assert_array_equal(_ladder_quantile(qmat, DCP_LADDER_LEVELS, grid), expected)
+
     def test_region_is_always_single_interval(self):
         rng = np.random.default_rng(61)
         comp = rng.random(800) < 0.5
@@ -401,6 +430,21 @@ class TestSharedInvariants:
         for (lo0, hi0), (lo1, hi1) in zip(base, up):
             assert lo1 == pytest.approx(c * lo0, rel=1e-7)
             assert hi1 == pytest.approx(c * hi0, rel=1e-7)
+
+
+class TestRegionBatchResults:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_predict_regions_returns_a_batch_of_row_views(self, method):
+        rng = np.random.default_rng(91)
+        data = make_line_data(rng, 200, lambda n: rng.standard_normal(n))
+        model = fit_by_method(method, data, half_split(200))
+        xs = np.array([[-2.0], [0.5], [3.0]])
+        batch = predict_regions(model, xs)
+        assert isinstance(batch, RegionBatch) and len(batch) == 3
+        for row, region in zip(xs, batch):
+            single = predict_region(model, row[None, :])
+            assert len(single) == len(region) > 0
+            np.testing.assert_allclose(single.intervals, region.intervals, rtol=1e-12)
 
 
 class TestNonFiniteCovariates:

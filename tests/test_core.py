@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conformal_hpd.core import (
     Dataset,
     PredictionRegion,
+    RegionBatch,
     ScoreVector,
     SplitPlan,
     coalesce,
@@ -120,6 +121,74 @@ class TestRegions:
         merged = coalesce(raw)
         for y in rng.uniform(-12, 18, size=1000):
             assert region_contains(raw, y) == region_contains(merged, y)
+
+
+def coalesce_reference(region: PredictionRegion) -> PredictionRegion:
+    """The per-row merge loop that ``RegionBatch`` vectorises."""
+    if region.is_empty:
+        return region
+    ivals = sorted(region.intervals)
+    merged = [list(ivals[0])]
+    for lo, hi in ivals[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return PredictionRegion(tuple((lo, hi) for lo, hi in merged))
+
+
+# few distinct endpoints, so draws touch, nest and share lo; signed zeros
+# and infinities included
+ENDPOINTS = st.sampled_from([-math.inf, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf])
+INTERVAL = st.one_of(
+    st.tuples(ENDPOINTS, ENDPOINTS),
+    st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+).map(lambda t: (min(t), max(t)))
+
+
+@st.composite
+def interval_rows(draw):
+    width = draw(st.integers(1, 5))
+    rows = draw(
+        st.lists(st.lists(INTERVAL, min_size=0, max_size=width), min_size=1, max_size=6)
+    )
+    return width, rows
+
+
+class TestRegionBatch:
+    @given(interval_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_rows_equal_the_per_row_merge(self, drawn):
+        width, rows = drawn
+        lo = np.full((len(rows), width), 7.0)  # padding past each count
+        hi = np.full((len(rows), width), -7.0)
+        for i, row in enumerate(rows):
+            for j, (a, b) in enumerate(row):
+                lo[i, j], hi[i, j] = a, b
+        batch = RegionBatch(lo, hi, [len(row) for row in rows])
+        assert len(batch) == len(rows)
+        for region, row in zip(batch, rows):
+            expected = coalesce_reference(PredictionRegion(tuple(row)))
+            assert repr(region.intervals) == repr(expected.intervals)
+
+    def test_sequence_views(self):
+        batch = RegionBatch([[0.0, 5.0], [2.0, 0.0]], [[1.0, 6.0], [3.0, 1.0]], [2, 0])
+        assert batch[-2].intervals == ((0.0, 1.0), (5.0, 6.0))
+        assert batch[1].is_empty
+        with pytest.raises(IndexError):
+            batch[2]
+        rows, index, lo, hi = batch.flat()
+        assert rows.tolist() == [0, 0] and index.tolist() == [0, 1]
+        assert (lo.tolist(), hi.tolist()) == ([0.0, 5.0], [1.0, 6.0])
+
+    @pytest.mark.parametrize(
+        "lo, hi, match", [(2.0, 1.0, "lo > hi"), (math.nan, 1.0, "NaN"), (0.0, math.nan, "NaN")]
+    )
+    def test_invalid_interval_rejected_like_a_single_region(self, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            RegionBatch([[0.0, lo]], [[1.0, hi]])
+        # entries past a row's count are padding and never checked
+        assert RegionBatch([[0.0, lo]], [[1.0, hi]], [1])[0].intervals == ((0.0, 1.0),)
 
 
 def hausdorff_grid(a: PredictionRegion, b: PredictionRegion, step=1e-4) -> float:

@@ -4,6 +4,7 @@ from scipy.stats import norm, spearmanr
 
 from conformal_hpd.core import Dataset
 from conformal_hpd.regress import (
+    KNN_BLOCK,
     MeanConfig,
     QuantileConfig,
     ScaleConfig,
@@ -13,6 +14,7 @@ from conformal_hpd.regress import (
     predict_mean,
     predict_quantile,
     predict_scale,
+    _Knn,
 )
 
 
@@ -189,3 +191,24 @@ class TestFitQuantile:
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="levels"):
             fit_quantile_ladder(line_dataset(), [1.5])
+
+
+class TestKnnBlocks:
+    @staticmethod
+    def unblocked(knn, x):
+        """All query rows in one distance tensor: the layout blocking replaces."""
+        q = (x - knn.mu) / knn.sd
+        d2 = ((q[:, None, :] - knn.xs[None, :, :]) ** 2).sum(axis=2)
+        idx = np.argpartition(d2, knn.k - 1, axis=1)[:, : knn.k]
+        return knn.targets[idx]
+
+    @pytest.mark.parametrize("m", [KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, 2 * KNN_BLOCK + 3])
+    def test_blocked_lookup_equals_unblocked(self, m):
+        rng = np.random.default_rng(m)
+        # integer coordinates with repeated rows: many exact distance ties
+        x = rng.integers(-3, 4, size=(60, 2)).astype(float)
+        knn = _Knn(x, rng.standard_normal(60), k=9)
+        queries = rng.integers(-4, 5, size=(m, 2)).astype(float)
+        np.testing.assert_array_equal(
+            knn.neighbor_targets(queries), self.unblocked(knn, queries)
+        )
