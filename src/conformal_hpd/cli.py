@@ -18,15 +18,16 @@ from dataclasses import asdict
 
 import numpy as np
 
-from conformal_hpd.core import Dataset, RegionBatch, SplitPlan
+from conformal_hpd.core import Dataset, SplitPlan, score_intervals
 from conformal_hpd.sim import (
     METHOD_TAGS,
     Scenario,
+    build_plan,
     fit_method,
     generate,
-    oracle_hpd,
     run_replications,
     summarize,
+    use_scale,
 )
 
 __all__ = ["main"]
@@ -87,6 +88,8 @@ def _read_lines(path):
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:
@@ -174,7 +177,7 @@ def _covariates_from_csv(path, names):
     return data[:, cols]
 
 
-def _scenario_from_args(args) -> Scenario:
+def _scenario_from_args(args, n_test: int) -> Scenario:
     n_obs = args.n
     if n_obs < 4:
         raise UsageError("--n must be at least 4")
@@ -183,7 +186,7 @@ def _scenario_from_args(args) -> Scenario:
             tag=args.scenario,
             n_train=n_obs // 2,
             n_cal=n_obs - n_obs // 2,
-            n_test=args.n_test,
+            n_test=n_test,
             alpha=args.alpha,
             seed=args.seed,
         )
@@ -191,20 +194,27 @@ def _scenario_from_args(args) -> Scenario:
         raise UsageError(str(exc)) from None
 
 
-def _scale_on(mode: str, scenario_tag: str | None) -> bool:
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
-    return scenario_tag == "bowtie"
+def _check_methods(tags, valid):
+    unknown = [t for t in tags if t not in valid]
+    if unknown:
+        raise UsageError(f"unknown method {unknown[0]!r}; valid tags: {', '.join(valid)}")
 
 
-def _threads_default() -> int:
-    env = os.environ.get("CONFORMAL_HPD_THREADS", "")
+# --scale-model choices as run_replications's scale_model (None: auto)
+_SCALE_MODES = {"auto": None, "on": True, "off": False}
+
+
+def _thread_count(flag) -> int:
+    """``--threads`` if given, else ``CONFORMAL_HPD_THREADS``, else 1."""
+    env = os.environ.get("CONFORMAL_HPD_THREADS") or "1"
+    source, text = ("--threads", flag) if flag is not None else ("CONFORMAL_HPD_THREADS", env)
     try:
-        return max(1, int(env)) if env else 1
+        threads = int(text)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"{source} must be an integer >= 1, got {text!r}")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +222,14 @@ def _threads_default() -> int:
 
 
 def cmd_simulate(args) -> int:
-    scn = _scenario_from_args(args)
+    scn = _scenario_from_args(args, args.n_test)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
-        if m not in METHOD_TAGS:
-            raise UsageError(
-                f"unknown method {m!r}; valid tags: {', '.join(METHOD_TAGS)}"
-            )
+    _check_methods(methods, METHOD_TAGS)
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
-    scale_on = _scale_on(args.scale_model, scn.tag)
-    reports = run_replications(
-        scn, methods, args.reps, threads=args.threads, scale_model=scale_on
-    )
+    threads = _thread_count(args.threads)
+    scale_on = use_scale(_SCALE_MODES[args.scale_model], scn.tag)
+    reports = run_replications(scn, methods, args.reps, threads=threads, scale_model=scale_on)
     summaries = summarize(reports)
     os.makedirs(args.outdir, exist_ok=True)
     if args.format in ("csv", "both"):
@@ -271,14 +276,10 @@ def _sequential_plan(n: int, fractions, shuffle_seed=None) -> SplitPlan:
 
 
 def cmd_predict(args) -> int:
-    if args.method not in METHOD_TAGS or args.method == "oracle":
-        usable = [m for m in METHOD_TAGS if m != "oracle"]
-        raise UsageError(
-            f"unknown method {args.method!r}; valid tags: {', '.join(usable)}"
-        )
+    _check_methods([args.method], [m for m in METHOD_TAGS if m != "oracle"])
     names, train = _dataset_from_csv(args.train, args.target)
     x_test = _covariates_from_csv(args.test, names)
-    scale_on = _scale_on(args.scale_model, None)
+    scale_on = _SCALE_MODES[args.scale_model]
     fractions = (0.25, 0.25, 0.5) if scale_on else (0.5, 0.0, 0.5)
     if args.split:
         try:
@@ -341,12 +342,8 @@ def cmd_evaluate(args) -> int:
             f"row keys mismatch: predictions cover {keys.size} rows,"
             f" truth has {len(y)}"
         )
-    row_id = row_id.astype(np.intp)
-    y_row = y[row_id]
-    hit = (lo <= y_row) & (y_row <= hi)
-    covered = np.bincount(row_id[hit], minlength=y.size) > 0
     # raw lengths summed per row in file order, without coalescing
-    sizes = np.bincount(row_id, weights=hi - lo, minlength=y.size)
+    covered, sizes = score_intervals(row_id, lo, hi, y)
     out_rows = [
         ("coverage", "ALL", float(covered.mean())),
         ("mean_size", "ALL", float(sizes.mean())),
@@ -367,24 +364,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    scn = _scenario_from_args(args)
-    if args.method not in METHOD_TAGS:
-        raise UsageError(
-            f"unknown method {args.method!r}; valid tags: {', '.join(METHOD_TAGS)}"
-        )
+    scn = _scenario_from_args(args, n_test=1)  # the test fold is never read
+    _check_methods([args.method], METHOD_TAGS)
     grid = np.linspace(-5.0, 5.0, args.grid_points)
-    if args.method == "oracle":
-        regions = RegionBatch.from_regions([oracle_hpd(scn, x) for x in grid])
-    else:
-        observed, _, _ = generate(scn)
-        scale_on = _scale_on(args.scale_model, scn.tag)
-        plan = _sequential_plan(
-            observed.n,
-            (0.25, 0.25, 0.5) if scale_on else (0.5, 0.0, 0.5),
-        )
-        model = fit_method(args.method, observed, plan, scn.alpha, scale_on)
-        regions = model.predict_regions(grid.reshape(-1, 1))
-    rows, index, lo, hi = regions.flat()
+    observed, _, oracle = generate(scn)
+    scale_on = use_scale(_SCALE_MODES[args.scale_model], scn.tag)
+    plan = build_plan(observed.n, scn.n_train, scale_on)
+    model = oracle if args.method == "oracle" else fit_method(
+        args.method, observed, plan, scn.alpha, scale_on
+    )
+    rows, index, lo, hi = model.predict_regions(grid.reshape(-1, 1)).flat()
     os.makedirs(args.outdir, exist_ok=True)
     _write_csv(
         os.path.join(args.outdir, "regions.csv"),
@@ -413,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--seed", type=int, default=0)
     sim_p.add_argument("--n", type=int, default=1000, help="observed points per rep")
     sim_p.add_argument("--n-test", type=int, default=50)
-    sim_p.add_argument("--threads", type=int, default=_threads_default())
+    sim_p.add_argument("--threads", type=int, help="default: CONFORMAL_HPD_THREADS, else 1")
     sim_p.add_argument("--scale-model", choices=["auto", "on", "off"], default="auto")
     sim_p.add_argument("--format", choices=["csv", "json", "both"], default="both")
     sim_p.add_argument("--outdir", default=".")
@@ -450,7 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reg_p.add_argument("--alpha", type=float, default=0.1)
     reg_p.add_argument("--seed", type=int, default=0)
     reg_p.add_argument("--n", type=int, default=1000)
-    reg_p.add_argument("--n-test", type=int, default=50)
     reg_p.add_argument("--grid-points", type=int, default=200)
     reg_p.add_argument("--scale-model", choices=["auto", "on", "off"], default="auto")
     reg_p.add_argument("--outdir", default=".")

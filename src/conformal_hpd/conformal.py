@@ -273,17 +273,15 @@ def _ladder_cdf(qmat: np.ndarray, levels: np.ndarray, y: np.ndarray) -> np.ndarr
     return out
 
 
-def optimal_lower_level(
-    qmat: np.ndarray, levels: np.ndarray, alpha: float, step: float = DCP_SEARCH_STEP
-) -> np.ndarray:
+def optimal_lower_level(qmat: np.ndarray, levels: np.ndarray, alpha: float) -> np.ndarray:
     """Per-row lower CDF level whose width-(1-alpha) interval is shortest.
 
-    Grid search over [0, alpha] at the given step, intersected with the
+    Grid search over [0, alpha] at step ``DCP_SEARCH_STEP``, intersected with the
     ladder's evaluable range: outside it the interpolation clamps to the
     edge quantile and fakes a shorter interval (a gamma ladder would
     otherwise always pick z = 0). Ties resolve to the smallest level.
     """
-    z_grid = np.linspace(0.0, alpha, int(round(alpha / step)) + 1)
+    z_grid = np.linspace(0.0, alpha, int(round(alpha / DCP_SEARCH_STEP)) + 1)
     feasible = (z_grid >= levels[0] - 1e-12) & (z_grid + 1.0 - alpha <= levels[-1] + 1e-12)
     if feasible.any():
         z_grid = z_grid[feasible]

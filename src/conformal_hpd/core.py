@@ -23,6 +23,7 @@ __all__ = [
     "conformal_q",
     "conformal_r",
     "coalesce",
+    "score_intervals",
     "region_length",
     "region_contains",
     "hausdorff",
@@ -187,16 +188,6 @@ class RegionBatch(Sequence):
         for a in (self.lo, self.hi, self.counts):
             a.flags.writeable = False
 
-    @classmethod
-    def from_regions(cls, regions) -> "RegionBatch":
-        """One batch row per :class:`PredictionRegion`."""
-        counts = [len(r) for r in regions]
-        lo = np.zeros((len(counts), max(counts, default=0)))
-        hi = np.zeros_like(lo)
-        for i, region in enumerate(regions):
-            lo[i, : counts[i]], hi[i, : counts[i]] = np.reshape(region.intervals, (-1, 2)).T
-        return cls(lo, hi, counts)
-
     def _present(self) -> np.ndarray:
         return np.arange(self.lo.shape[1]) < self.counts[:, None]
 
@@ -274,26 +265,48 @@ def conformal_r(scores: ScoreVector, delta: float) -> float:
     return _order_stat(scores, k)
 
 
+def _intervals(region: PredictionRegion):
+    """The ``lo`` and ``hi`` endpoints of a region's intervals, in its order."""
+    return np.reshape(region.intervals, (-1, 2)).T
+
+
 def coalesce(region: PredictionRegion) -> PredictionRegion:
     """Sort and merge intervals into a disjoint union with identical membership.
 
     Closed intervals that overlap or touch are merged, so the output
     satisfies ``hi_j < lo_{j+1}`` strictly.
     """
-    return RegionBatch.from_regions((region,))[0]
+    lo, hi = _intervals(region)
+    return RegionBatch(lo[None], hi[None])[0]
+
+
+def score_intervals(rows, lo, hi, y):
+    """Per-row coverage and size of the closed intervals ``[lo[k], hi[k]]`` of rows ``rows[k]``.
+
+    Row ``i`` is scored against ``y[i]``: ``covered[i]`` is membership in
+    any of its intervals, ``sizes[i]`` the sum of their raw ``hi - lo`` in
+    the given order, without coalescing (0 for a row with no interval).
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    lo, hi, y = (np.asarray(a, dtype=np.float64) for a in (lo, hi, y))
+    y_row = y[rows]
+    hit = (lo <= y_row) & (y_row <= hi)
+    covered = np.bincount(rows[hit], minlength=y.size) > 0
+    # bincount of no entries returns integers, whatever the weights
+    sizes = np.bincount(rows, weights=hi - lo, minlength=y.size).astype(np.float64)
+    return covered, sizes
 
 
 def region_length(region: PredictionRegion) -> float:
     """Total Lebesgue measure; ``+inf`` if any interval is unbounded."""
-    total = 0.0
-    for lo, hi in region.intervals:
-        total += hi - lo
-    return total
+    lo, hi = _intervals(region)
+    return float(score_intervals(np.zeros(lo.size), lo, hi, np.zeros(1))[1][0])
 
 
 def region_contains(region: PredictionRegion, y: float) -> bool:
     """Closed-interval membership test."""
-    return any(lo <= y <= hi for lo, hi in region.intervals)
+    lo, hi = _intervals(region)
+    return bool(score_intervals(np.zeros(lo.size), lo, hi, [y])[0][0])
 
 
 def _point_to_region(z: float, intervals) -> float:

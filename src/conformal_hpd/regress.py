@@ -268,22 +268,10 @@ def fit_quantile_ladder(
     )
 
 
-def predict_quantile(qe: QuantileEstimator, x, level: float | None = None):
-    """Evaluate fitted quantile(s) at covariate rows ``x`` of shape (n, d).
-
-    With ``level=None`` returns the full ladder, shape (n, L); with a
-    fitted level returns that column, shape (n,).
-    """
+def predict_quantile(qe: QuantileEstimator, x):
+    """The fitted quantile ladder at covariate rows ``x`` of shape (n, d), shape (n, L)."""
     xm = _as_matrix(x, qe.d)
     if qe.kind == "knn-quantile":
-        neigh = qe.knn.neighbor_targets(xm)
-        vals = np.quantile(neigh, qe.levels, axis=1).T  # (n, L)
-    else:
-        design = (_design(xm, qe.feature_map) - qe.scale_mu) / qe.scale_sd
-        vals = design @ qe.coef
-    if level is None:
-        return vals
-    matches = np.flatnonzero(np.isclose(qe.levels, level))
-    if matches.size == 0:
-        raise ValueError(f"level {level} was not fitted")
-    return vals[:, matches[0]]
+        return np.quantile(qe.knn.neighbor_targets(xm), qe.levels, axis=1).T
+    design = (_design(xm, qe.feature_map) - qe.scale_mu) / qe.scale_sd
+    return design @ qe.coef

@@ -11,6 +11,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -28,10 +29,12 @@ from conformal_hpd.conformal import (
 from conformal_hpd.core import (
     Dataset,
     PredictionRegion,
+    RegionBatch,
     SplitPlan,
     hausdorff,
-    region_contains,
-    region_length,
+    region_contains,  # noqa: F401 - stays patchable here for tracing
+    region_length,  # noqa: F401 - stays patchable here for tracing
+    score_intervals,
 )
 from conformal_hpd.hpd import superlevel_intervals
 from conformal_hpd.regress import ScaleConfig
@@ -44,6 +47,8 @@ __all__ = [
     "MethodSummary",
     "generate",
     "oracle_hpd",
+    "use_scale",
+    "build_plan",
     "run_replications",
     "summarize",
     "conditional_coverage",
@@ -214,17 +219,27 @@ _LAWS = {
 
 @dataclass(frozen=True)
 class OracleHandle:
-    """True conditional structure of a scenario, for diagnostics."""
+    """The exact smallest 1-alpha regions of a scenario's law, as a model.
 
-    tag: str
+    Every law has the same number of intervals at every x, so the
+    regions of a covariate batch stack into one :class:`RegionBatch`.
+    """
+
     law: _Law
+    alpha: float
 
-    def region(self, x, alpha) -> PredictionRegion:
-        x = float(np.asarray(x).reshape(-1)[0])
-        g = _mean_fn(x)
-        return PredictionRegion(
-            tuple((g + lo, g + hi) for lo, hi in self.law.hpd_intervals(alpha, x))
+    @property
+    def n_intervals(self) -> int:
+        return len(self.law.hpd_intervals(self.alpha, 0.0))
+
+    def predict_regions(self, xs) -> RegionBatch:
+        x = np.asarray(xs, dtype=np.float64)[:, 0]
+        ivals = np.reshape(
+            [self.law.hpd_intervals(self.alpha, xi) for xi in x.tolist()],
+            (x.size, self.n_intervals, 2),
         )
+        g = _mean_fn(x)[:, None]
+        return RegionBatch(g + ivals[..., 0], g + ivals[..., 1])
 
 
 def _streams(seed: int):
@@ -249,13 +264,12 @@ def generate(scn: Scenario):
 
     observed = draw(obs_rng, scn.n_train + scn.n_cal)
     test = draw(test_rng, scn.n_test)
-    return observed, test, OracleHandle(tag=scn.tag, law=law)
+    return observed, test, OracleHandle(law, scn.alpha)
 
 
 def oracle_hpd(scn: Scenario, x) -> PredictionRegion:
-    """Exact smallest 1-alpha region at covariate ``x``."""
-    law = _LAWS[scn.tag]()
-    return OracleHandle(tag=scn.tag, law=law).region(x, scn.alpha)
+    """Exact smallest 1-alpha region at the scalar covariate ``x``."""
+    return OracleHandle(_LAWS[scn.tag](), scn.alpha).predict_regions([[x]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +306,13 @@ class MethodSummary:
     mean_runtime_s: float
 
 
-def _build_plan(n_obs: int, n_train: int, scale_on: bool) -> SplitPlan:
+def use_scale(scale_model: bool | None, tag: str) -> bool:
+    """Whether to fit the conditional scale; ``None`` (auto) means exactly for bowtie."""
+    return tag == "bowtie" if scale_model is None else bool(scale_model)
+
+
+def build_plan(n_obs: int, n_train: int, scale_on: bool) -> SplitPlan:
+    """Sequential folds: ``n_train`` training rows, halved when the scale is on."""
     n1 = n_train // 2 if scale_on else n_train
     return SplitPlan.sequential(np.arange(n_obs), n1, n_train - n1)
 
@@ -320,24 +340,16 @@ def fit_method(tag, observed, plan, alpha, scale_on):
 def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
     seed_rep = scn.seed + rep
     observed, test, oracle = generate(replace(scn, seed=seed_rep))
-    plan = _build_plan(observed.n, scn.n_train, scale_on)
+    plan = build_plan(observed.n, scn.n_train, scale_on)
     reports = []
     for tag in methods:
         t0 = _timer()
         try:
-            if tag == "oracle":
-                regions = [oracle.region(x, scn.alpha) for x in test.x[:, 0]]
-                warnings = 0
-                n_intervals = max(len(r) for r in regions)
-            else:
-                model = fit_method(tag, observed, plan, scn.alpha, scale_on)
-                regions = model.predict_regions(test.x)
-                warnings = getattr(model, "dropped_pairs", 0)
-                n_intervals = getattr(model, "n_intervals", 1)
-            covered = tuple(
-                bool(region_contains(r, yi)) for r, yi in zip(regions, test.y)
+            model = oracle if tag == "oracle" else fit_method(
+                tag, observed, plan, scn.alpha, scale_on
             )
-            sizes = tuple(float(region_length(r)) for r in regions)
+            rows, _, lo, hi = model.predict_regions(test.x).flat()
+            covered, sizes = (tuple(a.tolist()) for a in score_intervals(rows, lo, hi, test.y))
             reports.append(
                 RepReport(
                     method=tag,
@@ -349,8 +361,8 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
                     covered=covered,
                     x_test=tuple(map(float, test.x[:, 0])),
                     wall_time=_timer() - t0,
-                    n_intervals=n_intervals,
-                    warnings=warnings,
+                    n_intervals=getattr(model, "n_intervals", 1),
+                    warnings=getattr(model, "dropped_pairs", 0),
                 )
             )
         except Exception as exc:  # noqa: BLE001 - recorded, not silenced
@@ -388,13 +400,15 @@ def run_replications(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     methods = tuple(methods)
     for tag in methods:
         if tag not in METHOD_TAGS:
             raise ValueError(
                 f"unknown method {tag!r}; valid tags: {', '.join(METHOD_TAGS)}"
             )
-    scale_on = scn.tag == "bowtie" if scale_model is None else bool(scale_model)
+    scale_on = use_scale(scale_model, scn.tag)
     if threads > 1:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
@@ -402,18 +416,13 @@ def run_replications(
         ctx = mp.get_context("fork")
         with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
             chunks = pool.map(
-                _replicate_star,
-                [(scn, methods, rep, scale_on) for rep in range(reps)],
+                _replicate_one, repeat(scn), repeat(methods), range(reps), repeat(scale_on),
                 chunksize=max(1, reps // (4 * threads)),
             )
             nested = list(chunks)
     else:
         nested = [_replicate_one(scn, methods, rep, scale_on) for rep in range(reps)]
     return [report for chunk in nested for report in chunk]
-
-
-def _replicate_star(args):
-    return _replicate_one(*args)
 
 
 def summarize(reports) -> list[MethodSummary]:
@@ -483,7 +492,8 @@ def hausdorff_diagnostic(scn: Scenario, method: str, ns, reps: int) -> list[tupl
     distance at the covariates -4, -2, 0, 2, 4, and reports the median.
     Regions with unbounded endpoints count as infinitely far.
     """
-    grid = np.linspace(-4.0, 4.0, 5)
+    grid = np.linspace(-4.0, 4.0, 5).reshape(-1, 1)
+    scale_on = use_scale(None, scn.tag)
     rows = []
     for n in ns:
         scn_n = replace(scn, n_train=n // 2, n_cal=n - n // 2, n_test=1)
@@ -491,14 +501,12 @@ def hausdorff_diagnostic(scn: Scenario, method: str, ns, reps: int) -> list[tupl
         for rep in range(reps):
             seed_rep = scn_n.seed + rep
             observed, _, oracle = generate(replace(scn_n, seed=seed_rep))
-            if method == "oracle":
-                regions = [oracle.region(x, scn.alpha) for x in grid]
-            else:
-                plan = _build_plan(observed.n, scn_n.n_train, scn.tag == "bowtie")
-                model = fit_method(method, observed, plan, scn.alpha, scn.tag == "bowtie")
-                regions = model.predict_regions(grid.reshape(-1, 1))
-            for x, region in zip(grid, regions):
-                target = oracle.region(x, scn.alpha)
+            plan = build_plan(observed.n, scn_n.n_train, scale_on)
+            model = oracle if method == "oracle" else fit_method(
+                method, observed, plan, scn.alpha, scale_on
+            )
+            regions = model.predict_regions(grid)
+            for region, target in zip(regions, oracle.predict_regions(grid)):
                 try:
                     dists.append(hausdorff(region, target))
                 except ValueError:

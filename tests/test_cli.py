@@ -118,15 +118,51 @@ class TestSimulate:
         assert not raw.startswith(b"\xef\xbb\xbf")
         assert b"\r" not in raw
 
-    def test_threads_env_var_fallback(self, monkeypatch):
-        from conformal_hpd.cli import _build_parser
+    def test_threads_env_var_fallback(self, tmp_path, monkeypatch, capsys):
+        seen = []
 
+        def record(scn, methods, reps, threads, scale_model):
+            seen.append(threads)
+            return []
+
+        monkeypatch.setattr(cli, "run_replications", record)
+        args = ["simulate", "--scenario", "bimodal", "--outdir", str(tmp_path)]
         monkeypatch.setenv("CONFORMAL_HPD_THREADS", "3")
-        args = _build_parser().parse_args(["simulate", "--scenario", "bimodal"])
-        assert args.threads == 3
+        assert run_cli(*args) == 0
+        assert run_cli(*args, "--threads", "2") == 0
+        assert seen == [3, 2]
+        for bad in ("junk", "0", "-2"):
+            monkeypatch.setenv("CONFORMAL_HPD_THREADS", bad)
+            assert run_cli(*args) == 2
+            assert "CONFORMAL_HPD_THREADS" in capsys.readouterr().err
+        assert seen == [3, 2]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_exits_2(self, tmp_path, capsys, threads):
+        code = run_cli(
+            "simulate", "--scenario", "bimodal", "--reps", "1", "--n", "40",
+            "--threads", threads, "--outdir", str(tmp_path),
+        )
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_bad_threads_env_var_leaves_other_commands_alone(self, sim_csvs, tmp_path, monkeypatch):
+        _, train_path, test_path = sim_csvs
         monkeypatch.setenv("CONFORMAL_HPD_THREADS", "junk")
-        args = _build_parser().parse_args(["simulate", "--scenario", "bimodal"])
-        assert args.threads == 1
+        pred = tmp_path / "p"
+        assert run_cli(
+            "predict", "--train", str(train_path), "--test", str(test_path),
+            "--target", "price", "--method", "secpr", "--outdir", str(pred),
+        ) == 0
+        assert run_cli(
+            "evaluate", "--predictions", str(pred / "predictions.csv"),
+            "--truth", str(test_path), "--target", "price", "--outdir", str(tmp_path / "e"),
+        ) == 0
+        assert run_cli(
+            "regions", "--scenario", "bimodal", "--method", "secpr", "--n", "200",
+            "--grid-points", "5", "--outdir", str(tmp_path / "r"),
+        ) == 0
 
 
 class TestPredict:
@@ -240,6 +276,17 @@ class TestPredict:
         assert code == 1
         assert "covariates must be finite" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
+
+    def test_non_utf8_test_file_exits_2(self, sim_csvs, tmp_path, capsys):
+        _, train_path, _ = sim_csvs
+        test = tmp_path / "latin1.csv"
+        test.write_bytes(b"x0,price\n1.0,2.0\n\xe9,3.0\n")
+        code = run_cli(
+            "predict", "--train", str(train_path), "--test", str(test),
+            "--target", "price", "--outdir", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert "latin1.csv" in capsys.readouterr().err
 
     def test_missing_target_column_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
@@ -361,6 +408,23 @@ class TestEvaluate:
         assert "row 2" in err and "'y'" in err
         assert not (tmp_path / "m" / "metrics.csv").exists()
 
+    def test_non_utf8_truth_file_exits_2(self, tmp_path, capsys):
+        preds = tmp_path / "predictions.csv"
+        write_csv(
+            preds,
+            ["row", "interval_index", "lo", "hi"],
+            [["0", "0", "0.0", "10.0"], ["1", "0", "0.0", "10.0"]],
+        )
+        truth = tmp_path / "latin1.csv"
+        truth.write_bytes(b"x,y\n1.0,2.0\n\xe9,3.0\n")
+        code = run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--outdir", str(tmp_path / "m"),
+        )
+        assert code == 2
+        assert "latin1.csv" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "metrics.csv").exists()
+
     def test_row_mismatch_exits_2(self, tmp_path):
         preds = tmp_path / "predictions.csv"
         write_csv(preds, ["row", "interval_index", "lo", "hi"], [["0", "0", "0", "1"]])
@@ -461,6 +525,32 @@ class TestRegions:
             assert len(ivals) == len(expected) == 2
             for got, exp in zip(ivals, expected):
                 assert got == pytest.approx(exp, abs=1e-9)
+
+    @pytest.mark.parametrize("n, scale_model", [("998", "auto"), ("999", "off")])
+    def test_fits_on_the_simulate_plan(self, tmp_path, monkeypatch, n, scale_model):
+        # n // 2 odd: a fraction split of n rounds differently from simulate's folds
+        plans = {}
+
+        def recorder(name, fit):
+            def wrapped(tag, observed, plan, alpha, scale_on):
+                plans[name] = tuple(a.tolist() for a in (plan.idx_train1, plan.idx_train2, plan.idx_cal))
+                return fit(tag, observed, plan, alpha, scale_on)
+            return wrapped
+
+        monkeypatch.setattr(cli, "fit_method", recorder("regions", sim.fit_method))
+        monkeypatch.setattr(sim, "fit_method", recorder("simulate", sim.fit_method))
+        common = ["--scenario", "bowtie", "--n", n, "--scale-model", scale_model]
+        assert run_cli(
+            "regions", *common, "--method", "secpr", "--grid-points", "3",
+            "--outdir", str(tmp_path / "r"),
+        ) == 0
+        assert run_cli(
+            "simulate", *common, "--methods", "secpr", "--reps", "1", "--n-test", "1",
+            "--threads", "1", "--outdir", str(tmp_path / "s"),
+        ) == 0
+        assert plans["regions"] == plans["simulate"]
+        folds = tuple(map(len, plans["regions"]))
+        assert folds == ((249, 250, 499) if n == "998" else (499, 0, 500))
 
     def test_bimodal_kde_hpd_emits_two_bands(self, tmp_path):
         out = tmp_path / "r"

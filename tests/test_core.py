@@ -17,6 +17,7 @@ from conformal_hpd.core import (
     hausdorff,
     region_contains,
     region_length,
+    score_intervals,
 )
 
 V9 = ScoreVector(np.arange(1.0, 10.0))
@@ -189,6 +190,45 @@ class TestRegionBatch:
             RegionBatch([[0.0, lo]], [[1.0, hi]])
         # entries past a row's count are padding and never checked
         assert RegionBatch([[0.0, lo]], [[1.0, hi]], [1])[0].intervals == ((0.0, 1.0),)
+
+
+def length_reference(intervals) -> float:
+    """The per-region loop that ``score_intervals`` vectorises."""
+    total = 0.0
+    for lo, hi in intervals:
+        total += hi - lo
+    return total
+
+
+def contains_reference(intervals, y) -> bool:
+    return any(lo <= y <= hi for lo, hi in intervals)
+
+
+@st.composite
+def scored_rows(draw):
+    """Intervals tagged with their row, in any row order, and one ``y`` per row."""
+    n = draw(st.integers(1, 6))
+    flat = draw(st.lists(st.tuples(st.integers(0, n - 1), INTERVAL), max_size=15))
+    ys = draw(st.lists(st.one_of(ENDPOINTS, st.floats(-12, 12)), min_size=n, max_size=n))
+    return flat, ys
+
+
+class TestScoreIntervals:
+    @given(scored_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_per_region_loops(self, drawn):
+        flat, ys = drawn
+        rows = np.array([r for r, _ in flat], dtype=np.intp)
+        lo = np.array([a for _, (a, _) in flat])
+        hi = np.array([b for _, (_, b) in flat])
+        covered, sizes = score_intervals(rows, lo, hi, np.array(ys))
+        for i, y in enumerate(ys):
+            own = [ival for r, ival in flat if r == i]  # unsorted, overlapping, maybe none
+            region = PredictionRegion(tuple(own))
+            assert repr(sizes[i].item()) == repr(length_reference(own))
+            assert covered[i].item() is contains_reference(own, y)
+            assert repr(region_length(region)) == repr(length_reference(own))
+            assert region_contains(region, y) is contains_reference(own, y)
 
 
 def hausdorff_grid(a: PredictionRegion, b: PredictionRegion, step=1e-4) -> float:

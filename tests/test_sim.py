@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -7,8 +8,9 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 import conformal_hpd.sim as sim
-from conformal_hpd.core import region_length
+from conformal_hpd.core import PredictionRegion, region_length
 from conformal_hpd.sim import (
+    METHOD_TAGS,
     MethodSummary,
     RepReport,
     Scenario,
@@ -113,6 +115,24 @@ class TestOracle:
         mass = gamma_dist.cdf(hi - g, a=7.5) - gamma_dist.cdf(lo - g, a=7.5)
         assert mass == pytest.approx(0.9, abs=1e-8)
 
+    @pytest.mark.parametrize("tag", sim.SCENARIO_TAGS)
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_batch_rows_equal_the_one_row_case(self, tag, alpha):
+        scn = Scenario(tag=tag, alpha=alpha, seed=2)
+        _, _, oracle = generate(scn)
+        xs = [-4.5, -1.0, 0.0, 0.25, 3.0]  # bowtie has zero width at x = 0
+        batch = oracle.predict_regions(np.array(xs).reshape(-1, 1))
+        assert len(batch) == len(xs)
+        for x, region in zip(xs, batch):
+            # tests-only copy of the per-x oracle: the law's set shifted by the mean
+            g = 5.0 + 2.0 * x
+            expected = tuple((g + lo, g + hi) for lo, hi in oracle.law.hpd_intervals(alpha, x))
+            assert repr(region.intervals) == repr(PredictionRegion(expected).intervals)
+            assert region.intervals == oracle_hpd(scn, x).intervals
+            assert len(region) == oracle.n_intervals
+        if tag == "bowtie":
+            assert region_length(batch[2]) == 0.0
+
 
 class TestRunReplications:
     def test_determinism_across_thread_counts(self, monkeypatch):
@@ -121,6 +141,18 @@ class TestRunReplications:
         serial = run_replications(scn, ["kde-hpd", "secpr"], reps=6, threads=1)
         parallel = run_replications(scn, ["kde-hpd", "secpr"], reps=6, threads=2)
         assert serial == parallel
+
+    def test_reports_pinned_for_every_method(self, monkeypatch):
+        # every method, oracle and parametric included (the benchmark runs
+        # neither), as the per-region scoring loops reported them
+        monkeypatch.setattr(sim, "_timer", lambda: 0.0)
+        h = hashlib.sha256()
+        for tag in sim.SCENARIO_TAGS:
+            scn = Scenario(tag, n_train=60, n_cal=60, n_test=8, seed=11)
+            h.update(repr(run_replications(scn, METHOD_TAGS, reps=2)).encode())
+        assert h.hexdigest() == (
+            "451cdc2ac04f2c5e4efd5645096224c8a5573af958f7649c24eb70a4c75d2def"
+        )
 
     def test_determinism_across_calls(self):
         scn = Scenario(tag="bimodal", n_train=150, n_cal=150, n_test=10, seed=2)
