@@ -277,6 +277,8 @@ def _sequential_plan(n: int, fractions, shuffle_seed=None) -> SplitPlan:
 
 def cmd_predict(args) -> int:
     _check_methods([args.method], [m for m in METHOD_TAGS if m != "oracle"])
+    if not 0.0 < args.alpha < 1.0:  # the message Scenario gives simulate and regions
+        raise UsageError("alpha must lie in (0, 1)")
     names, train = _dataset_from_csv(args.train, args.target)
     x_test = _covariates_from_csv(args.test, names)
     scale_on = _SCALE_MODES[args.scale_model]
@@ -366,6 +368,8 @@ def cmd_evaluate(args) -> int:
 def cmd_regions(args) -> int:
     scn = _scenario_from_args(args, n_test=1)  # the test fold is never read
     _check_methods([args.method], METHOD_TAGS)
+    if args.grid_points < 1:
+        raise UsageError(f"--grid-points must be >= 1, got {args.grid_points}")
     grid = np.linspace(-5.0, 5.0, args.grid_points)
     observed, _, oracle = generate(scn)
     scale_on = use_scale(_SCALE_MODES[args.scale_model], scn.tag)

@@ -341,6 +341,7 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
     seed_rep = scn.seed + rep
     observed, test, oracle = generate(replace(scn, seed=seed_rep))
     plan = build_plan(observed.n, scn.n_train, scale_on)
+    x_test = tuple(map(float, test.x[:, 0]))  # one copy shared by every method's report
     reports = []
     for tag in methods:
         t0 = _timer()
@@ -359,7 +360,7 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
                     mean_size=float(np.mean(sizes)),
                     sizes=sizes,
                     covered=covered,
-                    x_test=tuple(map(float, test.x[:, 0])),
+                    x_test=x_test,
                     wall_time=_timer() - t0,
                     n_intervals=getattr(model, "n_intervals", 1),
                     warnings=getattr(model, "dropped_pairs", 0),

@@ -246,6 +246,18 @@ class TestPredict:
         assert code == 1
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_rejected(self, sim_csvs, tmp_path, capsys, alpha):
+        _, train_path, test_path = sim_csvs
+        out = tmp_path / "o"
+        code = run_cli(
+            "predict", "--train", str(train_path), "--test", str(test_path),
+            "--target", "price", "--method", "secpr", "--alpha", alpha, "--outdir", str(out),
+        )
+        assert code == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
     def test_split_must_sum_to_one(self, sim_csvs, tmp_path, capsys):
         _, train_path, test_path = sim_csvs
         args = ("predict", "--train", str(train_path), "--test", str(test_path),
@@ -551,6 +563,16 @@ class TestRegions:
         assert plans["regions"] == plans["simulate"]
         folds = tuple(map(len, plans["regions"]))
         assert folds == ((249, 250, 499) if n == "998" else (499, 0, 500))
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_grid_points_below_one_rejected(self, tmp_path, capsys, points):
+        out = tmp_path / "r"
+        assert run_cli(
+            "regions", "--scenario", "bimodal", "--method", "oracle",
+            "--grid-points", points, "--outdir", str(out),
+        ) == 2
+        assert "--grid-points must be >= 1" in capsys.readouterr().err
+        assert not (out / "regions.csv").exists()
 
     def test_bimodal_kde_hpd_emits_two_bands(self, tmp_path):
         out = tmp_path / "r"

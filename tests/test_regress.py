@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.special import expit
 from scipy.stats import norm, spearmanr
 
+from conformal_hpd import regress, sim
+from conformal_hpd.conformal import DCP_LADDER_LEVELS
 from conformal_hpd.core import Dataset
 from conformal_hpd.regress import (
     KNN_BLOCK,
+    QUANTILE_MAX_STEPS,
+    QUANTILE_TOL,
     MeanConfig,
     QuantileConfig,
     ScaleConfig,
@@ -14,6 +22,7 @@ from conformal_hpd.regress import (
     predict_mean,
     predict_quantile,
     predict_scale,
+    _design,
     _Knn,
 )
 
@@ -183,6 +192,113 @@ class TestFitQuantile:
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="levels"):
             fit_quantile_ladder(line_dataset(), [1.5])
+
+
+LINEAR = QuantileConfig(kind="linear-quantile")
+
+
+def scenario_fold(tag, n):
+    """The first ``n`` observed rows of a scenario law, seed 0."""
+    observed, _, _ = sim.generate(sim.Scenario(tag, n_train=n // 2, n_cal=n - n // 2, n_test=1))
+    return observed
+
+
+def mean_pinball(data, qmat, levels):
+    r = data.y[:, None] - qmat
+    return np.maximum(levels * r, (levels - 1) * r).mean(axis=0)
+
+
+def lp_pinball(design, y, tau):
+    """Exact minimum of the mean pinball loss: the quantile-regression LP dual, by HiGHS."""
+    res = linprog(-y, A_eq=design.T, b_eq=np.zeros(design.shape[1]),
+                  bounds=(tau - 1, tau), method="highs")
+    assert res.status == 0
+    return -res.fun / y.size
+
+
+def smoothed_gradient(qe, data):
+    """The smoothed pinball gradient at a fitted linear ladder, from the documented formulas."""
+    design = (_design(data.x, qe.feature_map) - qe.scale_mu) / qe.scale_sd
+    n, p = design.shape
+    ols, *_ = np.linalg.lstsq(design, data.y, rcond=None)
+    c = np.std(data.y - design @ ols)
+    tau = qe.levels
+    h = c * np.maximum(0.01, np.sqrt(tau * (1 - tau)) * min((p + np.log(n)) / n, 0.5) ** 0.4)
+    z = (data.y[:, None] - design @ qe.coef) / (h * np.sqrt(3) / np.pi)
+    return design.T @ (expit(-z) - tau) / n
+
+
+@st.composite
+def ladder_folds(draw, max_n=4000, offsets=(0.0, 1e9)):
+    """Rows with one or two covariates: heavy or skewed noise, optional ties and offset."""
+    n = draw(st.integers(20, max_n))
+    d = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-5.0, 5.0, (n, d))
+    noise = draw(st.sampled_from(["normal", "cauchy", "gamma", "hetero"]))
+    eps = {
+        "normal": lambda: rng.standard_normal(n),
+        "cauchy": lambda: rng.standard_cauchy(n),
+        "gamma": lambda: rng.gamma(0.3, size=n),
+        "hetero": lambda: rng.exponential(size=n) * np.abs(x[:, 0]),
+    }[noise]()
+    y = 1.0 + x.sum(axis=1) + eps
+    if draw(st.booleans()):
+        y = np.round(y)  # tied responses
+    return Dataset(x, y + draw(st.sampled_from(offsets)))
+
+
+class TestSmoothedQuantileLadder:
+    @pytest.mark.parametrize("n", [500, 60])
+    @pytest.mark.parametrize("tag", sim.SCENARIO_TAGS)
+    def test_pinball_loss_near_exact_lp_optimum(self, tag, n):
+        data = scenario_fold(tag, n)
+        qe = fit_quantile_ladder(data, DCP_LADDER_LEVELS, LINEAR)
+        ours = mean_pinball(data, predict_quantile(qe, data.x), DCP_LADDER_LEVELS)
+        design = _design(data.x, qe.feature_map)
+        exact = np.array([lp_pinball(design, data.y, tau) for tau in DCP_LADDER_LEVELS])
+        excess = ours / exact - 1.0
+        assert excess.min() > -1e-9  # the LP is the minimum
+        assert excess.max() <= 0.05
+        assert excess.mean() <= 0.02
+
+    @pytest.mark.parametrize("tag", sim.SCENARIO_TAGS)
+    def test_gradient_at_fit_within_tolerance(self, tag):
+        data = scenario_fold(tag, 500)
+        qe = fit_quantile_ladder(data, DCP_LADDER_LEVELS, LINEAR)
+        assert 1 <= qe.iterations <= QUANTILE_MAX_STEPS
+        assert np.abs(smoothed_gradient(qe, data)).max() <= QUANTILE_TOL
+
+    @given(ladder_folds())
+    @settings(max_examples=40, deadline=None)
+    def test_converges_below_the_step_cap(self, data):
+        qe = fit_quantile_ladder(data, DCP_LADDER_LEVELS, LINEAR)
+        assert qe.iterations <= QUANTILE_MAX_STEPS
+        assert np.isfinite(qe.coef).all()
+
+    @given(
+        ladder_folds(max_n=1000, offsets=(0.0,)),
+        st.floats(1e-3, 1e3),
+        st.floats(-1e3, 1e3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_equivariant_under_affine_response_maps(self, data, a, b):
+        base = fit_quantile_ladder(data, DCP_LADDER_LEVELS, LINEAR).coef
+        mapped = fit_quantile_ladder(Dataset(data.x, a * data.y + b), DCP_LADDER_LEVELS, LINEAR)
+        expected = a * base
+        expected[0] += b
+        scale = a * np.abs(base).max(axis=0) + abs(b)  # per level
+        assert (np.abs(mapped.coef - expected) <= 1e-8 * scale).all()
+
+    def test_step_cap_raises_naming_levels(self, monkeypatch):
+        monkeypatch.setattr(regress, "QUANTILE_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"did not converge at levels \[0\.01"):
+            fit_quantile_ladder(scenario_fold("bimodal", 500), DCP_LADDER_LEVELS, LINEAR)
+
+    def test_knn_kind_reports_no_iterations(self):
+        data = scenario_fold("bimodal", 200)
+        qe = fit_quantile_ladder(data, [0.1, 0.9], QuantileConfig(kind="knn-quantile"))
+        assert qe.iterations == 0
 
 
 class TestKnnBlocks:

@@ -151,7 +151,7 @@ class TestRunReplications:
             scn = Scenario(tag, n_train=60, n_cal=60, n_test=8, seed=11)
             h.update(repr(run_replications(scn, METHOD_TAGS, reps=2)).encode())
         assert h.hexdigest() == (
-            "451cdc2ac04f2c5e4efd5645096224c8a5573af958f7649c24eb70a4c75d2def"
+            "6f171c269efb2fbe17e546f70536152720d331a472de06179904bee739f1c820"
         )
 
     def test_determinism_across_calls(self):
