@@ -27,7 +27,6 @@ from conformal_hpd.core import (  # noqa: F401 - coalesce stays patchable here f
 from conformal_hpd.hpd import HpdResult, smallest_mass_region
 from conformal_hpd.kde import fit_kde
 from conformal_hpd.regress import (
-    MeanConfig,
     MeanEstimator,
     QuantileConfig,
     ScaleConfig,
@@ -69,9 +68,13 @@ DCP_SEARCH_STEP = 0.005
 # KDE-HPD
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class KdeHpdConfig:
-    mean: MeanConfig = MeanConfig()
     scale: ScaleConfig = ScaleConfig()  # constant-one: homoscedastic mode
 
 
@@ -111,9 +114,11 @@ def fit_kde_hpd(
 
     The mean trains on train1 when a scale model is fitted on train2, and
     on train1 + train2 under the constant-one scale, as the baselines do.
-    Quantile pairs whose conformal indices cross (possible for sliver
-    intervals after clamping) are dropped from the union and counted.
+    Quantile pairs whose conformal indices cross would be dropped from the
+    union and counted; each kept pair carries at least the sliver mass, so
+    its lower index stays below its upper one.
     """
+    _check_alpha(alpha)
     plan.check_against(data.n)
     idx_mean = plan.idx_train1
     if config.scale.kind == "constant-one":
@@ -122,29 +127,22 @@ def fit_kde_hpd(
         raise ValueError("training fold is empty")
     if plan.idx_cal.size == 0:
         raise ValueError("no calibration scores")
-    gh = fit_mean(data.subset(idx_mean), config.mean)
+    gh = fit_mean(data.subset(idx_mean))
     sh = fit_scale(data.subset(plan.idx_train2), gh, config.scale)
     cal = data.subset(plan.idx_cal)
     scores = ScoreVector((cal.y - predict_mean(gh, cal.x)) / predict_scale(sh, cal.x))
     model = fit_kde(scores.v)
     hpd = smallest_mass_region(model, alpha)
-    eta_gamma = []
-    dropped = 0
-    for (a_j, b_j) in hpd.pairs:
-        eta = conformal_r(scores, a_j)
-        gamma = conformal_q(scores, 1.0 - b_j)
-        if eta <= gamma:
-            eta_gamma.append((eta, gamma))
-        else:
-            dropped += 1
+    ends = [(conformal_r(scores, a), conformal_q(scores, 1.0 - b)) for a, b in hpd.pairs]
+    eta_gamma = tuple((eta, gamma) for eta, gamma in ends if eta <= gamma)
     return KdeHpdPipeline(
         gh=gh,
         sh=sh,
         scores=scores,
         hpd=hpd,
-        eta_gamma=tuple(eta_gamma),
+        eta_gamma=eta_gamma,
         alpha=alpha,
-        dropped_pairs=dropped,
+        dropped_pairs=len(ends) - len(eta_gamma),
     )
 
 
@@ -181,7 +179,12 @@ def fit_secpr(
     alpha1: float,
     alpha2: float,
 ) -> SecprModel:
-    """Signed-error region with split tail budgets ``alpha1 + alpha2``."""
+    """Signed-error region with split tail budgets ``alpha1 + alpha2``.
+
+    Each budget must be non-negative and their sum must lie in (0, 1).
+    """
+    if not (alpha1 >= 0.0 and alpha2 >= 0.0 and 0.0 < alpha1 + alpha2 < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
     plan.check_against(data.n)
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
     gh = fit_mean(data.subset(idx_train))
@@ -223,6 +226,7 @@ def fit_cqr(
     config: QuantileConfig = QuantileConfig(),
 ) -> CqrModel:
     """CQR with equal-tailed quantile bands at alpha/2 and 1 - alpha/2."""
+    _check_alpha(alpha)
     plan.check_against(data.n)
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
     ladder = fit_quantile_ladder(data.subset(idx_train), [alpha / 2, 1 - alpha / 2], config)
@@ -324,6 +328,7 @@ def fit_dcp(
     the distance of the observed CDF level from the centre of the
     shortest-interval window.
     """
+    _check_alpha(alpha)
     plan.check_against(data.n)
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
     ladder = fit_quantile_ladder(data.subset(idx_train), DCP_LADDER_LEVELS, config)
@@ -357,7 +362,7 @@ class ParametricNormalModel:
     d: int
 
     def predict_regions(self, xs) -> RegionBatch:
-        design = _design(_as_matrix(xs, self.d), ("raw",))
+        design = _design(_as_matrix(xs, self.d))
         center = design @ self.coef
         leverage = np.einsum("ij,jk,ik->i", design, self.xtx_inv, design)
         half = norm.ppf(1.0 - self.alpha / 2.0) * self.s * np.sqrt(1.0 + leverage)
@@ -366,7 +371,8 @@ class ParametricNormalModel:
 
 def fit_parametric_normal(data: Dataset, alpha: float) -> ParametricNormalModel:
     """Fit on every row of ``data`` (no calibration fold is needed)."""
-    design = _design(data.x, ("raw",))
+    _check_alpha(alpha)
+    design = _design(data.x)
     coef = _ols(design, data.y)
     resid = data.y - design @ coef
     dof = data.n - design.shape[1]

@@ -1,8 +1,10 @@
-"""Smallest 1-alpha set extraction from a kernel density estimate.
+"""Smallest 1-alpha sets of a univariate density by one exact-mass level-set search.
 
-Finds the density cutoff whose sublevel set carries mass alpha, the
-disjoint intervals where the density exceeds the cutoff, and each
-interval's tail-mass pair under the smoothed CDF.
+The smallest set of mass 1 - alpha is the superlevel set {f > lambda} at the
+largest cutoff whose mass reaches 1 - alpha (Hyndman 1996; Lei, Robins &
+Wasserman 2013). ``find_cutoff`` finds it for any density and CDF: a grid
+brackets the cutoff and the intervals, the interval ends are refined on the
+exact density, and their mass is read off the exact CDF at those ends.
 """
 
 from __future__ import annotations
@@ -26,90 +28,151 @@ __all__ = [
 # wiggles: their conformal indices would clamp and blow up region size.
 MIN_COMPONENT_MASS = 1e-3
 
+# Tolerances of the cutoff search (see find_cutoff) and of a crossing in grid
+# steps; a crossing still takes its last secant step, so its error is far smaller.
+MASS_TOL = 1e-10
+CUTOFF_TOL = 1e-12
+CROSSING_TOL = 1e-6
+MAX_STEPS = 100
 
-def _sublevel_mass(grid: np.ndarray, density: np.ndarray, lam: float) -> float:
-    return float(np.trapezoid(np.where(density <= lam, density, 0.0), grid))
+
+def _next(x_prev, f_prev, x, fx, lo, hi):
+    """Secant step through the last two points, elementwise, or the midpoint
+    of the bracket [lo, hi] where the step leaves it or |f| did not halve."""
+    x_sec = x - fx * (x - x_prev) / (fx - f_prev)
+    fast = ((x_sec - lo) * (x_sec - hi) <= 0) & (np.abs(fx) <= 0.5 * np.abs(f_prev))
+    return np.where(fast, x_sec, 0.5 * (lo + hi))
 
 
-def find_cutoff(model: KdeModel, alpha: float) -> float:
-    """Density height whose sublevel set carries mass ``alpha``.
+def superlevel_intervals(density, grid, values, lam) -> np.ndarray:
+    """Maximal intervals where ``density`` exceeds ``lam``, as an (m, 2) array.
 
-    Bisection on the cutoff against the trapezoid mass over the cached
-    grid; the mass is monotone in the cutoff, so the bracket always
-    converges.
+    ``values`` is ``density`` on the sorted ``grid``; each run of grid points
+    above ``lam`` is one interval. An end on the first or last grid point
+    stays there. The others are refined together inside their grid cells,
+    one ``density`` call per step: secant steps from the linear interpolation
+    of ``values`` (see ``_next``), until every step is below ``CROSSING_TOL``
+    grid steps (or 4 ulps of the grid). The ends depend only on the arguments.
+    ``lam == 0`` gives the whole line, the superlevel set of a positive
+    density; a ``lam`` that no grid value exceeds gives no interval.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    grid, density = model.grid, model.grid_density
-    lo, hi = 0.0, float(density.max())
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        mass = _sublevel_mass(grid, density, mid)
-        if abs(mass - alpha) < 1e-6:
-            return mid
-        if mass < alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def superlevel_intervals(density, grid, values, lam, iterations) -> list[tuple[float, float]]:
-    """Maximal intervals where ``density`` exceeds ``lam``, refined off-grid.
-
-    ``values`` is ``density`` on the sorted ``grid``. Runs of grid points
-    above ``lam`` give the intervals; every interior boundary is then
-    bisected between its grid point at-or-below the cutoff and the
-    adjacent one above it, all boundaries together with one vectorised
-    ``density`` call per iteration, to ``step * 2**-iterations``. A run
-    touching either end of the grid keeps that grid point. Returns an
-    empty list when no grid point exceeds ``lam``.
-    """
+    if lam < 0:
+        raise ValueError("cutoff must be non-negative")
+    if lam == 0:
+        return np.array([[-np.inf, np.inf]])
     padded = np.concatenate(([False], values > lam, [False]))
     starts = np.flatnonzero(padded[1:] & ~padded[:-1])
     ends = np.flatnonzero(~padded[1:] & padded[:-1]) - 1
-    lo, hi = grid[starts], grid[ends]
-    inner_lo = starts > 0
-    inner_hi = ends < grid.size - 1
-    below = np.concatenate((grid[starts[inner_lo] - 1], grid[ends[inner_hi] + 1]))
-    above = np.concatenate((lo[inner_lo], hi[inner_hi]))
-    for _ in range(iterations):
-        mid = 0.5 * (below + above)
-        up = density(mid) > lam
-        above = np.where(up, mid, above)
-        below = np.where(up, below, mid)
-    cross = 0.5 * (below + above)
-    k = int(inner_lo.sum())
-    lo[inner_lo] = cross[:k]
-    hi[inner_hi] = cross[k:]
-    return [(float(a), float(b)) for a, b in zip(lo, hi)]
+    edge = np.concatenate((starts, ends))  # grid index of every end, lows first
+    beyond = np.concatenate((starts - 1, ends + 1))  # its neighbour outside the run
+    inner = (beyond >= 0) & (beyond < grid.size)
+    a, b = grid[edge[inner]], grid[beyond[inner]]  # density(b) <= lam < density(a)
+    x_prev, f_prev = a, values[edge[inner]] - lam
+    f_b = values[beyond[inner]] - lam
+    x = a - f_prev * (a - b) / (f_prev - f_b)  # linear interpolation
+    done = np.zeros(x.size, dtype=bool)
+    xtol = max(CROSSING_TOL * (grid[1] - grid[0]), 4.0 * np.spacing(np.abs(grid).max()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_STEPS):
+            if done.all():
+                break
+            fx = density(x) - lam
+            up = fx > 0
+            a, b = np.where(up, x, a), np.where(up, b, x)
+            step = _next(x_prev, f_prev, x, fx, a, b) - x
+            x_prev, f_prev = x, fx
+            x = np.where(done, x, x + step)
+            done |= np.abs(step) <= xtol
+        else:
+            raise RuntimeError("level-set crossing did not converge")
+    out = grid[edge]
+    out[inner] = x
+    return out.reshape(2, -1).T
 
 
-def extract_intervals(model: KdeModel, lambda_hat: float) -> list[tuple[float, float]]:
-    """Maximal disjoint intervals where the density exceeds ``lambda_hat``.
+def _tail_pairs(cdf, intervals) -> np.ndarray:
+    """(mass below lo, mass above hi) per interval, from one ``cdf`` call."""
+    c = cdf(np.reshape(intervals, -1)).reshape(-1, 2)
+    return np.column_stack((c[:, 0], 1.0 - c[:, 1]))
 
-    Scans the cached grid for runs above the cutoff and refines each run
-    boundary by 20 bisection steps on the exact density. Raises if the
-    cutoff is at or above the density maximum.
+
+def _kept(pairs) -> np.ndarray:
+    """Mask of the intervals whose mass 1 - a - b is not a sliver's."""
+    return 1.0 - pairs[:, 0] - pairs[:, 1] >= MIN_COMPONENT_MASS
+
+
+def find_cutoff(density, cdf, grid, values, alpha: float) -> float:
+    """Largest cutoff whose kept superlevel intervals carry mass >= 1 - alpha.
+
+    ``density`` and ``cdf`` map 1-D arrays to 1-D arrays; ``values`` is
+    ``density`` on the sorted uniform ``grid``. The mass at a cutoff is the
+    sum of 1 - a - b over the tail-mass pairs (a, b) that ``cdf`` gives at the
+    ends ``superlevel_intervals`` returns for it, slivers (mass below
+    ``MIN_COMPONENT_MASS``) left out; extracting again at the returned cutoff
+    gives the same ends and pairs. The search starts from the grid's Riemann
+    estimate, takes one Newton step on the grid's slope, then secant steps,
+    bisecting whenever the excess mass fails to halve.
+
+    Tolerance: the returned cutoff's mass is at least 1 - alpha, and either at
+    most 1 - alpha + ``MASS_TOL``, or a cutoff at most ``CUTOFF_TOL`` times
+    the largest grid density higher carries less (the mass jumps there).
+    When no positive cutoff reaches 1 - alpha (a component no grid point
+    sees, or alpha below the mass outside the grid), the result is 0, whose
+    superlevel set is the whole line.
     """
-    if lambda_hat < 0:
-        raise ValueError("cutoff must be non-negative")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    target = 1.0 - alpha
+
+    def excess(lam):
+        pairs = _tail_pairs(cdf, superlevel_intervals(density, grid, values, lam))
+        return float((1.0 - pairs[:, 0] - pairs[:, 1])[_kept(pairs)].sum()) - target
+
+    top = values.max()
+    step = grid[1] - grid[0]
+    rise = np.abs(np.diff(values))
+    lo, hi = np.float64(0.0), top  # the whole line at 0; no grid point exceeds top
+    desc = np.sort(values)[::-1]
+    lam = desc[min(np.searchsorted(np.cumsum(desc) * step, target), desc.size - 1)]
+    g_prev = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_STEPS):
+            if not lo < lam < hi:
+                lam = 0.5 * (lo + hi)
+            g = excess(lam) - 0.5 * MASS_TOL  # aim mid-window, so either side can land in it
+            if abs(g) <= 0.5 * MASS_TOL:
+                return float(lam)
+            lo, hi = (lam, hi) if g > 0.0 else (lo, lam)
+            if hi - lo <= CUTOFF_TOL * top:
+                return float(lo)
+            if g_prev is None:  # Newton on the grid: dM/dlam = -lam * sum of 1/|f'|
+                nxt = lam + g / (lam * step * np.sum(1.0 / rise[np.diff(values > lam)]))
+            else:
+                nxt = _next(lam_prev, g_prev, lam, g, lo, hi)
+            lam_prev, g_prev, lam = lam, g, nxt
+    raise RuntimeError("cutoff search did not converge")
+
+
+def extract_intervals(model: KdeModel, lambda_hat: float) -> np.ndarray:
+    """Maximal disjoint intervals where the KDE exceeds ``lambda_hat``, shape (m, 2).
+
+    ``superlevel_intervals`` on the model's cached grid and exact density.
+    Raises if the cutoff is at or above the density maximum on the grid.
+    """
     intervals = superlevel_intervals(
-        lambda z: kde_eval(model, z), model.grid, model.grid_density, lambda_hat, 20
+        lambda z: kde_eval(model, z), model.grid, model.grid_density, lambda_hat
     )
-    if not intervals:
+    if intervals.size == 0:
         raise ValueError("empty HPD set")
     return intervals
 
 
-def quantile_pairs(model: KdeModel, intervals) -> list[tuple[float, float]]:
-    """Tail-mass pair (lower mass below lo, upper mass above hi) per interval.
+def quantile_pairs(model: KdeModel, intervals) -> np.ndarray:
+    """Tail-mass pair (mass below lo, mass above hi) per interval, shape (m, 2).
 
     One vectorised ``kde_cdf`` call covers every endpoint.
     """
-    ends = np.asarray(intervals, dtype=np.float64).reshape(-1)
-    cdf = kde_cdf(model, ends).reshape(-1, 2)
-    return [(float(lo), float(1.0 - hi)) for lo, hi in cdf]
+    return _tail_pairs(lambda z: kde_cdf(model, z), intervals)
 
 
 @dataclass(frozen=True)
@@ -123,21 +186,19 @@ class HpdResult:
 
 
 def smallest_mass_region(model: KdeModel, alpha: float) -> HpdResult:
-    """Full extraction: cutoff, intervals, tail pairs, sliver suppression.
+    """Cutoff, kept intervals and their tail pairs for the KDE at level ``alpha``.
 
-    The pairs of all found intervals come from one ``quantile_pairs`` call;
-    an interval whose pair mass 1 - a - b is below ``MIN_COMPONENT_MASS``
-    is a sliver and is dropped together with its pair.
+    ``extract_intervals`` and ``quantile_pairs`` reproduce, at the cutoff
+    ``find_cutoff`` accepts, the ends and pairs whose mass it measured.
     """
-    lam = find_cutoff(model, alpha)
+    density, cdf = (lambda z: kde_eval(model, z)), (lambda z: kde_cdf(model, z))
+    lam = find_cutoff(density, cdf, model.grid, model.grid_density, alpha)
     intervals = extract_intervals(model, lam)
     pairs = quantile_pairs(model, intervals)
-    kept = [j for j, (a, b) in enumerate(pairs) if 1.0 - a - b >= MIN_COMPONENT_MASS]
-    if not kept:  # every component was a sliver; keep the widest instead
-        kept = [max(range(len(intervals)), key=lambda j: intervals[j][1] - intervals[j][0])]
+    kept = _kept(pairs)
     return HpdResult(
         lambda_hat=lam,
-        intervals=tuple(intervals[j] for j in kept),
-        pairs=tuple(pairs[j] for j in kept),
+        intervals=tuple(map(tuple, intervals[kept].tolist())),
+        pairs=tuple(map(tuple, pairs[kept].tolist())),
         alpha=alpha,
     )

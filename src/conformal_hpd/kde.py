@@ -44,8 +44,9 @@ def bandwidth(points) -> float:
 class KdeModel:
     """Gaussian KDE with a cached uniform evaluation grid.
 
-    The grid spans [min(points) - 4h, max(points) + 4h] so the trapezoid
-    integral of the cached density stays within 1e-4 of one.
+    The grid spans [min(points) - 4h, max(points) + 4h]. It only brackets
+    the level-set search (``hpd.find_cutoff``), whose mass comes from the
+    exact ``kde_cdf``.
     """
 
     points: np.ndarray

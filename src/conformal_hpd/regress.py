@@ -1,4 +1,4 @@
-"""Pluggable conditional mean, scale, and quantile estimators.
+"""Conditional mean, scale, and quantile estimators.
 
 Estimators are plain fitted-state dataclasses; ``fit_*`` builds them from
 a training fold and ``predict_*`` evaluates them at new covariates. All
@@ -15,7 +15,6 @@ import numpy as np
 from conformal_hpd.core import Dataset
 
 __all__ = [
-    "MeanConfig",
     "ScaleConfig",
     "QuantileConfig",
     "MeanEstimator",
@@ -29,7 +28,6 @@ __all__ = [
     "predict_quantile",
 ]
 
-MEAN_KINDS = ("ols-linear", "constant")
 SCALE_KINDS = ("constant-one", "knn-quantile-absres")
 QUANTILE_KINDS = ("knn-quantile", "linear-quantile")
 
@@ -45,16 +43,6 @@ KNN_BLOCK = 256
 QUANTILE_TOL = 1e-8
 QUANTILE_MAX_STEPS = 50
 
-_FEATURES = {
-    "raw": lambda x: x,
-    "square": lambda x: x * x,
-}
-
-
-@dataclass(frozen=True)
-class MeanConfig:
-    kind: str = "ols-linear"
-
 
 @dataclass(frozen=True)
 class ScaleConfig:
@@ -65,18 +53,16 @@ class ScaleConfig:
 @dataclass(frozen=True)
 class QuantileConfig:
     kind: str = "knn-quantile"
-    feature_map: tuple = ("raw", "square")
-    k: int | None = None
 
 
-def _design(x: np.ndarray, feature_map) -> np.ndarray:
-    cols = [np.ones((x.shape[0], 1))]
-    for name in feature_map:
-        try:
-            cols.append(_FEATURES[name](x))
-        except KeyError:
-            raise ValueError(f"unknown feature transform: {name!r}") from None
-    return np.hstack(cols)
+def _design(x: np.ndarray) -> np.ndarray:
+    """Intercept and raw covariates: the mean and parametric design."""
+    return np.hstack([np.ones((x.shape[0], 1)), x])
+
+
+def _quantile_design(x: np.ndarray) -> np.ndarray:
+    """Intercept, raw and squared covariates: the linear quantile design."""
+    return np.hstack([_design(x), x * x])
 
 
 def _ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,10 +110,8 @@ class _Knn:
 
 @dataclass(frozen=True)
 class MeanEstimator:
-    kind: str
     d: int
-    coef: np.ndarray | None = None
-    value: float = 0.0
+    coef: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,7 +127,6 @@ class QuantileEstimator:
     kind: str
     d: int
     levels: np.ndarray
-    feature_map: tuple = ("raw", "square")
     coef: np.ndarray | None = None  # (p, L) for the linear kind
     knn: _Knn | None = None
     scale_mu: np.ndarray | None = None
@@ -151,22 +134,14 @@ class QuantileEstimator:
     iterations: int = 0  # Newton steps of the linear fit
 
 
-def fit_mean(data: Dataset, config: MeanConfig = MeanConfig()) -> MeanEstimator:
-    """Train a point estimator: OLS on the raw covariates, or the sample mean."""
-    if config.kind not in MEAN_KINDS:
-        raise ValueError(f"unknown mean estimator kind: {config.kind!r}")
-    if config.kind == "constant":
-        return MeanEstimator(kind="constant", d=data.d, value=float(data.y.mean()))
-    coef = _ols(_design(data.x, ("raw",)), data.y)
-    return MeanEstimator(kind=config.kind, d=data.d, coef=coef)
+def fit_mean(data: Dataset) -> MeanEstimator:
+    """Train the point estimator: OLS on the raw covariates with an intercept."""
+    return MeanEstimator(d=data.d, coef=_ols(_design(data.x), data.y))
 
 
 def predict_mean(gh: MeanEstimator, x) -> np.ndarray:
     """Evaluate a fitted mean estimator at covariate rows ``x`` of shape (n, d)."""
-    xm = _as_matrix(x, gh.d)
-    if gh.kind == "constant":
-        return np.full(xm.shape[0], gh.value)
-    return _design(xm, ("raw",)) @ gh.coef
+    return _design(_as_matrix(x, gh.d)) @ gh.coef
 
 
 def fit_scale(
@@ -279,14 +254,14 @@ def fit_quantile_ladder(
     if ((levels <= 0) | (levels >= 1)).any():
         raise ValueError("quantile levels must lie in (0, 1)")
     if config.kind == "knn-quantile":
-        k = config.k if config.k is not None else max(10, data.n // 10)
-        if data.n < max(k, 10):
+        k = max(10, data.n // 10)
+        if data.n < k:
             raise ValueError("too few rows to fit a regression")
         return QuantileEstimator(
             kind="knn-quantile", d=data.d, levels=levels, knn=_Knn(data.x, data.y, k)
         )
     # linear-quantile: standardized columns keep the Newton system well scaled
-    design = _design(data.x, config.feature_map)
+    design = _quantile_design(data.x)
     mu = design.mean(axis=0)
     sd = design.std(axis=0)
     mu[0], sd[0] = 0.0, 1.0  # leave the intercept column alone
@@ -296,7 +271,6 @@ def fit_quantile_ladder(
         kind="linear-quantile",
         d=data.d,
         levels=levels,
-        feature_map=config.feature_map,
         coef=coef,
         iterations=steps,
         scale_mu=mu,
@@ -309,5 +283,5 @@ def predict_quantile(qe: QuantileEstimator, x):
     xm = _as_matrix(x, qe.d)
     if qe.kind == "knn-quantile":
         return np.quantile(qe.knn.neighbor_targets(xm), qe.levels, axis=1).T
-    design = (_design(xm, qe.feature_map) - qe.scale_mu) / qe.scale_sd
+    design = (_quantile_design(xm) - qe.scale_mu) / qe.scale_sd
     return design @ qe.coef

@@ -14,7 +14,6 @@ from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -36,7 +35,7 @@ from conformal_hpd.core import (
     region_length,  # noqa: F401 - stays patchable here for tracing
     score_intervals,
 )
-from conformal_hpd.hpd import superlevel_intervals
+from conformal_hpd.hpd import find_cutoff, superlevel_intervals
 from conformal_hpd.regress import ScaleConfig
 
 __all__ = [
@@ -99,54 +98,25 @@ def _mean_fn(x: np.ndarray) -> np.ndarray:
 # Oracle residual laws and smallest 1-alpha sets
 
 
-def level_set_hpd(pdf, cdf, lo, hi, alpha, tol=1e-8):
-    """Smallest 1-alpha set of an analytic density on [lo, hi].
-
-    Bisection on the density cutoff; covered mass is evaluated through the
-    CDF at root-refined interval endpoints, so accuracy is limited only by
-    the root tolerance.
-    """
+def _level_set(pdf, cdf, lo: float, hi: float, alpha: float):
+    """Smallest 1-alpha set of an analytic law on [lo, hi], as a tuple of intervals."""
     grid = np.linspace(lo, hi, 4096)
-    dens = pdf(grid)
-    lam_lo, lam_hi = 0.0, float(dens.max())
-    target = 1.0 - alpha
-    ivals = [(lo, hi)]
-    for _ in range(80):
-        lam = 0.5 * (lam_lo + lam_hi)
-        ivals = superlevel_intervals(pdf, grid, dens, lam, 40)
-        mass = sum(cdf(u) - cdf(l) for l, u in ivals)
-        if abs(mass - target) < tol:
-            break
-        if mass > target:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-    return ivals
+    values = pdf(grid)
+    lam = find_cutoff(pdf, cdf, grid, values, alpha)
+    return tuple(map(tuple, superlevel_intervals(pdf, grid, values, lam).tolist()))
 
 
 @lru_cache(maxsize=4096)
 def _gamma_hpd(shape: float, rate: float, alpha: float):
-    # unimodal law: the smallest 1-alpha set is the shortest quantile window
-    ppf = lambda p: gamma_dist.ppf(p, a=shape, scale=1.0 / rate)
-    res = minimize_scalar(
-        lambda a: ppf(a + 1.0 - alpha) - ppf(a),
-        bounds=(0.0, alpha),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    a_star = float(res.x)
-    width = lambda a: ppf(a + 1.0 - alpha) - ppf(a)
-    for edge in (0.0, alpha):  # bounded search cannot sit exactly on an edge
-        if width(edge) < width(a_star):
-            a_star = edge
-    return ((float(ppf(a_star)), float(ppf(a_star + 1.0 - alpha))),)
+    law = gamma_dist(a=shape, scale=1.0 / rate)
+    return _level_set(law.pdf, law.cdf, 0.0, float(law.ppf(1.0 - 1e-12)), alpha)
 
 
 @lru_cache(maxsize=64)
 def _mixture_hpd(alpha: float):
     pdf = lambda z: 0.5 * norm.pdf(z + 6.0) + 0.5 * norm.pdf(z - 6.0)
     cdf = lambda z: 0.5 * norm.cdf(z + 6.0) + 0.5 * norm.cdf(z - 6.0)
-    return tuple(level_set_hpd(pdf, cdf, -14.0, 14.0, alpha))
+    return _level_set(pdf, cdf, -14.0, 14.0, alpha)
 
 
 class _Law:

@@ -136,7 +136,13 @@ class TestCriterion6AnalyticHpdOracle:
     def test_cutoff_and_endpoints(self):
         rng = np.random.default_rng(123)
         model = fit_kde(rng.standard_normal(10_000))
-        lam = find_cutoff(model, 0.10)
+        lam = find_cutoff(
+            lambda z: kde_eval(model, z),
+            lambda z: kde_cdf(model, z),
+            model.grid,
+            model.grid_density,
+            0.10,
+        )
         (lo, hi), = extract_intervals(model, lam)
         lam_ok = abs(lam - norm.pdf(Z90)) <= 0.01
         ends_ok = abs(lo + Z90) <= 0.05 and abs(hi - Z90) <= 0.05

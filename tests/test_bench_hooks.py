@@ -82,7 +82,13 @@ def test_traced_fit_reaches_the_patched_names():
         pipe = conformal_hpd.fit_kde_hpd(Dataset(x, y), plan, 0.1)
         conformal_hpd.predict_regions(pipe, x[:5])
     names = {span.name for span in tracer.spans}
-    assert {"hpd.extract_intervals", "conformal.predict_regions.kde-hpd"} <= names
+    assert {
+        "hpd.smallest_mass_region",
+        "hpd.find_cutoff",
+        "hpd.extract_intervals",
+        "hpd.quantile_pairs",
+        "conformal.predict_regions.kde-hpd",
+    } <= names
     assert tracer.counts["hpd.kde_eval_calls"] > 0
 
 

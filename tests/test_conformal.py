@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
+from conformal_hpd import conformal
 from conformal_hpd.conformal import (
     DCP_LADDER_LEVELS,
     KdeHpdConfig,
@@ -22,7 +23,6 @@ from conformal_hpd.conformal import (
 )
 from conformal_hpd.core import (
     Dataset,
-    PredictionRegion,
     RegionBatch,
     ScoreVector,
     SplitPlan,
@@ -32,8 +32,8 @@ from conformal_hpd.core import (
     region_length,
 )
 from conformal_hpd.hpd import HpdResult
+from conformal_hpd.sim import fit_method
 from conformal_hpd.regress import (
-    MeanConfig,
     MeanEstimator,
     QuantileConfig,
     ScaleConfig,
@@ -76,24 +76,6 @@ class TestKdeHpdPipeline:
         eta, gamma = pipe.eta_gamma[0]
         assert eta == pytest.approx(-1.645, abs=0.2)
         assert gamma == pytest.approx(1.645, abs=0.2)
-
-    def test_identity_estimators_reduce_to_raw_scores(self):
-        rng = np.random.default_rng(41)
-        x = rng.uniform(-5, 5, 240).reshape(-1, 1)
-        y = np.concatenate([np.tile([-1.0, 1.0], 20), rng.standard_normal(200)])
-        data = Dataset(x, y)
-        plan = SplitPlan(
-            idx_train1=np.arange(40), idx_train2=[], idx_cal=np.arange(40, 240)
-        )
-        pipe = fit_kde_hpd(
-            data, plan, 0.1, KdeHpdConfig(mean=MeanConfig(kind="constant"))
-        )
-        np.testing.assert_array_equal(pipe.scores.v, y[40:])
-        region = predict_region(pipe, np.array([[3.0]]))
-        from conformal_hpd.core import coalesce
-
-        expected = coalesce(PredictionRegion(pipe.eta_gamma))
-        assert region.intervals == expected.intervals
 
     def test_bimodal_detects_two_intervals(self):
         hits = 0
@@ -157,7 +139,7 @@ class TestKdeHpdPipeline:
 
 
 def stub_pipeline(center, scale_coef, eta_gamma):
-    gh = MeanEstimator(kind="constant", d=1, value=center)
+    gh = MeanEstimator(d=1, coef=np.array([center, 0.0]))
     # every neighbour's target is scale_coef, so the scale is scale_coef everywhere
     x_fit = np.linspace(-5, 5, 20).reshape(-1, 1)
     knn = _Knn(x_fit, np.full(20, scale_coef), 10)
@@ -279,7 +261,7 @@ class TestCqr:
         x = np.linspace(0, 1, 40).reshape(-1, 1)
         data = Dataset(x, np.zeros(40))
         plan = half_split(40)
-        fitted = fit_cqr(data, plan, 0.1, QuantileConfig(kind="knn-quantile", k=5))
+        fitted = fit_cqr(data, plan, 0.1, QuantileConfig(kind="knn-quantile"))
         region = predict_region(fitted, np.array([[0.5]]))
         assert region.is_empty or region_length(region) >= 0.0
 
@@ -307,7 +289,7 @@ class TestDcp:
             data,
             half_split(4000),
             0.10,
-            QuantileConfig(kind="linear-quantile", feature_map=("raw", "square")),
+            QuantileConfig(kind="linear-quantile"),
         )
         region = predict_region(model, np.array([[0.0]]))
         lo, hi = region.intervals[0]
@@ -392,7 +374,7 @@ def fit_by_method(method, ds, plan):
     if method == "secpr":
         return fit_secpr(ds, plan, 0.05, 0.05)
     if method == "cqr":
-        return fit_cqr(ds, plan, 0.1, QuantileConfig(kind="knn-quantile", k=20))
+        return fit_cqr(ds, plan, 0.1, QuantileConfig(kind="knn-quantile"))
     if method == "dcp":
         return fit_dcp(ds, plan, 0.1)
     return fit_parametric_normal(ds, 0.1)
@@ -456,3 +438,27 @@ class TestNonFiniteCovariates:
         model = fit_by_method(method, data, half_split(200))
         with pytest.raises(ValueError, match="finite"):
             predict_regions(model, np.array([[0.5], [bad]]))
+
+
+class TestAlphaValidation:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2, math.nan])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_fit_rejects_alpha_outside_the_unit_interval(self, method, alpha, monkeypatch):
+        rng = np.random.default_rng(92)
+        data = make_line_data(rng, 200, lambda n: rng.standard_normal(n))
+
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("fitted before checking alpha")
+
+        for name in ("fit_mean", "fit_quantile_ladder", "_ols"):
+            monkeypatch.setattr(conformal, name, no_fitting)
+        # secpr gets alpha / 2 on each side, as the benchmark splits it
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            fit_method(method, data, half_split(200), alpha, False)
+
+    @pytest.mark.parametrize("alpha1, alpha2", [(-0.05, 0.5), (0.5, -0.05), (0.6, 0.4)])
+    def test_secpr_checks_each_tail_budget(self, alpha1, alpha2):
+        rng = np.random.default_rng(93)
+        data = make_line_data(rng, 100, lambda n: rng.standard_normal(n))
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            fit_secpr(data, half_split(100), alpha1, alpha2)

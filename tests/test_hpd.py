@@ -1,24 +1,65 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from conformal_hpd import hpd
-from conformal_hpd.core import ScoreVector, conformal_q, conformal_r
+from conformal_hpd import hpd, sim
+from conformal_hpd.conformal import fit_kde_hpd
+from conformal_hpd.core import Dataset, ScoreVector, SplitPlan, conformal_q, conformal_r
 from conformal_hpd.hpd import (
-    _sublevel_mass,
+    MASS_TOL,
     extract_intervals,
     find_cutoff,
     quantile_pairs,
     smallest_mass_region,
     superlevel_intervals,
 )
-from conformal_hpd.kde import fit_kde, kde_cdf
+from conformal_hpd.kde import fit_kde, kde_cdf, kde_eval
 
 Z90 = norm.ppf(0.95)  # 1.6449
 
 
 def mixture_cdf(z):
     return 0.5 * norm.cdf(z + 6.0) + 0.5 * norm.cdf(z - 6.0)
+
+
+def kde_cutoff(model, alpha):
+    return find_cutoff(
+        lambda z: kde_eval(model, z),
+        lambda z: kde_cdf(model, z),
+        model.grid,
+        model.grid_density,
+        alpha,
+    )
+
+
+def kept_mass(model, lam):
+    """Exact mass of the non-sliver superlevel intervals at ``lam``."""
+    intervals = superlevel_intervals(
+        lambda z: kde_eval(model, z), model.grid, model.grid_density, lam
+    )
+    masses = 1.0 - quantile_pairs(model, intervals).sum(axis=1)
+    return masses[masses >= hpd.MIN_COMPONENT_MASS].sum()
+
+
+def pair_and_rank_mass(pipe):
+    """Pair mass sum(1 - a - b) and rank mass sum(k2 - k1) / (n + 1) of a fit's kept pairs."""
+    n = pipe.scores.n
+    pairs = pipe.hpd.pairs
+    pair = sum(1.0 - a - b for a, b in pairs)
+    ranks = sum(math.ceil((1.0 - b) * (n + 1)) - math.ceil(a * (n + 1) - 1.0) for a, b in pairs)
+    return pair, ranks / (n + 1)
+
+
+def scenario_fit(tag, n_cal, alpha, seed, n_train=40):
+    scn = sim.Scenario(tag, n_train=n_train, n_cal=n_cal, n_test=1, alpha=alpha, seed=seed)
+    observed, _, _ = sim.generate(scn)
+    scale_on = sim.use_scale(None, tag)
+    plan = sim.build_plan(observed.n, n_train, scale_on)
+    return sim.fit_method("kde-hpd", observed, plan, alpha, scale_on)
 
 
 @pytest.fixture(scope="module")
@@ -37,25 +78,49 @@ def bimodal_model():
 
 class TestFindCutoff:
     def test_normal_cutoff(self, normal_model):
-        lam = find_cutoff(normal_model, 0.10)
+        lam = kde_cutoff(normal_model, 0.10)
         assert lam == pytest.approx(norm.pdf(Z90), abs=0.01)
 
     def test_alpha_to_zero_limit(self, normal_model):
-        assert find_cutoff(normal_model, 1e-6) < 1e-3
+        assert kde_cutoff(normal_model, 1e-6) < 1e-3
 
     def test_mixture_cutoff(self, bimodal_model):
-        lam = find_cutoff(bimodal_model, 0.10)
+        lam = kde_cutoff(bimodal_model, 0.10)
         assert lam == pytest.approx(0.5 * norm.pdf(Z90), abs=0.008)
 
-    def test_sublevel_mass_monotone(self, bimodal_model):
-        grid, dens = bimodal_model.grid, bimodal_model.grid_density
-        lams = np.linspace(0, dens.max(), 25)
-        masses = [_sublevel_mass(grid, dens, lam) for lam in lams]
-        assert (np.diff(masses) >= 0).all()
+    def test_kept_mass_monotone(self, bimodal_model):
+        lams = np.linspace(0, bimodal_model.grid_density.max(), 25)
+        masses = [kept_mass(bimodal_model, lam) for lam in lams]
+        assert masses[0] == 1.0  # the whole line
+        assert (np.diff(masses) <= 0).all()
+
+    @pytest.mark.parametrize("fixture", ["normal_model", "bimodal_model"])
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5])
+    def test_mass_at_the_cutoff_is_one_minus_alpha(self, fixture, alpha, request):
+        model = request.getfixturevalue(fixture)
+        mass = kept_mass(model, kde_cutoff(model, alpha))
+        assert 1.0 - alpha <= mass <= 1.0 - alpha + MASS_TOL
 
     def test_alpha_validation(self, normal_model):
         with pytest.raises(ValueError, match="alpha"):
-            find_cutoff(normal_model, 0.0)
+            kde_cutoff(normal_model, 0.0)
+
+    def test_alpha_below_the_mass_outside_the_grid_gives_the_whole_line(self):
+        # one point: the grid spans +-4h and leaves 2 * Phi(-4) = 6.3e-5 outside
+        model = fit_kde([0.0])
+        assert kde_cutoff(model, 1e-5) == 0.0
+        res = smallest_mass_region(model, 1e-5)
+        assert res.intervals == ((-np.inf, np.inf),)
+        assert res.pairs == ((0.0, 0.0),)
+
+    def test_component_no_grid_point_sees_gives_the_whole_line(self):
+        # half the mass in a spike between two grid points, both far in its tails
+        pdf = lambda z: 0.5 * norm.pdf(z, 0.0, 0.1) + 0.5 * norm.pdf(z, 7.5, 0.01)
+        cdf = lambda z: 0.5 * norm.cdf(z, 0.0, 0.1) + 0.5 * norm.cdf(z, 7.5, 0.01)
+        grid = np.linspace(-10.0, 10.0, 21)
+        assert pdf(grid[17:19]).max() == 0.0  # the spike's neighbours, 7 and 8, see nothing
+        assert find_cutoff(pdf, cdf, grid, pdf(grid), 0.1) == 0.0
+        assert find_cutoff(pdf, cdf, grid, pdf(grid), 0.6) > 0.0
 
 
 class TestExtractIntervals:
@@ -67,7 +132,7 @@ class TestExtractIntervals:
         assert hi == pytest.approx(Z90, abs=0.05)
 
     def test_bimodal_two_intervals(self, bimodal_model):
-        lam = find_cutoff(bimodal_model, 0.10)
+        lam = kde_cutoff(bimodal_model, 0.10)
         ivals = extract_intervals(bimodal_model, lam)
         assert len(ivals) == 2
         (l1, u1), (l2, u2) = ivals
@@ -79,10 +144,9 @@ class TestExtractIntervals:
         assert total == pytest.approx(4 * Z90, abs=0.3)
 
     def test_zero_cutoff_returns_full_span(self, normal_model):
+        # the superlevel set of a positive density at 0 is the whole line
         ivals = extract_intervals(normal_model, 0.0)
-        assert len(ivals) == 1
-        assert ivals[0][0] == normal_model.grid[0]
-        assert ivals[0][1] == normal_model.grid[-1]
+        assert ivals.tolist() == [[-np.inf, np.inf]]
 
     def test_cutoff_above_max_raises(self, normal_model):
         lam = float(normal_model.grid_density.max()) + 1e-6
@@ -105,41 +169,47 @@ class TestExtractIntervals:
     def test_endpoints_sit_on_the_cutoff(self, bimodal_model):
         from conformal_hpd.kde import kde_eval
 
-        lam = find_cutoff(bimodal_model, 0.10)
+        lam = kde_cutoff(bimodal_model, 0.10)
         for lo, hi in extract_intervals(bimodal_model, lam):
             assert kde_eval(bimodal_model, np.array([lo]))[0] == pytest.approx(lam, rel=1e-3)
             assert kde_eval(bimodal_model, np.array([hi]))[0] == pytest.approx(lam, rel=1e-3)
 
 
 class TestSuperlevelIntervals:
-    @pytest.mark.parametrize("iterations", [20, 40])
-    def test_interior_crossings_match_normal_root(self, iterations):
-        grid = np.linspace(-6.0, 6.0, 301)
+    @pytest.mark.parametrize("points", [20, 40])
+    def test_interior_crossings_match_normal_root(self, points):
+        # coarse grids: each crossing starts up to 0.6 from the root
+        grid = np.linspace(-6.0, 6.0, points)
         lam = 0.1
         root = np.sqrt(-2.0 * np.log(lam * np.sqrt(2.0 * np.pi)))
-        (lo, hi), = superlevel_intervals(norm.pdf, grid, norm.pdf(grid), lam, iterations)
-        tol = (grid[1] - grid[0]) * 2.0**-iterations
-        assert abs(lo + root) <= tol
-        assert abs(hi - root) <= tol
+        (lo, hi), = superlevel_intervals(norm.pdf, grid, norm.pdf(grid), lam)
+        assert abs(lo + root) <= 1e-12
+        assert abs(hi - root) <= 1e-12
+
+    def test_same_cutoff_gives_the_same_ends(self, bimodal_model):
+        density = lambda z: kde_eval(bimodal_model, z)
+        grid, values = bimodal_model.grid, bimodal_model.grid_density
+        first = superlevel_intervals(density, grid, values, 0.05)
+        np.testing.assert_array_equal(first, superlevel_intervals(density, grid, values, 0.05))
 
     def test_runs_touching_the_grid_ends_stay_on_the_grid(self):
         lam = 0.1
         root = np.sqrt(-2.0 * np.log(lam * np.sqrt(2.0 * np.pi)))
         right = np.linspace(0.5, 3.0, 101)
-        (lo, hi), = superlevel_intervals(norm.pdf, right, norm.pdf(right), lam, 40)
+        (lo, hi), = superlevel_intervals(norm.pdf, right, norm.pdf(right), lam)
         assert lo == right[0]
         assert hi == pytest.approx(root, abs=1e-12)
         left = -right[::-1]
-        (lo, hi), = superlevel_intervals(norm.pdf, left, norm.pdf(left), lam, 40)
+        (lo, hi), = superlevel_intervals(norm.pdf, left, norm.pdf(left), lam)
         assert lo == pytest.approx(-root, abs=1e-12)
         assert hi == left[-1]
-        assert superlevel_intervals(norm.pdf, right, norm.pdf(right), 0.0, 40) == [
-            (right[0], right[-1])
+        assert superlevel_intervals(norm.pdf, right, norm.pdf(right), 0.0).tolist() == [
+            [-np.inf, np.inf]
         ]
 
     def test_empty_when_nothing_exceeds_the_cutoff(self):
         grid = np.linspace(-3.0, 3.0, 61)
-        assert superlevel_intervals(norm.pdf, grid, norm.pdf(grid), 1.0, 20) == []
+        assert superlevel_intervals(norm.pdf, grid, norm.pdf(grid), 1.0).shape == (0, 2)
 
 
 class TestQuantilePairs:
@@ -149,7 +219,7 @@ class TestQuantilePairs:
         assert pairs[0][1] == pytest.approx(0.05, abs=0.01)
 
     def test_bimodal_pairs_match_mixture_oracle(self, bimodal_model):
-        lam = find_cutoff(bimodal_model, 0.10)
+        lam = kde_cutoff(bimodal_model, 0.10)
         ivals = extract_intervals(bimodal_model, lam)
         pairs = quantile_pairs(bimodal_model, ivals)
         # oracle: tail masses of the true mixture at the extracted endpoints
@@ -210,14 +280,62 @@ class TestSmallestMassRegion:
 
     @pytest.mark.parametrize("fixture", ["normal_model", "bimodal_model"])
     def test_one_cdf_call_per_region(self, fixture, request, monkeypatch):
+        # every candidate region, the search's and the final one, costs one
+        # vectorised CDF call over all its ends
         model = request.getfixturevalue(fixture)
-        calls = []
+        regions, calls = [], []
+
+        def counting_regions(*args):
+            regions.append(superlevel_intervals(*args))
+            return regions[-1]
 
         def counting_cdf(m, z):
             calls.append(np.shape(z))
             return kde_cdf(m, z)
 
+        monkeypatch.setattr(hpd, "superlevel_intervals", counting_regions)
         monkeypatch.setattr(hpd, "kde_cdf", counting_cdf)
         res = smallest_mass_region(model, 0.10)
-        assert len(calls) == 1
+        assert calls == [(r.size,) for r in regions]
         assert len(res.pairs) == len(res.intervals)
+
+
+class TestCoverageArithmetic:
+    """Kept pairs carry 1 - alpha: pair mass exactly, rank mass as conformal indices round it."""
+
+    @given(
+        tag=st.sampled_from(sim.SCENARIO_TAGS),
+        alpha=st.floats(0.01, 0.5),
+        n_cal=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_small_calibration_folds(self, tag, alpha, n_cal, seed):
+        pair, rank = pair_and_rank_mass(scenario_fit(tag, n_cal, alpha, seed))
+        assert pair >= 1.0 - alpha - 1e-12
+        assert rank >= 1.0 - alpha
+
+    @pytest.mark.parametrize("n_cal", [500, 5000, 20000])
+    def test_large_calibration_folds(self, n_cal):
+        for tag in sim.SCENARIO_TAGS:
+            pair, rank = pair_and_rank_mass(scenario_fit(tag, n_cal, 0.1, 100, n_train=500))
+            assert pair >= 0.9 - 1e-12, tag
+            assert rank >= 0.9, tag
+
+    def test_far_cluster_keeps_its_mass(self):
+        # the grid step (4.9) is 35 bandwidths; the grid trapezoid search kept 0.481
+        rng = np.random.default_rng(0)
+        pts = np.concatenate([rng.standard_normal(450), rng.normal(1e4, 1.0, 50)])
+        res = smallest_mass_region(fit_kde(pts), 0.1)
+        assert sum(1.0 - a - b for a, b in res.pairs) >= 0.9
+
+    def test_far_cluster_through_the_pipeline(self):
+        # the grid trapezoid search left these pairs 0.882 of pair mass, 0.888 of rank mass
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-5, 5, 1000).reshape(-1, 1)
+        eps = rng.standard_normal(1000) + np.where(rng.random(1000) < 0.1, 1e4, 0.0)
+        idx = np.arange(1000)
+        plan = SplitPlan(idx_train1=idx[:500], idx_train2=[], idx_cal=idx[500:])
+        pair, rank = pair_and_rank_mass(fit_kde_hpd(Dataset(x, 5 + 2 * x[:, 0] + eps), plan, 0.1))
+        assert pair >= 0.9
+        assert rank >= 0.9

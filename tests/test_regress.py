@@ -13,7 +13,6 @@ from conformal_hpd.regress import (
     KNN_BLOCK,
     QUANTILE_MAX_STEPS,
     QUANTILE_TOL,
-    MeanConfig,
     QuantileConfig,
     ScaleConfig,
     fit_mean,
@@ -22,8 +21,8 @@ from conformal_hpd.regress import (
     predict_mean,
     predict_quantile,
     predict_scale,
-    _design,
     _Knn,
+    _quantile_design,
 )
 
 
@@ -52,12 +51,6 @@ class TestFitMean:
         assert abs(gh.coef[0] - 5.0) < 0.2
         assert abs(gh.coef[1] - 2.0) < 0.2
 
-    def test_constant_kind(self):
-        data = line_dataset(40)
-        gh = fit_mean(data, MeanConfig(kind="constant"))
-        assert predict_mean(gh, [[3.3]])[0] == pytest.approx(data.y.mean())
-        assert predict_mean(gh, [[-4.0]])[0] == pytest.approx(data.y.mean())
-
     def test_singular_design_raises(self):
         x = np.ones((10, 2))  # two identical constant columns
         with pytest.raises(ValueError, match="singular design matrix"):
@@ -85,7 +78,7 @@ class TestFitMean:
         gh = fit_mean(data)
         estimators = [
             lambda: predict_mean(gh, x),
-            lambda: predict_quantile(fit_quantile_ladder(data, [0.5], QuantileConfig(k=10)), x),
+            lambda: predict_quantile(fit_quantile_ladder(data, [0.5], QuantileConfig()), x),
         ]
         for kind in ("constant-one", "knn-quantile-absres"):
             sh = fit_scale(data, gh, ScaleConfig(kind=kind))
@@ -119,7 +112,7 @@ class TestFitScale:
         # quantile of zeros is clamped up to the floor
         x = np.linspace(0, 1, 50).reshape(-1, 1)
         data = Dataset(x, np.full(50, 2.5))
-        gh = fit_mean(data, MeanConfig(kind="constant"))
+        gh = fit_mean(data)
         sh = fit_scale(data, gh, ScaleConfig(kind="knn-quantile-absres"))
         assert predict_scale(sh, [[5.0]])[0] == pytest.approx(1e-6)
 
@@ -145,7 +138,7 @@ class TestFitQuantile:
         rng = np.random.default_rng(31)
         x = rng.uniform(-5, 5, 5000).reshape(-1, 1)
         y = rng.standard_normal(5000)
-        qe = fit_quantile_ladder(Dataset(x, y), [0.95], QuantileConfig(kind="knn-quantile", k=500))
+        qe = fit_quantile_ladder(Dataset(x, y), [0.95], QuantileConfig(kind="knn-quantile"))
         assert predict_quantile(qe, [[0.0]])[0, 0] == pytest.approx(norm.ppf(0.95), abs=0.15)
 
     def test_median_matches_mean_under_symmetry(self):
@@ -153,7 +146,7 @@ class TestFitQuantile:
         x = rng.uniform(-5, 5, 4000).reshape(-1, 1)
         y = 1.0 + rng.standard_normal(4000)
         data = Dataset(x, y)
-        qe = fit_quantile_ladder(data, [0.5], QuantileConfig(kind="knn-quantile", k=400))
+        qe = fit_quantile_ladder(data, [0.5], QuantileConfig(kind="knn-quantile"))
         for q in [-2.0, 0.0, 2.0]:
             # mean of the same 400 nearest neighbours the quantile sees
             nearest = np.argsort(np.abs(x[:, 0] - q), kind="stable")[:400]
@@ -165,7 +158,7 @@ class TestFitQuantile:
         x = np.linspace(0, 1, 60).reshape(-1, 1)
         data = Dataset(x, np.full(60, 2.5))
         for level in (0.1, 0.5, 0.9):
-            qe = fit_quantile_ladder(data, [level], QuantileConfig(kind="knn-quantile", k=20))
+            qe = fit_quantile_ladder(data, [level], QuantileConfig(kind="knn-quantile"))
             assert predict_quantile(qe, [[0.5]])[0, 0] == pytest.approx(2.5)
 
     def test_monotone_in_level(self):
@@ -183,7 +176,7 @@ class TestFitQuantile:
         x = rng.uniform(-5, 5, n).reshape(-1, 1)
         y = 5.0 + 2.0 * x[:, 0] + rng.standard_normal(n)
         qe = fit_quantile_ladder(
-            Dataset(x, y), [0.9], QuantileConfig(kind="linear-quantile", feature_map=("raw",))
+            Dataset(x, y), [0.9], QuantileConfig(kind="linear-quantile")
         )
         for q in (-3.0, 0.0, 3.0):
             expected = 5.0 + 2.0 * q + norm.ppf(0.9)
@@ -218,7 +211,7 @@ def lp_pinball(design, y, tau):
 
 def smoothed_gradient(qe, data):
     """The smoothed pinball gradient at a fitted linear ladder, from the documented formulas."""
-    design = (_design(data.x, qe.feature_map) - qe.scale_mu) / qe.scale_sd
+    design = (_quantile_design(data.x) - qe.scale_mu) / qe.scale_sd
     n, p = design.shape
     ols, *_ = np.linalg.lstsq(design, data.y, rcond=None)
     c = np.std(data.y - design @ ols)
@@ -255,7 +248,7 @@ class TestSmoothedQuantileLadder:
         data = scenario_fold(tag, n)
         qe = fit_quantile_ladder(data, DCP_LADDER_LEVELS, LINEAR)
         ours = mean_pinball(data, predict_quantile(qe, data.x), DCP_LADDER_LEVELS)
-        design = _design(data.x, qe.feature_map)
+        design = _quantile_design(data.x)
         exact = np.array([lp_pinball(design, data.y, tau) for tau in DCP_LADDER_LEVELS])
         excess = ours / exact - 1.0
         assert excess.min() > -1e-9  # the LP is the minimum
