@@ -327,17 +327,27 @@ def _read_predictions(path):
 def cmd_evaluate(args) -> int:
     row_id, lo, hi = _read_predictions(args.predictions)
     header, body = _read_lines(args.truth)
+    if args.target not in header:
+        raise UsageError(f"{args.truth}: target column {args.target!r} not found")
+    if args.group_by and args.group_by not in header:
+        raise UsageError(f"{args.truth}: group column {args.group_by!r} not found")
     # numeric files skip the csv rows unless group labels are asked for
     data = _loadtxt(body, len(header))
     if data is None or args.group_by:
         rows = _csv_rows(args.truth, header, body)
-    if args.target not in header:
-        raise UsageError(f"{args.truth}: target column {args.target!r} not found")
     t = header.index(args.target)
-    y = data[:, t] if data is not None else np.array(
-        [_parse_cell(args.truth, header, i, t, row[t]) for i, row in enumerate(rows, start=1)]
-    )
-    _reject_where(args.truth, [args.target], ~np.isfinite(y)[:, None], "non-finite")
+    # every column but the group labels is numeric; the target is checked first
+    numeric = [t] + [j for j, name in enumerate(header) if j != t and name != args.group_by]
+    if data is None:
+        data = np.zeros((len(rows), len(header)))
+        for j in numeric:
+            data[:, j] = [
+                _parse_cell(args.truth, header, i, j, row[j]) for i, row in enumerate(rows, start=1)
+            ]
+    for cols in ([t], numeric):
+        bad = ~np.isfinite(data[:, cols])
+        _reject_where(args.truth, [header[j] for j in cols], bad, "non-finite")
+    y = data[:, t]
     keys = np.unique(row_id)
     if keys.size != y.size or (keys != np.arange(y.size)).any():
         raise UsageError(
@@ -352,8 +362,6 @@ def cmd_evaluate(args) -> int:
         ("median_size", "ALL", float(np.median(sizes))),
     ]
     if args.group_by:
-        if args.group_by not in header:
-            raise UsageError(f"{args.truth}: group column {args.group_by!r} not found")
         g = header.index(args.group_by)
         groups = [row[g].strip() for row in rows]
         for label in sorted(set(groups)):

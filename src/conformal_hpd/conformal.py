@@ -255,26 +255,38 @@ def _ladder_quantile(qmat: np.ndarray, levels: np.ndarray, tau) -> np.ndarray:
     # levels beyond the ladder take the clamp branch below; clipping keeps w finite
     w = (np.clip(tau, levels[0], levels[-1]) - levels[j - 1]) / (levels[j] - levels[j - 1])
     below, above = qmat[rows, j - 1], qmat[rows, j]
-    out = np.where(levels[j] == tau, above, (1.0 - w) * below + w * above)
+    # a flat segment (from the running max) interpolates to exactly its value
+    out = np.where((levels[j] == tau) | (below == above), above, (1.0 - w) * below + w * above)
     first, last = qmat[rows, 0], qmat[rows, -1]
     return np.where(tau <= levels[0], first, np.where(tau >= levels[-1], last, out))
 
 
-def _ladder_cdf(qmat: np.ndarray, levels: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise inverse of the ladder, clamped to the outer levels."""
-    idx = (qmat <= y[:, None]).sum(axis=1)
-    out = np.empty(y.shape)
-    out[idx == 0] = levels[0]
-    out[idx == qmat.shape[1]] = levels[-1]
-    mid = (idx > 0) & (idx < qmat.shape[1])
-    i = idx[mid]
-    rows = np.flatnonzero(mid)
-    q_lo = qmat[rows, i - 1]
-    q_hi = qmat[rows, i]
+def _dcp_scores(qmat: np.ndarray, center: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Distance of each y's ladder level from its row's window centre.
+
+    The level is the row-wise inverse of the ladder, linear between knots.
+    A y strictly outside its row's ladder [q_0.01, q_0.99] scores 1.0,
+    above every in-ladder score, so it conforms only to a cutoff >= 1; the
+    region, clamped to the ladder, never holds it either. At a flat
+    segment (from the running max) the level jumps, and y there scores
+    the distance from the centre to the jump's whole range, which keeps
+    the region {score <= cutoff} closed.
+    """
+    levels, n_levels = DCP_LADDER_LEVELS, qmat.shape[1]
+    upto = (qmat <= y[:, None]).sum(axis=1)  # knots at or below y
+    first = (qmat < y[:, None]).sum(axis=1)  # knots below y: where a run of knots at y starts
+    i = np.clip(upto, 1, n_levels - 1)
+    rows = np.arange(y.size)
+    q_lo, q_hi = qmat[rows, i - 1], qmat[rows, i]
     span = q_hi - q_lo
-    w = np.where(span > 0, (y[mid] - q_lo) / np.where(span > 0, span, 1.0), 1.0)
-    out[mid] = levels[i - 1] + w * (levels[i] - levels[i - 1])
-    return out
+    w = np.where(span > 0, (y - q_lo) / np.where(span > 0, span, 1.0), 1.0)
+    after = np.where(
+        upto == n_levels, levels[-1], levels[i - 1] + w * (levels[i] - levels[i - 1])
+    )
+    before = np.where(first < upto, levels[np.minimum(first, n_levels - 1)], after)
+    scores = np.maximum(np.maximum(before - center, center - after), 0.0)
+    beyond = (y < qmat[:, 0]) | (y > qmat[:, -1])
+    return np.where(beyond, 1.0, scores)
 
 
 def optimal_lower_level(qmat: np.ndarray, levels: np.ndarray, alpha: float) -> np.ndarray:
@@ -294,9 +306,19 @@ def optimal_lower_level(qmat: np.ndarray, levels: np.ndarray, alpha: float) -> n
     return z_grid[widths.argmin(axis=1)]
 
 
+def _dcp_window(ladder, alpha: float, xs) -> tuple:
+    """The monotonized ladder at rows ``xs`` and each row's window centre."""
+    qmat = np.maximum.accumulate(predict_quantile(ladder, xs), axis=1)
+    b_hat = optimal_lower_level(qmat, DCP_LADDER_LEVELS, alpha)
+    return qmat, b_hat + 0.5 * (1.0 - alpha)
+
+
 @dataclass(frozen=True)
 class DcpModel:
-    """Conformalized shortest-interval CDF inversion; always an interval."""
+    """Conformalized shortest-interval CDF inversion; always an interval.
+
+    The region at x is exactly {y : score(x, y) <= cutoff}.
+    """
 
     method = "dcp"
 
@@ -304,13 +326,18 @@ class DcpModel:
     alpha: float
     cutoff: float
 
+    def score(self, xs, y) -> np.ndarray:
+        """Nonconformity scores of responses ``y`` at covariate rows ``xs``."""
+        qmat, center = _dcp_window(self.ladder, self.alpha, xs)
+        return _dcp_scores(qmat, center, np.asarray(y, dtype=np.float64))
+
     def predict_regions(self, xs) -> RegionBatch:
-        qmat = np.maximum.accumulate(predict_quantile(self.ladder, xs), axis=1)
-        b_hat = optimal_lower_level(qmat, DCP_LADDER_LEVELS, self.alpha)
-        center = b_hat + 0.5 * (1.0 - self.alpha)
-        # levels beyond the ladder range clamp to the outer quantiles,
-        # keeping the interval finite (generalized inversion would
-        # return an unbounded endpoint there)
+        if self.cutoff >= 1.0:  # every score is at most 1: every y conforms
+            n = _as_matrix(xs, self.ladder.d).shape[0]
+            return RegionBatch(np.full((n, 1), -np.inf), np.full((n, 1), np.inf))
+        qmat, center = _dcp_window(self.ladder, self.alpha, xs)
+        # levels beyond the ladder clamp to the outer quantiles, as the
+        # scores of responses beyond them exceed the cutoff
         lo = _ladder_quantile(qmat, DCP_LADDER_LEVELS, center - self.cutoff)
         hi = _ladder_quantile(qmat, DCP_LADDER_LEVELS, center + self.cutoff)
         return RegionBatch(lo[:, None], hi[:, None])
@@ -326,7 +353,8 @@ def fit_dcp(
 
     The ladder is monotonized by running maximum before use; scores are
     the distance of the observed CDF level from the centre of the
-    shortest-interval window.
+    shortest-interval window (``_dcp_scores``). A cutoff of 1 or more,
+    such as the infinite one of a tiny calibration fold, gives the whole line.
     """
     _check_alpha(alpha)
     plan.check_against(data.n)
@@ -335,12 +363,7 @@ def fit_dcp(
     cal = data.subset(plan.idx_cal)
     if cal.n == 0:
         raise ValueError("no calibration scores")
-    qmat = np.maximum.accumulate(
-        predict_quantile(ladder, cal.x), axis=1
-    )
-    b_hat = optimal_lower_level(qmat, DCP_LADDER_LEVELS, alpha)
-    f_vals = _ladder_cdf(qmat, DCP_LADDER_LEVELS, cal.y)
-    scores = ScoreVector(np.abs(f_vals - b_hat - 0.5 * (1.0 - alpha)))
+    scores = ScoreVector(_dcp_scores(*_dcp_window(ladder, alpha, cal.x), cal.y))
     cutoff = conformal_q(scores, 1.0 - alpha)
     return DcpModel(ladder=ladder, alpha=alpha, cutoff=cutoff)
 

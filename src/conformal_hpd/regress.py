@@ -34,8 +34,9 @@ QUANTILE_KINDS = ("knn-quantile", "linear-quantile")
 # Lower clamp on predicted scales, so standardized scores stay finite.
 SCALE_FLOOR = 1e-6
 
-# Query rows per kNN distance block: keeps the (rows, n, d) difference
-# tensor near 1 MB for fitted folds of hundreds of rows.
+# Query rows per kNN distance block, for covariates with d > 1 columns
+# only (one column takes the sorted window): keeps the (rows, n, d)
+# difference tensor near 1 MB for fitted folds of hundreds of rows.
 KNN_BLOCK = 256
 
 # Smoothed quantile fit: a level stops once its largest gradient entry is
@@ -85,7 +86,16 @@ def _as_matrix(x, d: int) -> np.ndarray:
 
 
 class _Knn:
-    """Shared nearest-neighbour lookup on sd-standardized covariates."""
+    """Shared nearest-neighbour lookup on sd-standardized covariates.
+
+    With one covariate column the k nearest fitted rows are a contiguous
+    window of the rows sorted by x, found by ``searchsorted`` and a
+    bisection on the window start; other widths compare every fitted row
+    in blocks of ``KNN_BLOCK`` query rows. Ties in the window: of the
+    windows whose rows are k nearest, the lowest-starting one is taken,
+    so when two fitted rows are equally far from a query the one at the
+    lower sorted position wins.
+    """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, k: int):
         self.mu = x.mean(axis=0)
@@ -95,10 +105,17 @@ class _Knn:
         self.xs = (x - self.mu) / self.sd
         self.targets = targets
         self.k = int(min(max(k, 1), x.shape[0]))
+        if x.shape[1] == 1:
+            order = np.argsort(self.xs[:, 0], kind="stable")
+            # the +inf pad keeps the last window from moving right
+            self.sorted_x = np.append(self.xs[order, 0], np.inf)
+            self.sorted_targets = targets[order]
 
     def neighbor_targets(self, x: np.ndarray) -> np.ndarray:
-        """Targets of the k nearest fitted rows, shape (m, k), in blocks of query rows."""
+        """Targets of the k nearest fitted rows, shape (m, k)."""
         q = (x - self.mu) / self.sd
+        if q.shape[1] == 1:
+            return self._window_targets(q[:, 0])
         out = np.empty((q.shape[0], self.k), dtype=self.targets.dtype)
         for start in range(0, q.shape[0], KNN_BLOCK):
             block = q[start : start + KNN_BLOCK]
@@ -106,6 +123,28 @@ class _Knn:
             idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
             out[start : start + block.shape[0]] = self.targets[idx]
         return out
+
+    def _window_targets(self, q: np.ndarray) -> np.ndarray:
+        """The window of k sorted fitted rows nearest each query, in sorted order.
+
+        A window starting at s moves right while its first row is strictly
+        farther from q than the row after its end; that test turns false
+        once, somewhere in [pos - k, pos] for pos = searchsorted(q).
+        """
+        xs, k = self.sorted_x, self.k
+        last = xs.size - 1 - k  # the highest window start
+        pos = np.searchsorted(xs, q)
+        lo = np.clip(pos - k, 0, last)
+        hi = np.minimum(pos, last)
+        for _ in range(k.bit_length()):  # the bracket holds at most k + 1 starts
+            mid = (lo + hi) >> 1
+            right = q - xs[mid] > xs[mid + k] - q
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        # a window of one repeated value below q ties with every lower
+        # window of that value: start at the value's first row
+        start = np.minimum(lo, np.searchsorted(xs, xs[lo + k - 1]))
+        return np.lib.stride_tricks.sliding_window_view(self.sorted_targets, k)[start]
 
 
 @dataclass(frozen=True)

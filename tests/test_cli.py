@@ -420,6 +420,50 @@ class TestEvaluate:
         assert "row 2" in err and "'y'" in err
         assert not (tmp_path / "m" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ([["nan", "3.0"], ["inf", "4.0"]], "row 1, column 'x'"),
+            ([["1.0", "3.0"], ["-inf", "4.0"]], "row 2, column 'x'"),
+            ([["1.0", "3.0"], ["abc", "4.0"]], "row 2, column 'x'"),
+            ([["1.0", "3.0", "nan"], ["2.0", "4.0", "a"]], "row 2, column 'z'"),
+        ],
+    )
+    def test_bad_truth_covariate_exits_2(self, tmp_path, capsys, rows, where):
+        preds = tmp_path / "predictions.csv"
+        write_csv(
+            preds,
+            ["row", "interval_index", "lo", "hi"],
+            [["0", "0", "0.0", "10.0"], ["1", "0", "0.0", "10.0"]],
+        )
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["x", "y", "z"][: len(rows[0])], rows)
+        code = run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--outdir", str(tmp_path / "m"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "truth.csv" in err and where in err
+        assert not (tmp_path / "m" / "metrics.csv").exists()
+
+    def test_group_labels_are_not_checked_as_numbers(self, tmp_path):
+        preds = tmp_path / "predictions.csv"
+        write_csv(
+            preds,
+            ["row", "interval_index", "lo", "hi"],
+            [["0", "0", "0", "1"], ["1", "0", "0", "1"]],
+        )
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["x", "y", "g"], [["1.0", "0.5", "nan"], ["2.0", "2.0", "inf"]])
+        out = tmp_path / "m"
+        assert run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--group-by", "g", "--outdir", str(out),
+        ) == 0
+        rows = {(r[0], r[1]): r[2] for r in read_csv(out / "metrics.csv")[1:]}
+        assert rows[("coverage", "nan")] == "1.0" and rows[("coverage", "inf")] == "0.0"
+
     def test_non_utf8_truth_file_exits_2(self, tmp_path, capsys):
         preds = tmp_path / "predictions.csv"
         write_csv(

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from conformal_hpd import conformal
 from conformal_hpd.conformal import (
     DCP_LADDER_LEVELS,
+    DcpModel,
     KdeHpdConfig,
     _ladder_quantile,
     KdeHpdPipeline,
@@ -36,9 +39,11 @@ from conformal_hpd.sim import fit_method
 from conformal_hpd.regress import (
     MeanEstimator,
     QuantileConfig,
+    QuantileEstimator,
     ScaleConfig,
     ScaleEstimator,
     _Knn,
+    predict_quantile,
 )
 
 
@@ -332,6 +337,84 @@ class TestDcp:
         model = fit_dcp(data, half_split(800), 0.10)
         for x in np.linspace(-5, 5, 7):
             assert len(predict_region(model, np.array([[x]]))) == 1
+
+
+@st.composite
+def dcp_models(draw):
+    """A DCP model over a random, often crossing, linear ladder, and 20 covariate rows.
+
+    Ladder levels that cross become flat segments under the running max;
+    rounded coefficients add runs of equal knots. The cutoff ties with the
+    score of every response beyond the ladder when it is 1.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_levels = DCP_LADDER_LEVELS.size
+    coef = np.vstack([
+        np.cumsum(rng.normal(0.05, 0.1, n_levels)),
+        np.cumsum(rng.normal(0.0, 0.05, n_levels)),
+        rng.normal(0.0, 0.02, n_levels),
+    ])
+    if draw(st.booleans()):
+        coef = np.round(coef, 1)
+    ladder = QuantileEstimator(
+        kind="linear-quantile", d=1, levels=DCP_LADDER_LEVELS, coef=coef,
+        scale_mu=np.zeros(3), scale_sd=np.ones(3),
+    )
+    alpha = draw(st.floats(0.01, 0.99))
+    cutoff = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True), st.just(1.0), st.just(math.inf)
+    ))
+    return DcpModel(ladder=ladder, alpha=alpha, cutoff=cutoff), rng.uniform(-2.0, 2.0, (20, 1))
+
+
+class TestDcpSublevelSet:
+    @given(dcp_models())
+    @settings(max_examples=150, deadline=None)
+    def test_region_is_the_score_sublevel_set(self, case):
+        model, x = case
+        qmat = np.maximum.accumulate(predict_quantile(model.ladder, x), axis=1)
+        center = optimal_lower_level(qmat, DCP_LADDER_LEVELS, model.alpha) + 0.5 * (1 - model.alpha)
+        _, _, lo, hi = model.predict_regions(x).flat()
+        rng = np.random.default_rng(0)
+        first, last = qmat[:, :1], qmat[:, -1:]
+        ys = np.hstack([
+            qmat,  # every knot, flat runs included
+            np.nextafter(first, -np.inf), first - 1.0,  # beyond the ladder
+            np.nextafter(last, np.inf), last + 1.0,
+            rng.uniform(first - 1.0, last + 1.0, (x.shape[0], 20)),
+        ])
+        # a window end within rounding of a level leaves a knot's side to rounding
+        ends = np.column_stack([center - model.cutoff, center + model.cutoff])
+        near = (np.abs(ends[:, :, None] - DCP_LADDER_LEVELS) < 1e-9).any(axis=(1, 2))
+        checked = np.ones(ys.shape, dtype=bool)
+        checked[near, : qmat.shape[1]] = False
+        per_y = ys.shape[1]  # one score call: every candidate y against its own row
+        scores = model.score(np.repeat(x, per_y, axis=0), ys.ravel()).reshape(ys.shape)
+        assert ((0.0 <= scores) & (scores <= 1.0)).all()
+        assert (scores[:, qmat.shape[1] : qmat.shape[1] + 4] == 1.0).all()  # beyond the ladder
+        inside = (lo[:, None] <= ys) & (ys <= hi[:, None])
+        np.testing.assert_array_equal(inside[checked], (scores <= model.cutoff)[checked])
+
+    def test_tiny_calibration_fold_gives_the_whole_line(self):
+        # five calibration scores: the 0.9 conformal quantile is +inf
+        rng = np.random.default_rng(63)
+        data = make_line_data(rng, 105, lambda n: rng.standard_normal(n))
+        idx = np.arange(105)
+        model = fit_dcp(data, SplitPlan(idx[:100], [], idx[100:]), 0.10)
+        assert model.cutoff == math.inf
+        region = predict_region(model, np.array([[0.0]]))
+        assert region.intervals == ((-math.inf, math.inf),)
+
+    def test_calibration_beyond_the_ladder_never_conforms(self):
+        rng = np.random.default_rng(64)
+        data = make_line_data(rng, 400, lambda n: rng.standard_normal(n))
+        model = fit_dcp(data, half_split(400), 0.10)
+        x = np.zeros((2, 1))
+        band = predict_quantile(model.ladder, x)
+        y = np.array([band[0, 0] - 1.0, band[1, -1] + 1.0])
+        np.testing.assert_array_equal(model.score(x, y), [1.0, 1.0])
+        lo, hi = predict_region(model, x[:1]).intervals[0]
+        assert lo >= band[0, 0] and hi <= band[0, -1]
 
 
 class TestParametricNormal:

@@ -313,3 +313,71 @@ class TestKnnBlocks:
         np.testing.assert_array_equal(
             knn.neighbor_targets(queries), self.unblocked(knn, queries)
         )
+
+
+@st.composite
+def window_cases(draw, ties):
+    """One-column folds of 1-300 rows, any k, and 0 to 2 blocks of queries.
+
+    Tie cases put fitted x on integers (repeated rows) and queries on the
+    half-integers, so queries sit on fitted rows or midway between two;
+    both kinds reach beyond the fitted range.
+    """
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(1, n))
+    m = draw(st.one_of(st.just(0), st.integers(1, 40), st.integers(KNN_BLOCK + 1, 2 * KNN_BLOCK)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if ties:
+        x = rng.integers(-5, 6, n).astype(float)
+        queries = rng.integers(-16, 17, m) / 2.0
+    else:
+        x = rng.uniform(-5.0, 5.0, n)
+        queries = rng.uniform(-8.0, 8.0, m)
+    return x.reshape(-1, 1), queries.reshape(-1, 1), k
+
+
+class TestKnnWindow:
+    """The one-column lookup against every fitted row compared at once."""
+
+    @given(window_cases(ties=False))
+    @settings(max_examples=60, deadline=None)
+    def test_neighbour_targets_equal_the_unblocked_lookup(self, case):
+        x, queries, k = case
+        knn = _Knn(x, np.random.default_rng(0).standard_normal(x.shape[0]), k)
+        got = knn.neighbor_targets(queries)
+        assert got.shape == (queries.shape[0], knn.k)
+        np.testing.assert_array_equal(
+            np.sort(got, axis=1), np.sort(TestKnnBlocks.unblocked(knn, queries), axis=1)
+        )
+
+    @given(window_cases(ties=True))
+    @settings(max_examples=60, deadline=None)
+    def test_ties_go_to_the_lower_sorted_position(self, case):
+        x, queries, k = case
+        n = x.shape[0]
+        knn = _Knn(x, np.arange(n), k)  # targets are the fitted row numbers
+        rows = knn.neighbor_targets(queries)
+        q = (queries - knn.mu) / knn.sd
+        d2 = (q - knn.xs[:, 0]) ** 2  # (m, n), fitted rows in input order
+        np.testing.assert_array_equal(
+            np.sort(np.take_along_axis(d2, rows, axis=1), axis=1),
+            np.sort(np.take_along_axis(d2, TestKnnBlocks.unblocked(knn, queries), axis=1), axis=1),
+        )
+        # the rows are a window [s, s + k) of the stably sorted fitted rows
+        rank = np.empty(n, dtype=int)
+        rank[np.argsort(knn.xs[:, 0], kind="stable")] = np.arange(n)
+        pos = rank[rows]
+        start = pos[:, :1]
+        np.testing.assert_array_equal(pos, start + np.arange(k))
+        dist = np.abs(q - np.sort(knn.xs[:, 0]))  # (m, n) in sorted order
+
+        def nearest(s):
+            """Whether window s holds k nearest rows: none outside is strictly closer."""
+            inside = (np.arange(n) >= s) & (np.arange(n) < s + k)
+            far = np.where(inside, dist, -np.inf).max(axis=1)
+            near = np.where(inside, np.inf, dist).min(axis=1)
+            return far <= near
+
+        assert nearest(start).all()
+        # the valid starts are contiguous, so none lower exists when s - 1 fails
+        assert not (nearest(start - 1) & (start[:, 0] > 0)).any()

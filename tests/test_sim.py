@@ -151,7 +151,7 @@ class TestRunReplications:
             scn = Scenario(tag, n_train=60, n_cal=60, n_test=8, seed=11)
             h.update(repr(run_replications(scn, METHOD_TAGS, reps=2)).encode())
         assert h.hexdigest() == (
-            "6a382dfa6c26db508966da9ff5c4d40e2757a91b9ad8ea68267eb41ce34d47b8"
+            "44472d2bdd3707d460885a1cc324554b2be80d6a21c6cfefca81e417878b4105"
         )
 
     def test_determinism_across_calls(self):
