@@ -364,9 +364,13 @@ def cmd_evaluate(args) -> int:
     if args.group_by:
         g = header.index(args.group_by)
         groups = [row[g].strip() for row in rows]
-        for label in sorted(set(groups)):
-            sel = np.array([g == label for g in groups])
-            out_rows.append(("coverage", label, float(covered[sel].mean())))
+        labels = sorted(set(groups))
+        index = {label: k for k, label in enumerate(labels)}
+        idx = np.array([index[label] for label in groups], dtype=np.intp)
+        hits = np.bincount(idx[covered], minlength=len(labels))
+        counts = np.bincount(idx, minlength=len(labels))
+        for label, h, n in zip(labels, hits.tolist(), counts.tolist()):
+            out_rows.append(("coverage", label, h / n))
     os.makedirs(args.outdir, exist_ok=True)
     metrics_path = os.path.join(args.outdir, "metrics.csv")
     _write_csv(metrics_path, ["metric", "group", "value"], list(zip(*out_rows)))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from conformal_hpd.core import (  # noqa: F401 - coalesce stays patchable here for tracing
     Dataset,
@@ -388,7 +388,7 @@ class ParametricNormalModel:
         design = _design(_as_matrix(xs, self.d))
         center = design @ self.coef
         leverage = np.einsum("ij,jk,ik->i", design, self.xtx_inv, design)
-        half = norm.ppf(1.0 - self.alpha / 2.0) * self.s * np.sqrt(1.0 + leverage)
+        half = ndtri(1.0 - self.alpha / 2.0) * self.s * np.sqrt(1.0 + leverage)
         return RegionBatch((center - half)[:, None], (center + half)[:, None])
 
 

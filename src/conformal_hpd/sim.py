@@ -14,8 +14,7 @@ from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
-from scipy.stats import norm
+from scipy.special import gammainc, gammaincinv, gammaln, ndtr, ndtri, xlogy
 
 from conformal_hpd.conformal import (
     KdeHpdConfig,
@@ -106,16 +105,34 @@ def _level_set(pdf, cdf, lo: float, hi: float, alpha: float):
     return tuple(map(tuple, superlevel_intervals(pdf, grid, values, lam).tolist()))
 
 
+# The laws' closed forms, written as scipy's distribution objects evaluate
+# them: the oracle regions keep their bits without importing scipy's stats
+# module, which alone takes about 1 s.
+
+
+def _norm_pdf(z):
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 @lru_cache(maxsize=4096)
 def _gamma_hpd(shape: float, rate: float, alpha: float):
-    law = gamma_dist(a=shape, scale=1.0 / rate)
-    return _level_set(law.pdf, law.cdf, 0.0, float(law.ppf(1.0 - 1e-12)), alpha)
+    # The level-set search only evaluates z in [0, end], inside the support,
+    # so the formulas need no mask for z < 0.
+    scale = 1.0 / rate
+
+    def pdf(z):
+        y = z / scale
+        return np.exp(xlogy(shape - 1.0, y) - y - gammaln(shape)) / scale
+
+    cdf = lambda z: gammainc(shape, z / scale)
+    end = float(gammaincinv(shape, 1.0 - 1e-12) * scale)
+    return _level_set(pdf, cdf, 0.0, end, alpha)
 
 
 @lru_cache(maxsize=64)
 def _mixture_hpd(alpha: float):
-    pdf = lambda z: 0.5 * norm.pdf(z + 6.0) + 0.5 * norm.pdf(z - 6.0)
-    cdf = lambda z: 0.5 * norm.cdf(z + 6.0) + 0.5 * norm.cdf(z - 6.0)
+    pdf = lambda z: 0.5 * _norm_pdf(z + 6.0) + 0.5 * _norm_pdf(z - 6.0)
+    cdf = lambda z: 0.5 * ndtr(z + 6.0) + 0.5 * ndtr(z - 6.0)
     return _level_set(pdf, cdf, -14.0, 14.0, alpha)
 
 
@@ -134,7 +151,7 @@ class _NormalLaw(_Law):
         return rng.standard_normal(x.shape[0])
 
     def hpd_intervals(self, alpha, x):
-        z = norm.ppf(1.0 - alpha / 2.0)
+        z = ndtri(1.0 - alpha / 2.0)
         return ((-z, z),)
 
 
@@ -174,7 +191,7 @@ class _BowtieLaw(_Law):
         return rng.normal(0.0, np.abs(x))
 
     def hpd_intervals(self, alpha, x):
-        z = norm.ppf(1.0 - alpha / 2.0) * abs(float(x))
+        z = ndtri(1.0 - alpha / 2.0) * abs(float(x))
         return ((-z, z),)
 
 
@@ -417,7 +434,10 @@ def summarize(reports) -> list[MethodSummary]:
         runt = np.array([r.wall_time for r in good])
         n = len(good)
         cov_se = float(cov.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        size_se = float(size.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        if np.isinf(size).any():  # an unbounded region: the spread is infinite too
+            size_se = math.inf
+        else:
+            size_se = float(size.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         out.append(
             MethodSummary(
                 method=tag,

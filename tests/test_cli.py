@@ -537,6 +537,36 @@ class TestEvaluate:
         assert float(rows[("coverage", "no")]) == 0.0
 
 
+    def test_many_group_labels_match_the_per_label_loop(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 3000
+        y = rng.normal(size=n)
+        labels = [f"g{k}" for k in rng.integers(0, 400, n)]
+        labels[:3] = ["", " b ", "b"]  # an empty label, and one that strips to another
+        preds = tmp_path / "predictions.csv"
+        write_csv(
+            preds,
+            ["row", "interval_index", "lo", "hi"],
+            [[str(i), "0", "-1.0", "1.0"] for i in range(n)],
+        )
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["y", "g"], [[repr(float(v)), g] for v, g in zip(y, labels)])
+        out = tmp_path / "m"
+        assert run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--group-by", "g", "--outdir", str(out),
+        ) == 0
+        # the per-label mask loop the grouped coverage replaced
+        covered = (y >= -1.0) & (y <= 1.0)
+        groups = [g.strip() for g in labels]
+        expected = [
+            ("coverage", label, repr(float(covered[np.array([g == label for g in groups])].mean())))
+            for label in sorted(set(groups))
+        ]
+        rows = [tuple(r) for r in read_csv(out / "metrics.csv")[1:] if r[1] != "ALL"]
+        assert rows == expected
+
+
 class TestRoundTrip:
     def test_predict_evaluate_reproduces_simulate_coverage(self, sim_csvs, tmp_path):
         scn, train_path, test_path = sim_csvs

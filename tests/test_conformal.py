@@ -434,6 +434,20 @@ class TestParametricNormal:
         half = 0.5 * region_length(region)
         assert half == pytest.approx(norm.ppf(0.95) * model.s, rel=1e-3)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
+    def test_half_widths_match_norm_ppf_bitwise(self, alpha):
+        rng = np.random.default_rng(72)
+        data = make_line_data(rng, 200, lambda n: rng.standard_normal(n))
+        model = fit_parametric_normal(data, alpha)
+        xs = np.array([[-4.0], [-0.5], [0.0], [1.25], [3.5]])
+        design = np.column_stack([np.ones(len(xs)), xs])
+        center = design @ model.coef
+        leverage = np.einsum("ij,jk,ik->i", design, model.xtx_inv, design)
+        half = norm.ppf(1.0 - alpha / 2.0) * model.s * np.sqrt(1.0 + leverage)
+        batch = predict_regions(model, xs)
+        assert repr(batch.lo[:, 0].tolist()) == repr((center - half).tolist())
+        assert repr(batch.hi[:, 0].tolist()) == repr((center + half).tolist())
+
     def test_marginal_coverage_monte_carlo(self):
         rng = np.random.default_rng(71)
         hits, total = 0, 0

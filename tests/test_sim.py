@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,65 @@ class TestOracle:
             assert len(region) == oracle.n_intervals
         if tag == "bowtie":
             assert region_length(batch[2]) == 0.0
+
+
+class TestOracleClosedForms:
+    """Each law's oracle equals a scipy.stats reference bit for bit."""
+
+    @staticmethod
+    def reference(law, alpha, x):
+        # tests-only copy of every oracle, built on scipy.stats' distributions
+        if isinstance(law, (sim._NormalLaw, sim._BowtieLaw)):
+            z = norm.ppf(1.0 - alpha / 2.0)
+            if isinstance(law, sim._BowtieLaw):
+                z = z * abs(float(x))
+            return ((-z, z),)
+        if isinstance(law, sim._BimodalLaw):
+            pdf = lambda z: 0.5 * norm.pdf(z + 6.0) + 0.5 * norm.pdf(z - 6.0)
+            cdf = lambda z: 0.5 * norm.cdf(z + 6.0) + 0.5 * norm.cdf(z - 6.0)
+            return sim._level_set(pdf, cdf, -14.0, 14.0, alpha)
+        if isinstance(law, sim._SkewedGammaLaw):
+            shape, rate = law.shape, 1.0
+        else:
+            shape = rate = round(1.0 + 2.0 * abs(float(x)), 12)
+        ref = gamma_dist(shape, scale=1.0 / rate)
+        return sim._level_set(ref.pdf, ref.cdf, 0.0, float(ref.ppf(1.0 - 1e-12)), alpha)
+
+    @pytest.mark.parametrize("tag", sim.SCENARIO_TAGS)
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
+    def test_intervals_bitwise_equal_to_scipy_stats(self, tag, alpha):
+        law = sim._LAWS[tag]()
+        for x in (-4.7, -1.0, 0.0, 0.3, 2.5):
+            got = law.hpd_intervals(alpha, x)
+            assert repr(got) == repr(self.reference(law, alpha, x)), (tag, alpha, x)
+
+
+class TestSummarize:
+    @staticmethod
+    def report(method, rep, mean_size):
+        return RepReport(
+            method=method, rep=rep, seed=rep, coverage=1.0, mean_size=mean_size,
+            sizes=(mean_size,), covered=(True,), x_test=(0.0,), wall_time=0.0,
+            n_intervals=1,
+        )
+
+    def test_infinite_size_gives_infinite_se_without_warning(self):
+        reports = [
+            self.report("dcp", 0, 3.0),
+            self.report("dcp", 1, math.inf),
+            self.report("secpr", 0, 3.0),
+            self.report("secpr", 1, 5.0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dcp, secpr = summarize(reports)
+        assert dcp.mean_size == math.inf and dcp.size_se == math.inf
+        assert secpr.mean_size == 4.0 and secpr.size_se == pytest.approx(1.0)
+
+    def test_failed_report_with_no_size_is_not_kept(self):
+        failed = replace(self.report("dcp", 1, math.nan), error="ValueError: x")
+        summary = summarize([self.report("dcp", 0, math.inf), failed])[0]
+        assert summary.failures == 1 and summary.size_se == math.inf
 
 
 class TestRunReplications:
