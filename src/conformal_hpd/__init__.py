@@ -14,7 +14,6 @@ from conformal_hpd.conformal import (
     fit_kde_hpd,
     fit_parametric_normal,
     fit_secpr,
-    predict_region,
     predict_regions,
 )
 from conformal_hpd.core import (
@@ -34,7 +33,6 @@ from conformal_hpd.sim import (
     conditional_coverage,
     generate,
     hausdorff_diagnostic,
-    oracle_hpd,
     run_replications,
     summarize,
 )
@@ -59,11 +57,9 @@ __all__ = [
     "fit_cqr",
     "fit_dcp",
     "fit_parametric_normal",
-    "predict_region",
     "predict_regions",
     "Scenario",
     "generate",
-    "oracle_hpd",
     "run_replications",
     "summarize",
     "conditional_coverage",

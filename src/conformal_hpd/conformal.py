@@ -16,7 +16,6 @@ from scipy.special import ndtri
 
 from conformal_hpd.core import (  # noqa: F401 - coalesce stays patchable here for tracing
     Dataset,
-    PredictionRegion,
     RegionBatch,
     ScoreVector,
     SplitPlan,
@@ -54,12 +53,12 @@ __all__ = [
     "fit_cqr",
     "fit_dcp",
     "fit_parametric_normal",
-    "predict_region",
     "predict_regions",
     "secpr_corrections",
     "optimal_lower_level",
 ]
 
+DCP_QUANTILE = QuantileConfig(kind="linear-quantile")
 DCP_LADDER_LEVELS = np.round(np.arange(1, 100) / 100.0, 2)
 DCP_SEARCH_STEP = 0.005
 
@@ -223,13 +222,12 @@ def fit_cqr(
     data: Dataset,
     plan: SplitPlan,
     alpha: float,
-    config: QuantileConfig = QuantileConfig(),
 ) -> CqrModel:
-    """CQR with equal-tailed quantile bands at alpha/2 and 1 - alpha/2."""
+    """CQR with equal-tailed kNN quantile bands at alpha/2 and 1 - alpha/2."""
     _check_alpha(alpha)
     plan.check_against(data.n)
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
-    ladder = fit_quantile_ladder(data.subset(idx_train), [alpha / 2, 1 - alpha / 2], config)
+    ladder = fit_quantile_ladder(data.subset(idx_train), [alpha / 2, 1 - alpha / 2], QuantileConfig())
     cal = data.subset(plan.idx_cal)
     if cal.n == 0:
         raise ValueError("no calibration scores")
@@ -347,9 +345,8 @@ def fit_dcp(
     data: Dataset,
     plan: SplitPlan,
     alpha: float,
-    config: QuantileConfig = QuantileConfig(kind="linear-quantile"),
 ) -> DcpModel:
-    """DCP over a 99-level conditional quantile ladder.
+    """DCP over a 99-level smoothed linear conditional quantile ladder.
 
     The ladder is monotonized by running maximum before use; scores are
     the distance of the observed CDF level from the centre of the
@@ -359,7 +356,7 @@ def fit_dcp(
     _check_alpha(alpha)
     plan.check_against(data.n)
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
-    ladder = fit_quantile_ladder(data.subset(idx_train), DCP_LADDER_LEVELS, config)
+    ladder = fit_quantile_ladder(data.subset(idx_train), DCP_LADDER_LEVELS, DCP_QUANTILE)
     cal = data.subset(plan.idx_cal)
     if cal.n == 0:
         raise ValueError("no calibration scores")
@@ -410,11 +407,6 @@ def fit_parametric_normal(data: Dataset, alpha: float) -> ParametricNormalModel:
 
 # ---------------------------------------------------------------------------
 # Generic entry points
-
-
-def predict_region(model, x) -> PredictionRegion:
-    """Prediction region for one covariate row, ``x`` of shape (1, d)."""
-    return predict_regions(model, x)[0]
 
 
 def predict_regions(model, xs) -> RegionBatch:

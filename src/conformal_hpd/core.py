@@ -142,10 +142,6 @@ class PredictionRegion:
     def __iter__(self):
         return iter(self.intervals)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
 
 class RegionBatch(Sequence):
     """Prediction regions of n covariate rows as (n, J) ``lo``/``hi`` arrays.
@@ -309,40 +305,37 @@ def region_contains(region: PredictionRegion, y: float) -> bool:
     return bool(score_intervals(np.zeros(lo.size), lo, hi, [y])[0][0])
 
 
-def _point_to_region(z: float, intervals) -> float:
-    best = math.inf
-    for lo, hi in intervals:
-        if lo <= z <= hi:
-            return 0.0
-        best = min(best, abs(z - lo), abs(z - hi))
-    return best
+def _directed_sup(a_lo, a_hi, a_in, b_lo, b_hi, b_in) -> np.ndarray:
+    # sup over z in A of d(z, B), row by row. The distance function to a
+    # finite union of closed intervals is piecewise linear; restricted to A
+    # its maxima occur at A's endpoints or at gap midpoints of B inside A.
+    mid = 0.5 * (b_hi[:, :-1] + b_lo[:, 1:])
+    inside = (a_lo[:, None, :] <= mid[..., None]) & (mid[..., None] <= a_hi[:, None, :])
+    mid_in = b_in[:, 1:] & (inside & a_in[:, None, :]).any(axis=2)
+    z = np.concatenate([a_lo, a_hi, mid], axis=1)[..., None]  # (n, C, 1)
+    lo, hi = b_lo[:, None, :], b_hi[:, None, :]
+    d = np.where((lo <= z) & (z <= hi), 0.0, np.minimum(np.abs(z - lo), np.abs(z - hi)))
+    d = np.where(b_in[:, None, :], d, np.inf).min(axis=2, initial=np.inf)  # (n, C)
+    return np.where(np.concatenate([a_in, a_in, mid_in], axis=1), d, 0.0).max(axis=1, initial=0.0)
 
 
-def _directed_sup(a: PredictionRegion, b: PredictionRegion) -> float:
-    # sup over z in A of d(z, B). The distance function to a finite union
-    # of closed intervals is piecewise linear; restricted to A its maxima
-    # occur at A's endpoints or at gap midpoints of B that lie inside A.
-    candidates = [e for lo, hi in a.intervals for e in (lo, hi)]
-    b_ivals = b.intervals
-    for (_, hi_prev), (lo_next, _) in zip(b_ivals[:-1], b_ivals[1:]):
-        mid = 0.5 * (hi_prev + lo_next)
-        if region_contains(a, mid):
-            candidates.append(mid)
-    return max(_point_to_region(z, b_ivals) for z in candidates)
-
-
-def hausdorff(a: PredictionRegion, b: PredictionRegion) -> float:
-    """Exact Hausdorff distance between two interval unions.
+def hausdorff(a: RegionBatch, b: RegionBatch) -> np.ndarray:
+    """Exact Hausdorff distance between the regions of two batches, row by row.
 
     Evaluates the point-to-set distance at interval endpoints and gap
-    midpoints only; no grid. Both regions must be nonempty with finite
-    endpoints.
+    midpoints only; no grid. The distance is undefined, and returned as
+    ``inf``, for a row where either region is empty or has an infinite
+    endpoint.
     """
-    a = coalesce(a)
-    b = coalesce(b)
-    if a.is_empty or b.is_empty:
-        raise ValueError("Hausdorff undefined for empty set")
-    for lo, hi in (*a.intervals, *b.intervals):
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("Hausdorff requires finite endpoints")
-    return max(_directed_sup(a, b), _directed_sup(b, a))
+    if len(a) != len(b):
+        raise ValueError(f"batch length mismatch: {len(a)} and {len(b)} rows")
+    ok = np.ones(len(a), dtype=bool)
+    ends = []
+    for r in (a, b):
+        # infinite intervals and padding become absent zeros: no inf or NaN enters the arithmetic
+        present = r._present()
+        keep = present & np.isfinite(r.lo) & np.isfinite(r.hi)
+        ok &= keep.any(axis=1) & (keep == present).all(axis=1)
+        ends.append((np.where(keep, r.lo, 0.0), np.where(keep, r.hi, 0.0), keep))
+    dist = np.maximum(_directed_sup(*ends[0], *ends[1]), _directed_sup(*ends[1], *ends[0]))
+    return np.where(ok, dist, np.inf)

@@ -26,7 +26,6 @@ from conformal_hpd.conformal import (
 )
 from conformal_hpd.core import (
     Dataset,
-    PredictionRegion,
     RegionBatch,
     SplitPlan,
     hausdorff,
@@ -35,7 +34,7 @@ from conformal_hpd.core import (
     score_intervals,
 )
 from conformal_hpd.hpd import find_cutoff, superlevel_intervals
-from conformal_hpd.regress import ScaleConfig
+from conformal_hpd.regress import ScaleConfig, _as_matrix
 
 __all__ = [
     "SCENARIO_TAGS",
@@ -44,7 +43,6 @@ __all__ = [
     "RepReport",
     "MethodSummary",
     "generate",
-    "oracle_hpd",
     "use_scale",
     "build_plan",
     "run_replications",
@@ -136,45 +134,36 @@ def _mixture_hpd(alpha: float):
     return _level_set(pdf, cdf, -14.0, 14.0, alpha)
 
 
-class _Law:
-    """Residual law: sampling plus the oracle smallest 1-alpha set."""
-
-    def sample(self, rng, x):
-        raise NotImplementedError
-
-    def hpd_intervals(self, alpha, x):
-        raise NotImplementedError
-
-
-class _NormalLaw(_Law):
+class _NormalLaw:
     def sample(self, rng, x):
         return rng.standard_normal(x.shape[0])
 
     def hpd_intervals(self, alpha, x):
         z = ndtri(1.0 - alpha / 2.0)
-        return ((-z, z),)
+        return np.broadcast_to(((-z, z),), (x.size, 1, 2))
 
 
-class _SkewedGammaLaw(_Law):
+class _SkewedGammaLaw:
     shape = 7.5
 
     def sample(self, rng, x):
         return rng.gamma(self.shape, 1.0, x.shape[0])
 
     def hpd_intervals(self, alpha, x):
-        return _gamma_hpd(self.shape, 1.0, alpha)
+        return np.broadcast_to(_gamma_hpd(self.shape, 1.0, alpha), (x.size, 1, 2))
 
 
-class _BimodalLaw(_Law):
+class _BimodalLaw:
     def sample(self, rng, x):
         comp = rng.random(x.shape[0]) < 0.5
         return rng.normal(np.where(comp, -6.0, 6.0), 1.0)
 
     def hpd_intervals(self, alpha, x):
-        return _mixture_hpd(alpha)
+        ivals = _mixture_hpd(alpha)
+        return np.broadcast_to(ivals, (x.size, len(ivals), 2))
 
 
-class _HeteroGammaLaw(_Law):
+class _HeteroGammaLaw:
     """Gamma(1 + 2|x|, 1 + 2|x|): unit mean at every x, variance shrinking in |x|."""
 
     def sample(self, rng, x):
@@ -182,17 +171,18 @@ class _HeteroGammaLaw(_Law):
         return rng.gamma(shape, 1.0 / shape)
 
     def hpd_intervals(self, alpha, x):
-        shape = 1.0 + 2.0 * abs(float(x))
-        return _gamma_hpd(round(shape, 12), round(shape, 12), alpha)
+        # Python's round keys the cache, one lookup per x
+        shapes = [round(s, 12) for s in (1.0 + 2.0 * np.abs(x)).tolist()]
+        return np.reshape([_gamma_hpd(s, s, alpha) for s in shapes], (-1, 1, 2))
 
 
-class _BowtieLaw(_Law):
+class _BowtieLaw:
     def sample(self, rng, x):
         return rng.normal(0.0, np.abs(x))
 
     def hpd_intervals(self, alpha, x):
-        z = ndtri(1.0 - alpha / 2.0) * abs(float(x))
-        return ((-z, z),)
+        z = ndtri(1.0 - alpha / 2.0) * np.abs(x)
+        return np.stack([-z, z], axis=-1)[:, None]
 
 
 _LAWS = {
@@ -208,23 +198,22 @@ _LAWS = {
 class OracleHandle:
     """The exact smallest 1-alpha regions of a scenario's law, as a model.
 
-    Every law has the same number of intervals at every x, so the
-    regions of a covariate batch stack into one :class:`RegionBatch`.
+    ``law`` is one of the residual laws in ``_LAWS``. Its
+    ``hpd_intervals(alpha, x)`` gives the smallest 1-alpha set at every
+    entry of a 1-D ``x`` as an (n, J, 2) array, with the same J at every x,
+    so the regions of a covariate batch stack into one :class:`RegionBatch`.
     """
 
-    law: _Law
+    law: object
     alpha: float
 
     @property
     def n_intervals(self) -> int:
-        return len(self.law.hpd_intervals(self.alpha, 0.0))
+        return self.law.hpd_intervals(self.alpha, np.zeros(1)).shape[1]
 
     def predict_regions(self, xs) -> RegionBatch:
-        x = np.asarray(xs, dtype=np.float64)[:, 0]
-        ivals = np.reshape(
-            [self.law.hpd_intervals(self.alpha, xi) for xi in x.tolist()],
-            (x.size, self.n_intervals, 2),
-        )
+        x = _as_matrix(xs, 1)[:, 0]
+        ivals = self.law.hpd_intervals(self.alpha, x)
         g = _mean_fn(x)[:, None]
         return RegionBatch(g + ivals[..., 0], g + ivals[..., 1])
 
@@ -252,11 +241,6 @@ def generate(scn: Scenario):
     observed = draw(obs_rng, scn.n_train + scn.n_cal)
     test = draw(test_rng, scn.n_test)
     return observed, test, OracleHandle(law, scn.alpha)
-
-
-def oracle_hpd(scn: Scenario, x) -> PredictionRegion:
-    """Exact smallest 1-alpha region at the scalar covariate ``x``."""
-    return OracleHandle(_LAWS[scn.tag](), scn.alpha).predict_regions([[x]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,22 +469,18 @@ def hausdorff_diagnostic(scn: Scenario, method: str, ns, reps: int) -> list[tupl
     """
     grid = np.linspace(-4.0, 4.0, 5).reshape(-1, 1)
     scale_on = use_scale(None, scn.tag)
+    oracle = OracleHandle(_LAWS[scn.tag](), scn.alpha)
+    target = oracle.predict_regions(grid)
     rows = []
     for n in ns:
         scn_n = replace(scn, n_train=n // 2, n_cal=n - n // 2, n_test=1)
         dists = []
         for rep in range(reps):
-            seed_rep = scn_n.seed + rep
-            observed, _, oracle = generate(replace(scn_n, seed=seed_rep))
+            observed, _, _ = generate(replace(scn_n, seed=scn_n.seed + rep))
             plan = build_plan(observed.n, scn_n.n_train, scale_on)
             model = oracle if method == "oracle" else fit_method(
                 method, observed, plan, scn.alpha, scale_on
             )
-            regions = model.predict_regions(grid)
-            for region, target in zip(regions, oracle.predict_regions(grid)):
-                try:
-                    dists.append(hausdorff(region, target))
-                except ValueError:
-                    dists.append(math.inf)
+            dists.extend(hausdorff(model.predict_regions(grid), target).tolist())
         rows.append((int(n), float(np.median(dists))))
     return rows

@@ -22,7 +22,7 @@ from conformal_hpd.core import (
     region_contains,
     region_length,
 )
-from conformal_hpd.conformal import fit_kde_hpd, predict_region, secpr_corrections
+from conformal_hpd.conformal import fit_kde_hpd, predict_regions, secpr_corrections
 from conformal_hpd.core import Dataset, SplitPlan
 from conformal_hpd.hpd import extract_intervals, find_cutoff
 from conformal_hpd.kde import fit_kde, kde_cdf, kde_eval
@@ -239,8 +239,8 @@ class TestCriterion9PropertySuites:
         y = 5 + 2 * x[:, 0] + rng.standard_normal(400)
         idx = np.arange(400)
         plan = SplitPlan(idx_train1=idx[:200], idx_train2=[], idx_cal=idx[200:])
-        base = predict_region(fit_kde_hpd(Dataset(x, y), plan, 0.1), np.array([[0.7]]))
-        moved = predict_region(fit_kde_hpd(Dataset(x, y + 11.0), plan, 0.1), np.array([[0.7]]))
+        base = predict_regions(fit_kde_hpd(Dataset(x, y), plan, 0.1), np.array([[0.7]]))[0]
+        moved = predict_regions(fit_kde_hpd(Dataset(x, y + 11.0), plan, 0.1), np.array([[0.7]]))[0]
         for (lo0, hi0), (lo1, hi1) in zip(base, moved):
             assert lo1 - lo0 == pytest.approx(11.0, abs=1e-8)
             assert hi1 - hi0 == pytest.approx(11.0, abs=1e-8)

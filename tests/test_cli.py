@@ -592,9 +592,7 @@ class TestRoundTrip:
 
 
 class TestRegions:
-    def test_oracle_trace_matches_oracle_hpd(self, tmp_path):
-        from conformal_hpd.sim import oracle_hpd
-
+    def test_oracle_trace_matches_the_oracle_model(self, tmp_path):
         out = tmp_path / "r"
         assert run_cli(
             "regions", "--scenario", "bimodal", "--method", "oracle",
@@ -606,8 +604,9 @@ class TestRegions:
         by_x = {}
         for x, j, lo, hi in rows[1:]:
             by_x.setdefault(float(x), []).append((float(lo), float(hi)))
+        oracle = generate(scn)[2]
         for x, ivals in by_x.items():
-            expected = oracle_hpd(scn, x).intervals
+            expected = oracle.predict_regions([[x]])[0].intervals
             assert len(ivals) == len(expected) == 2
             for got, exp in zip(ivals, expected):
                 assert got == pytest.approx(exp, abs=1e-9)

@@ -20,7 +20,6 @@ from conformal_hpd.conformal import (
     fit_parametric_normal,
     fit_secpr,
     optimal_lower_level,
-    predict_region,
     predict_regions,
     secpr_corrections,
 )
@@ -38,7 +37,6 @@ from conformal_hpd.hpd import HpdResult
 from conformal_hpd.sim import fit_method
 from conformal_hpd.regress import (
     MeanEstimator,
-    QuantileConfig,
     QuantileEstimator,
     ScaleConfig,
     ScaleEstimator,
@@ -106,7 +104,7 @@ class TestKdeHpdPipeline:
         from conformal_hpd.regress import predict_mean
 
         g = predict_mean(pipe.gh, x)[0]
-        region = predict_region(pipe, x)
+        region = predict_regions(pipe, x)[0]
         assert region.intervals[0][0] == g + eta
         assert region.intervals[0][1] == g + gamma
 
@@ -159,19 +157,19 @@ def stub_pipeline(center, scale_coef, eta_gamma):
 class TestPredictRegion:
     def test_affine_map(self):
         pipe = stub_pipeline(9.0, 1.0, ((-1.65, 1.65),))
-        region = predict_region(pipe, [[0.0]])
+        region = predict_regions(pipe, [[0.0]])[0]
         assert region.intervals[0] == pytest.approx((7.35, 10.65))
 
     def test_scale_doubles_length(self):
         narrow = stub_pipeline(9.0, 1.0, ((-1.65, 1.65),))
         wide = stub_pipeline(9.0, 2.0, ((-1.65, 1.65),))
-        assert region_length(predict_region(wide, [[0.0]])) == pytest.approx(
-            2 * region_length(predict_region(narrow, [[0.0]]))
+        assert region_length(predict_regions(wide, [[0.0]])[0]) == pytest.approx(
+            2 * region_length(predict_regions(narrow, [[0.0]])[0])
         )
 
     def test_overlapping_mapped_intervals_coalesce(self):
         pipe = stub_pipeline(0.0, 1.0, ((-1.0, 0.5), (0.2, 1.0)))
-        region = predict_region(pipe, [[0.0]])
+        region = predict_regions(pipe, [[0.0]])[0]
         assert region.intervals == ((-1.0, 1.0),)
 
     def test_batch_matches_single(self):
@@ -179,7 +177,7 @@ class TestPredictRegion:
         xs = np.array([[0.0], [2.0], [5.0]])
         batch = predict_regions(pipe, xs)
         for row, reg in zip(xs, batch):
-            assert predict_region(pipe, row[None, :]).intervals == reg.intervals
+            assert predict_regions(pipe, row[None, :])[0].intervals == reg.intervals
 
 
 class TestSecpr:
@@ -251,7 +249,7 @@ class TestCqr:
     def test_interval_orientation_and_coverage_one_shot(self):
         rng = np.random.default_rng(51)
         data = make_line_data(rng, 1000, lambda n: rng.standard_normal(n))
-        model = fit_cqr(data, half_split(1000), 0.1, QuantileConfig(kind="knn-quantile"))
+        model = fit_cqr(data, half_split(1000), 0.1)
         x_test = rng.uniform(-5, 5, 500).reshape(-1, 1)
         y_test = 5.0 + 2.0 * x_test[:, 0] + rng.standard_normal(500)
         regions = predict_regions(model, x_test)
@@ -266,9 +264,9 @@ class TestCqr:
         x = np.linspace(0, 1, 40).reshape(-1, 1)
         data = Dataset(x, np.zeros(40))
         plan = half_split(40)
-        fitted = fit_cqr(data, plan, 0.1, QuantileConfig(kind="knn-quantile"))
-        region = predict_region(fitted, np.array([[0.5]]))
-        assert region.is_empty or region_length(region) >= 0.0
+        fitted = fit_cqr(data, plan, 0.1)
+        region = predict_regions(fitted, np.array([[0.5]]))[0]
+        assert not region.intervals or region_length(region) >= 0.0
 
 
 class TestDcp:
@@ -290,13 +288,8 @@ class TestDcp:
     def test_exact_cdf_limit_recovers_true_quantiles(self):
         rng = np.random.default_rng(60)
         data = make_line_data(rng, 4000, lambda n: rng.standard_normal(n))
-        model = fit_dcp(
-            data,
-            half_split(4000),
-            0.10,
-            QuantileConfig(kind="linear-quantile"),
-        )
-        region = predict_region(model, np.array([[0.0]]))
+        model = fit_dcp(data, half_split(4000), 0.10)
+        region = predict_regions(model, np.array([[0.0]]))[0]
         lo, hi = region.intervals[0]
         assert lo == pytest.approx(5.0 + norm.ppf(0.05), abs=0.25)
         assert hi == pytest.approx(5.0 + norm.ppf(0.95), abs=0.25)
@@ -336,7 +329,7 @@ class TestDcp:
         )
         model = fit_dcp(data, half_split(800), 0.10)
         for x in np.linspace(-5, 5, 7):
-            assert len(predict_region(model, np.array([[x]]))) == 1
+            assert len(predict_regions(model, np.array([[x]]))[0]) == 1
 
 
 @st.composite
@@ -402,7 +395,7 @@ class TestDcpSublevelSet:
         idx = np.arange(105)
         model = fit_dcp(data, SplitPlan(idx[:100], [], idx[100:]), 0.10)
         assert model.cutoff == math.inf
-        region = predict_region(model, np.array([[0.0]]))
+        region = predict_regions(model, np.array([[0.0]]))[0]
         assert region.intervals == ((-math.inf, math.inf),)
 
     def test_calibration_beyond_the_ladder_never_conforms(self):
@@ -413,7 +406,7 @@ class TestDcpSublevelSet:
         band = predict_quantile(model.ladder, x)
         y = np.array([band[0, 0] - 1.0, band[1, -1] + 1.0])
         np.testing.assert_array_equal(model.score(x, y), [1.0, 1.0])
-        lo, hi = predict_region(model, x[:1]).intervals[0]
+        lo, hi = predict_regions(model, x[:1])[0].intervals[0]
         assert lo >= band[0, 0] and hi <= band[0, -1]
 
 
@@ -422,7 +415,7 @@ class TestParametricNormal:
         x = np.linspace(-5, 5, 60).reshape(-1, 1)
         data = Dataset(x, 5.0 + 2.0 * x[:, 0])
         model = fit_parametric_normal(data, 0.1)
-        region = predict_region(model, np.array([[1.0]]))
+        region = predict_regions(model, np.array([[1.0]]))[0]
         assert region.intervals[0][0] == pytest.approx(7.0, abs=1e-7)
         assert region.intervals[0][1] == pytest.approx(7.0, abs=1e-7)
 
@@ -430,7 +423,7 @@ class TestParametricNormal:
         rng = np.random.default_rng(70)
         data = make_line_data(rng, 4000, lambda n: rng.standard_normal(n))
         model = fit_parametric_normal(data, 0.1)
-        region = predict_region(model, np.array([[0.0]]))
+        region = predict_regions(model, np.array([[0.0]]))[0]
         half = 0.5 * region_length(region)
         assert half == pytest.approx(norm.ppf(0.95) * model.s, rel=1e-3)
 
@@ -471,7 +464,7 @@ def fit_by_method(method, ds, plan):
     if method == "secpr":
         return fit_secpr(ds, plan, 0.05, 0.05)
     if method == "cqr":
-        return fit_cqr(ds, plan, 0.1, QuantileConfig(kind="knn-quantile"))
+        return fit_cqr(ds, plan, 0.1)
     if method == "dcp":
         return fit_dcp(ds, plan, 0.1)
     return fit_parametric_normal(ds, 0.1)
@@ -488,7 +481,7 @@ class TestSharedInvariants:
         x_probe = np.array([[1.25]])
 
         def fit_and_predict(ds):
-            return predict_region(fit_by_method(method, ds, plan), x_probe)
+            return predict_regions(fit_by_method(method, ds, plan), x_probe)[0]
 
         base = fit_and_predict(data)
         moved = fit_and_predict(shifted)
@@ -503,8 +496,8 @@ class TestSharedInvariants:
         c = 3.0
         scaled = Dataset(data.x, data.y * c)
         plan = half_split(500)
-        base = predict_region(fit_kde_hpd(data, plan, 0.1), np.array([[0.5]]))
-        up = predict_region(fit_kde_hpd(scaled, plan, 0.1), np.array([[0.5]]))
+        base = predict_regions(fit_kde_hpd(data, plan, 0.1), np.array([[0.5]]))[0]
+        up = predict_regions(fit_kde_hpd(scaled, plan, 0.1), np.array([[0.5]]))[0]
         assert len(base) == len(up)
         for (lo0, hi0), (lo1, hi1) in zip(base, up):
             assert lo1 == pytest.approx(c * lo0, rel=1e-7)
@@ -521,7 +514,7 @@ class TestRegionBatchResults:
         batch = predict_regions(model, xs)
         assert isinstance(batch, RegionBatch) and len(batch) == 3
         for row, region in zip(xs, batch):
-            single = predict_region(model, row[None, :])
+            single = predict_regions(model, row[None, :])[0]
             assert len(single) == len(region) > 0
             np.testing.assert_allclose(single.intervals, region.intervals, rtol=1e-12)
 

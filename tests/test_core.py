@@ -126,7 +126,7 @@ class TestRegions:
 
 def coalesce_reference(region: PredictionRegion) -> PredictionRegion:
     """The per-row merge loop that ``RegionBatch`` vectorises."""
-    if region.is_empty:
+    if not region.intervals:
         return region
     ivals = sorted(region.intervals)
     merged = [list(ivals[0])]
@@ -175,7 +175,7 @@ class TestRegionBatch:
     def test_sequence_views(self):
         batch = RegionBatch([[0.0, 5.0], [2.0, 0.0]], [[1.0, 6.0], [3.0, 1.0]], [2, 0])
         assert batch[-2].intervals == ((0.0, 1.0), (5.0, 6.0))
-        assert batch[1].is_empty
+        assert batch[1].intervals == ()
         with pytest.raises(IndexError):
             batch[2]
         rows, index, lo, hi = batch.flat()
@@ -251,73 +251,141 @@ def hausdorff_grid(a: PredictionRegion, b: PredictionRegion, step=1e-4) -> float
     return max(dist(pa, b).max(), dist(pb, a).max())
 
 
+def batch(*regions: PredictionRegion) -> RegionBatch:
+    """The regions as the rows of one batch, padded to the widest."""
+    width = max((len(r) for r in regions), default=0)
+    lo, hi = np.zeros((len(regions), width)), np.zeros((len(regions), width))
+    for i, region in enumerate(regions):
+        for j, (a, b) in enumerate(region.intervals):
+            lo[i, j], hi[i, j] = a, b
+    return RegionBatch(lo, hi, [len(r) for r in regions])
+
+
+def random_regions(rng, count, k, width_range):
+    regions = []
+    for _ in range(count):
+        lows, widths = rng.uniform(-5, 5, k), rng.uniform(*width_range, k)
+        regions.append(PredictionRegion(tuple((lo, lo + w) for lo, w in zip(lows, widths))))
+    return regions
+
+
 class TestHausdorff:
     def test_identity(self):
-        r = PredictionRegion(((0, 1),))
-        assert hausdorff(r, r) == 0.0
+        r = batch(PredictionRegion(((0, 1),)))
+        assert hausdorff(r, r)[0] == 0.0
 
     def test_disjoint_pair(self):
-        assert hausdorff(PredictionRegion(((0, 1),)), PredictionRegion(((2, 3),))) == 2.0
+        d = hausdorff(batch(PredictionRegion(((0, 1),))), batch(PredictionRegion(((2, 3),))))
+        assert d[0] == 2.0
 
     def test_matches_grid_oracle(self):
         a = PredictionRegion(((0, 1), (4, 5)))
         b = PredictionRegion(((0, 5),))
-        exact = hausdorff(a, b)
+        exact = hausdorff(batch(a), batch(b))[0]
         assert exact == pytest.approx(hausdorff_grid(a, b), abs=2e-4)
         assert exact == pytest.approx(1.5, abs=1e-12)
 
     def test_matches_grid_oracle_random(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = coalesce(
-                PredictionRegion(
-                    tuple(
-                        (lo, lo + w)
-                        for lo, w in zip(rng.uniform(-5, 5, 3), rng.uniform(0.1, 2, 3))
-                    )
-                )
-            )
-            b = coalesce(
-                PredictionRegion(
-                    tuple(
-                        (lo, lo + w)
-                        for lo, w in zip(rng.uniform(-5, 5, 3), rng.uniform(0.1, 2, 3))
-                    )
-                )
-            )
-            assert hausdorff(a, b) == pytest.approx(hausdorff_grid(a, b), abs=2e-4)
+        a = batch(*random_regions(rng, 20, 3, (0.1, 2)))
+        b = batch(*random_regions(rng, 20, 3, (0.1, 2)))
+        for d, ra, rb in zip(hausdorff(a, b), a, b):
+            assert d == pytest.approx(hausdorff_grid(ra, rb), abs=2e-4)
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="Hausdorff undefined"):
-            hausdorff(PredictionRegion(), PredictionRegion(((0, 1),)))
+    def test_empty_row_is_inf(self):
+        d = hausdorff(batch(PredictionRegion()), batch(PredictionRegion(((0, 1),))))
+        assert d[0] == math.inf
 
-    def test_infinite_endpoint_raises(self):
-        with pytest.raises(ValueError, match="finite"):
-            hausdorff(
-                PredictionRegion(((-math.inf, 1),)), PredictionRegion(((0, 1),))
-            )
+    def test_infinite_endpoint_row_is_inf(self):
+        d = hausdorff(
+            batch(PredictionRegion(((-math.inf, 1),)), PredictionRegion(((0, 1),))),
+            batch(PredictionRegion(((0, 1),)), PredictionRegion(((0, 1),))),
+        )
+        assert d.tolist() == [math.inf, 0.0]
+
+    def test_length_mismatch_raises(self):
+        r = PredictionRegion(((0, 1),))
+        with pytest.raises(ValueError, match="length mismatch"):
+            hausdorff(batch(r), batch(r, r))
 
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(11)
-        regions = []
-        for _ in range(12):
-            ivals = tuple(
-                (lo, lo + w)
-                for lo, w in zip(rng.uniform(-5, 5, 2), rng.uniform(0.2, 3, 2))
-            )
-            regions.append(coalesce(PredictionRegion(ivals)))
-        for i in range(0, 12, 3):
-            a, b, c = regions[i : i + 3]
-            dab, dba = hausdorff(a, b), hausdorff(b, a)
-            assert dab == dba
-            assert dab >= 0.0
-            assert hausdorff(a, c) <= dab + hausdorff(b, c) + 1e-12
-        assert hausdorff(regions[0], regions[0]) == 0.0
+        regions = [coalesce(r) for r in random_regions(rng, 12, 2, (0.2, 3))]
+        a, b, c = (batch(*regions[i::3]) for i in range(3))
+        dab, dba = hausdorff(a, b), hausdorff(b, a)
+        assert (dab == dba).all()
+        assert (dab >= 0.0).all()
+        assert (hausdorff(a, c) <= dab + hausdorff(b, c) + 1e-12).all()
+        assert hausdorff(a, a).tolist() == [0.0] * 4
 
     def test_zero_iff_equal(self):
         a = coalesce(PredictionRegion(((0, 1), (2, 3))))
         b = coalesce(PredictionRegion(((0, 1), (2, 3.5))))
-        assert hausdorff(a, b) > 0.0
+        assert hausdorff(batch(a), batch(b))[0] > 0.0
+
+
+@st.composite
+def region_batches(draw, count=3):
+    """``count`` batches of the same rows: 0-4 intervals each, some endpoints infinite."""
+    n = draw(st.integers(1, 4))
+    batches = []
+    for _ in range(count):
+        rows = []
+        for _ in range(n):
+            ivals = []
+            for _ in range(draw(st.integers(0, 4))):
+                lo, w = draw(st.floats(-5, 5)), draw(st.floats(0, 3))
+                end = draw(st.sampled_from(["finite"] * 8 + ["-inf", "inf"]))
+                ivals.append(
+                    (-math.inf if end == "-inf" else lo, math.inf if end == "inf" else lo + w)
+                )
+            rows.append(PredictionRegion(tuple(ivals)))
+        batches.append(batch(*rows))
+    return batches
+
+
+def hausdorff_reference(a: PredictionRegion, b: PredictionRegion) -> float:
+    """The per-row loop that ``hausdorff`` vectorises, for two defined rows."""
+
+    def point_to_region(z, intervals):
+        best = math.inf
+        for lo, hi in intervals:
+            if lo <= z <= hi:
+                return 0.0
+            best = min(best, abs(z - lo), abs(z - hi))
+        return best
+
+    def directed_sup(a, b):
+        candidates = [e for lo, hi in a.intervals for e in (lo, hi)]
+        for (_, hi_prev), (lo_next, _) in zip(b.intervals[:-1], b.intervals[1:]):
+            mid = 0.5 * (hi_prev + lo_next)
+            if region_contains(a, mid):
+                candidates.append(mid)
+        return max(point_to_region(z, b.intervals) for z in candidates)
+
+    return max(directed_sup(a, b), directed_sup(b, a))
+
+
+def defined_rows(r: RegionBatch) -> np.ndarray:
+    """Rows with at least one interval and only finite endpoints."""
+    return np.array([bool(reg.intervals) and np.isfinite(reg.intervals).all() for reg in r])
+
+
+class TestHausdorffBatch:
+    @given(region_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_rule_and_metric_properties(self, batches):
+        a, b, c = batches
+        dab, dbc, dac = hausdorff(a, b), hausdorff(b, c), hausdorff(a, c)
+        defined = defined_rows(a) & defined_rows(b)
+        assert np.isinf(dab).tolist() == (~defined).tolist()
+        for i in np.flatnonzero(defined):
+            assert repr(dab[i].item()) == repr(hausdorff_reference(a[i], b[i]))
+            assert dab[i] == pytest.approx(hausdorff_grid(a[i], b[i]), abs=2e-4)
+        assert dab.tolist() == hausdorff(b, a).tolist()
+        same = hausdorff(a, a)
+        assert same[defined_rows(a)].tolist() == [0.0] * int(defined_rows(a).sum())
+        assert (dac <= dab + dbc + 1e-12).all()
 
 
 class TestDatasetAndSplit:

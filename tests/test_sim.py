@@ -18,7 +18,6 @@ from conformal_hpd.sim import (
     conditional_coverage,
     generate,
     hausdorff_diagnostic,
-    oracle_hpd,
     run_replications,
     summarize,
 )
@@ -70,12 +69,17 @@ class TestGenerate:
             Scenario(tag="trimodal")
 
 
+def oracle_regions(scn, xs):
+    """The scenario oracle's regions at the covariates ``xs``, one row each."""
+    return generate(scn)[2].predict_regions(np.reshape(xs, (-1, 1)))
+
+
 class TestOracle:
     def test_unimodal_symmetric_interval(self):
         scn = Scenario(tag="unimodal-symmetric")
         z = norm.ppf(0.95)
-        for x in (-3.0, 0.0, 4.2):
-            region = oracle_hpd(scn, x)
+        xs = (-3.0, 0.0, 4.2)
+        for x, region in zip(xs, oracle_regions(scn, xs)):
             lo, hi = region.intervals[0]
             assert lo == pytest.approx(5 + 2 * x - z, abs=1e-9)
             assert hi == pytest.approx(5 + 2 * x + z, abs=1e-9)
@@ -83,7 +87,7 @@ class TestOracle:
 
     def test_bimodal_two_intervals(self):
         scn = Scenario(tag="bimodal")
-        region = oracle_hpd(scn, 0.0)
+        region = oracle_regions(scn, [0.0])[0]
         assert len(region) == 2
         assert region_length(region) == pytest.approx(4 * norm.ppf(0.95), abs=1e-5)
         (l1, u1), (l2, u2) = region.intervals
@@ -93,21 +97,21 @@ class TestOracle:
 
     def test_bowtie_degenerate_at_origin(self):
         scn = Scenario(tag="bowtie")
-        region = oracle_hpd(scn, 0.0)
+        region = oracle_regions(scn, [0.0])[0]
         assert region_length(region) == 0.0
         assert region.intervals[0][0] == pytest.approx(5.0)
 
     def test_heteroscedastic_exponential_at_origin(self):
         # shape 1 at x=0: the smallest 0.9 set of Exp(1) starts at zero
         scn = Scenario(tag="heteroscedastic")
-        region = oracle_hpd(scn, 0.0)
+        region = oracle_regions(scn, [0.0])[0]
         lo, hi = region.intervals[0]
         assert lo == pytest.approx(5.0, abs=1e-6)
         assert hi - lo == pytest.approx(math.log(10.0), abs=1e-6)
 
     def test_skewed_gamma_cutoff_equalizes_density(self):
         scn = Scenario(tag="unimodal-skewed")
-        region = oracle_hpd(scn, 1.0)
+        region = oracle_regions(scn, [1.0])[0]
         lo, hi = region.intervals[0]
         g = 5.0 + 2.0
         f_lo = gamma_dist.pdf(lo - g, a=7.5)
@@ -127,12 +131,28 @@ class TestOracle:
         for x, region in zip(xs, batch):
             # tests-only copy of the per-x oracle: the law's set shifted by the mean
             g = 5.0 + 2.0 * x
-            expected = tuple((g + lo, g + hi) for lo, hi in oracle.law.hpd_intervals(alpha, x))
+            law_set = oracle.law.hpd_intervals(alpha, np.array([x]))[0].tolist()
+            expected = tuple((g + lo, g + hi) for lo, hi in law_set)
             assert repr(region.intervals) == repr(PredictionRegion(expected).intervals)
-            assert region.intervals == oracle_hpd(scn, x).intervals
+            assert region.intervals == oracle.predict_regions([[x]])[0].intervals
             assert len(region) == oracle.n_intervals
         if tag == "bowtie":
             assert region_length(batch[2]) == 0.0
+
+    @pytest.mark.parametrize("tag", sim.SCENARIO_TAGS)
+    @pytest.mark.parametrize(
+        "xs, match",
+        [
+            ([[0.0, 1.0], [2.0, 3.0]], "dimension mismatch"),  # (n, 2): was column 0
+            ([0.0, 1.0], "dimension mismatch"),  # 1-D: was an IndexError
+            ([[math.inf]], "finite"),
+            ([[math.nan]], "finite"),
+        ],
+    )
+    def test_covariates_checked_as_every_model_does(self, tag, xs, match):
+        _, _, oracle = generate(Scenario(tag=tag))
+        with pytest.raises(ValueError, match=match):
+            oracle.predict_regions(xs)
 
 
 class TestOracleClosedForms:
@@ -161,9 +181,10 @@ class TestOracleClosedForms:
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
     def test_intervals_bitwise_equal_to_scipy_stats(self, tag, alpha):
         law = sim._LAWS[tag]()
-        for x in (-4.7, -1.0, 0.0, 0.3, 2.5):
-            got = law.hpd_intervals(alpha, x)
-            assert repr(got) == repr(self.reference(law, alpha, x)), (tag, alpha, x)
+        xs = (-4.7, -1.0, 0.0, 0.3, 2.5)
+        for x, got in zip(xs, law.hpd_intervals(alpha, np.array(xs))):
+            ref = np.array(self.reference(law, alpha, x))
+            assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes()), (tag, alpha, x)
 
 
 class TestSummarize:
@@ -297,6 +318,26 @@ class TestHausdorffDiagnostic:
         scn = Scenario(tag="unimodal-symmetric", seed=8)
         rows = hausdorff_diagnostic(scn, "kde-hpd", ns=[400, 3200], reps=12)
         assert rows[0][1] > rows[1][1]
+
+    @pytest.mark.parametrize(
+        "tag, seed, method, ns, reps, expected",
+        [
+            (
+                "unimodal-symmetric", 8, "kde-hpd", [400, 3200], 12,
+                "[(400, 0.24228991509577802), (3200, 0.06480641135720078)]",
+            ),
+            (
+                "bowtie", 5, "kde-hpd", [400, 1600], 6,
+                "[(400, 1.3496768114154012), (1600, 0.7381050011816082)]",
+            ),
+            ("bowtie", 5, "dcp", [100], 4, "[(100, inf)]"),  # unbounded regions count as inf
+        ],
+        ids=["unimodal-symmetric", "bowtie", "bowtie-dcp"],
+    )
+    def test_medians_pinned(self, tag, seed, method, ns, reps, expected):
+        # recorded from the per-row distance loop that the batch distance replaced
+        rows = hausdorff_diagnostic(Scenario(tag=tag, seed=seed), method, ns=ns, reps=reps)
+        assert repr(rows) == expected
 
     def test_bimodal_distance_small_at_large_n(self):
         # bar frozen from a 50-rep pilot at two seeds (medians 0.085)
