@@ -81,32 +81,6 @@ def _write_csv(path, header, columns):
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path):
-    """The header row of a CSV file and its remaining physical lines."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise UsageError(f"{path}: empty file, header row required")
-    return header, lines[reader.line_num :]
-
-
-def _csv_rows(path, header, body):
-    rows = list(csv.reader(body))
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise UsageError(
-                f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
-            )
-    return rows
-
-
 def _parse_cell(path, header, row_idx, col_idx, cell):
     text = cell.strip()
     if text == "":
@@ -137,16 +111,39 @@ def _loadtxt(body, n_cols):
     return data if data.shape == (len(body), n_cols) else None
 
 
-def _read_numeric_csv(path):
-    header, body = _read_lines(path)
-    data = _loadtxt(body, len(header))
+def _read_table(path, text=""):
+    """Header, numeric cells and ``text`` labels of a CSV file.
+
+    Every column but ``text`` holds numbers, read by numpy's parser when it can,
+    else cell by cell in row order; the stripped ``text`` cells are the labels (or None).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise UsageError(f"{path}: empty file, header row required")
+    if text and text not in header:
+        raise UsageError(f"{path}: column {text!r} not found")
+    data = _loadtxt(lines[reader.line_num :], len(header))
+    # numeric files skip the csv rows unless labels are asked for
+    rows = list(reader) if data is None or text else []
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise UsageError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
+    g = header.index(text) if text else -1
     if data is None:
-        rows = _csv_rows(path, header, body)
-        data = np.empty((len(rows), len(header)))
+        data = np.full((len(rows), len(header)), np.nan)
         for i, row in enumerate(rows, start=1):
             for j, cell in enumerate(row):
-                data[i - 1, j] = _parse_cell(path, header, i, j, cell)
-    return header, data
+                if j != g:
+                    data[i - 1, j] = _parse_cell(path, header, i, j, cell)
+    return header, data, ([row[g].strip() for row in rows] if text else None)
 
 
 def _reject_where(path, header, bad, what):
@@ -156,24 +153,32 @@ def _reject_where(path, header, bad, what):
         raise UsageError(f"{path}: {what} value at row {rows[0] + 1}, column {header[cols[0]]!r}")
 
 
+def _require_finite(path, header, data, cols):
+    """Raise naming the first NaN or infinite cell of columns ``cols``, column ``cols[0]`` first."""
+    for part in (cols[:1], cols):
+        _reject_where(path, [header[j] for j in part], ~np.isfinite(data[:, part]), "non-finite")
+
+
 def _dataset_from_csv(path, target):
-    header, data = _read_numeric_csv(path)
+    header, data, _ = _read_table(path)
     if target not in header:
         raise UsageError(f"{path}: target column {target!r} not found")
     t = header.index(target)
     covariates = [j for j in range(len(header)) if j != t]
     if not covariates:
         raise UsageError(f"{path}: no covariate columns besides the target")
+    _require_finite(path, header, data, [t, *covariates])
     names = [header[j] for j in covariates]
     return names, Dataset(data[:, covariates], data[:, t])
 
 
 def _covariates_from_csv(path, names):
-    header, data = _read_numeric_csv(path)
+    header, data, _ = _read_table(path)
     missing = [n for n in names if n not in header]
     if missing:
         raise UsageError(f"{path}: missing covariate columns {missing}")
     cols = [header.index(n) for n in names]
+    _require_finite(path, header, data, cols)
     return data[:, cols]
 
 
@@ -307,7 +312,7 @@ def cmd_predict(args) -> int:
 
 def _read_predictions(path):
     """Row ids, lo and hi of every interval in ``path``, in file order."""
-    header, data = _read_numeric_csv(path)
+    header, data, _ = _read_table(path)
     expected = ["row", "interval_index", "lo", "hi"]
     if header != expected:
         raise UsageError(f"{path}: expected header {expected}, found {header}")
@@ -326,27 +331,15 @@ def _read_predictions(path):
 
 def cmd_evaluate(args) -> int:
     row_id, lo, hi = _read_predictions(args.predictions)
-    header, body = _read_lines(args.truth)
+    if args.group_by and args.group_by == args.target:
+        raise UsageError("--group-by must name a column other than --target")
+    header, data, groups = _read_table(args.truth, args.group_by)
     if args.target not in header:
         raise UsageError(f"{args.truth}: target column {args.target!r} not found")
-    if args.group_by and args.group_by not in header:
-        raise UsageError(f"{args.truth}: group column {args.group_by!r} not found")
-    # numeric files skip the csv rows unless group labels are asked for
-    data = _loadtxt(body, len(header))
-    if data is None or args.group_by:
-        rows = _csv_rows(args.truth, header, body)
     t = header.index(args.target)
     # every column but the group labels is numeric; the target is checked first
     numeric = [t] + [j for j, name in enumerate(header) if j != t and name != args.group_by]
-    if data is None:
-        data = np.zeros((len(rows), len(header)))
-        for j in numeric:
-            data[:, j] = [
-                _parse_cell(args.truth, header, i, j, row[j]) for i, row in enumerate(rows, start=1)
-            ]
-    for cols in ([t], numeric):
-        bad = ~np.isfinite(data[:, cols])
-        _reject_where(args.truth, [header[j] for j in cols], bad, "non-finite")
+    _require_finite(args.truth, header, data, numeric)
     y = data[:, t]
     keys = np.unique(row_id)
     if keys.size != y.size or (keys != np.arange(y.size)).any():
@@ -362,8 +355,6 @@ def cmd_evaluate(args) -> int:
         ("median_size", "ALL", float(np.median(sizes))),
     ]
     if args.group_by:
-        g = header.index(args.group_by)
-        groups = [row[g].strip() for row in rows]
         labels = sorted(set(groups))
         index = {label: k for k, label in enumerate(labels)}
         idx = np.array([index[label] for label in groups], dtype=np.intp)

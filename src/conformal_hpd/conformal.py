@@ -9,7 +9,7 @@ model whose ``predict_regions`` maps covariate rows of shape (n, d) to a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -72,6 +72,26 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
+def _folds(data: Dataset, plan: SplitPlan, joint: bool = True) -> tuple:
+    """Training rows (train1 + train2, or train1 alone unless ``joint``) and the calibration fold.
+
+    Raises on an index outside ``data`` or an empty fold, before any estimator is fitted.
+    """
+    plan.check_against(data.n)
+    idx_train = np.concatenate([plan.idx_train1, plan.idx_train2]) if joint else plan.idx_train1
+    if idx_train.size == 0:
+        raise ValueError("training fold is empty")
+    if plan.idx_cal.size == 0:
+        raise ValueError("no calibration scores")
+    return data.subset(idx_train), data.subset(plan.idx_cal)
+
+
+def _calibrated(model, cal: Dataset, alpha: float):
+    """``model`` with its cutoff at the conformal 1 - alpha quantile of its scores on ``cal``."""
+    scores = ScoreVector(model.score(cal.x, cal.y))
+    return replace(model, cutoff=conformal_q(scores, 1.0 - alpha))
+
+
 @dataclass(frozen=True)
 class KdeHpdConfig:
     scale: ScaleConfig = ScaleConfig()  # constant-one: homoscedastic mode
@@ -118,21 +138,14 @@ def fit_kde_hpd(
     its lower index stays below its upper one.
     """
     _check_alpha(alpha)
-    plan.check_against(data.n)
-    idx_mean = plan.idx_train1
-    if config.scale.kind == "constant-one":
-        idx_mean = np.concatenate([plan.idx_train1, plan.idx_train2])
-    if idx_mean.size == 0:
-        raise ValueError("training fold is empty")
-    if plan.idx_cal.size == 0:
-        raise ValueError("no calibration scores")
-    gh = fit_mean(data.subset(idx_mean))
+    train, cal = _folds(data, plan, joint=config.scale.kind == "constant-one")
+    gh = fit_mean(train)
     sh = fit_scale(data.subset(plan.idx_train2), gh, config.scale)
-    cal = data.subset(plan.idx_cal)
     scores = ScoreVector((cal.y - predict_mean(gh, cal.x)) / predict_scale(sh, cal.x))
     model = fit_kde(scores.v)
     hpd = smallest_mass_region(model, alpha)
-    ends = [(conformal_r(scores, a), conformal_q(scores, 1.0 - b)) for a, b in hpd.pairs]
+    # each tail-mass pair is a SECPR interval's two budgets
+    ends = [secpr_corrections(scores, a, b) for a, b in hpd.pairs]
     eta_gamma = tuple((eta, gamma) for eta, gamma in ends if eta <= gamma)
     return KdeHpdPipeline(
         gh=gh,
@@ -184,12 +197,8 @@ def fit_secpr(
     """
     if not (alpha1 >= 0.0 and alpha2 >= 0.0 and 0.0 < alpha1 + alpha2 < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    plan.check_against(data.n)
-    idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
-    gh = fit_mean(data.subset(idx_train))
-    cal = data.subset(plan.idx_cal)
-    if cal.n == 0:
-        raise ValueError("no calibration scores")
+    train, cal = _folds(data, plan)
+    gh = fit_mean(train)
     scores = ScoreVector(cal.y - predict_mean(gh, cal.x))
     lower, upper = secpr_corrections(scores, alpha1, alpha2)
     return SecprModel(
@@ -203,18 +212,24 @@ def fit_secpr(
 
 @dataclass(frozen=True)
 class CqrModel:
-    """Quantile-regression band widened by a conformal correction."""
+    """Quantile-regression band widened by a conformal cutoff: {y : score(x, y) <= cutoff}."""
 
     method = "cqr"
 
     ladder: object  # two levels, alpha/2 then 1 - alpha/2
-    correction: float
+    cutoff: float
+
+    def score(self, xs, y) -> np.ndarray:
+        """Signed distance of responses ``y`` outside their rows' band: max(q_lo - y, y - q_hi)."""
+        band = predict_quantile(self.ladder, xs)
+        y = np.asarray(y, dtype=np.float64)
+        return np.maximum(band[:, 0] - y, y - band[:, 1])
 
     def predict_regions(self, xs) -> RegionBatch:
         band = predict_quantile(self.ladder, xs)
-        lo = band[:, :1] - self.correction
-        hi = band[:, 1:] + self.correction
-        # a row whose correction shrank the band past empty has no interval
+        lo = band[:, :1] - self.cutoff
+        hi = band[:, 1:] + self.cutoff
+        # a row whose cutoff shrank the band past empty has no interval
         return RegionBatch(lo, hi, counts=~(lo > hi)[:, 0])
 
 
@@ -225,16 +240,9 @@ def fit_cqr(
 ) -> CqrModel:
     """CQR with equal-tailed kNN quantile bands at alpha/2 and 1 - alpha/2."""
     _check_alpha(alpha)
-    plan.check_against(data.n)
-    idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
-    ladder = fit_quantile_ladder(data.subset(idx_train), [alpha / 2, 1 - alpha / 2], QuantileConfig())
-    cal = data.subset(plan.idx_cal)
-    if cal.n == 0:
-        raise ValueError("no calibration scores")
-    band = predict_quantile(ladder, cal.x)
-    scores = ScoreVector(np.maximum(band[:, 0] - cal.y, cal.y - band[:, 1]))
-    correction = conformal_q(scores, 1.0 - alpha)
-    return CqrModel(ladder=ladder, correction=correction)
+    train, cal = _folds(data, plan)
+    ladder = fit_quantile_ladder(train, [alpha / 2, 1 - alpha / 2], QuantileConfig())
+    return _calibrated(CqrModel(ladder=ladder, cutoff=math.nan), cal, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +362,9 @@ def fit_dcp(
     such as the infinite one of a tiny calibration fold, gives the whole line.
     """
     _check_alpha(alpha)
-    plan.check_against(data.n)
-    idx_train = np.concatenate([plan.idx_train1, plan.idx_train2])
-    ladder = fit_quantile_ladder(data.subset(idx_train), DCP_LADDER_LEVELS, DCP_QUANTILE)
-    cal = data.subset(plan.idx_cal)
-    if cal.n == 0:
-        raise ValueError("no calibration scores")
-    scores = ScoreVector(_dcp_scores(*_dcp_window(ladder, alpha, cal.x), cal.y))
-    cutoff = conformal_q(scores, 1.0 - alpha)
-    return DcpModel(ladder=ladder, alpha=alpha, cutoff=cutoff)
+    train, cal = _folds(data, plan)
+    ladder = fit_quantile_ladder(train, DCP_LADDER_LEVELS, DCP_QUANTILE)
+    return _calibrated(DcpModel(ladder=ladder, alpha=alpha, cutoff=math.nan), cal, alpha)
 
 
 # ---------------------------------------------------------------------------

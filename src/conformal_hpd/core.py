@@ -282,14 +282,17 @@ def score_intervals(rows, lo, hi, y):
     Row ``i`` is scored against ``y[i]``: ``covered[i]`` is membership in
     any of its intervals, ``sizes[i]`` the sum of their raw ``hi - lo`` in
     the given order, without coalescing (0 for a row with no interval).
+    An interval whose endpoints are equal adds 0, at an infinity too.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lo, hi, y = (np.asarray(a, dtype=np.float64) for a in (lo, hi, y))
     y_row = y[rows]
     hit = (lo <= y_row) & (y_row <= hi)
     covered = np.bincount(rows[hit], minlength=y.size) > 0
+    # inf - inf would be NaN: equal endpoints are skipped, leaving their 0
+    length = np.subtract(hi, lo, out=np.zeros_like(lo), where=lo != hi)
     # bincount of no entries returns integers, whatever the weights
-    sizes = np.bincount(rows, weights=hi - lo, minlength=y.size).astype(np.float64)
+    sizes = np.bincount(rows, weights=length, minlength=y.size).astype(np.float64)
     return covered, sizes
 
 

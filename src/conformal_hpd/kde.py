@@ -78,11 +78,9 @@ class KdeModel:
         return self.points.size
 
 
-def fit_kde(points, h: float | None = None) -> KdeModel:
-    """Build a KdeModel, choosing the bandwidth rule when ``h`` is None."""
-    if h is None:
-        h = bandwidth(points)
-    return KdeModel(points=np.asarray(points, dtype=np.float64), h=float(h))
+def fit_kde(points) -> KdeModel:
+    """Build a KdeModel at the rule-of-thumb ``bandwidth``."""
+    return KdeModel(points=np.asarray(points, dtype=np.float64), h=bandwidth(points))
 
 
 def _blocked(model: KdeModel, z, kernel_fn) -> np.ndarray:

@@ -249,18 +249,18 @@ def generate(scn: Scenario):
 
 @dataclass(frozen=True)
 class RepReport:
-    """Per-replication outcome for one method."""
+    """Per-replication outcome for one method; fields after ``seed`` default to a failed fit's."""
 
     method: str
     rep: int
     seed: int
-    coverage: float
-    mean_size: float
-    sizes: tuple
-    covered: tuple
-    x_test: tuple
-    wall_time: float
-    n_intervals: int
+    coverage: float = math.nan
+    mean_size: float = math.nan
+    sizes: tuple = ()
+    covered: tuple = ()
+    x_test: tuple = ()
+    wall_time: float = 0.0
+    n_intervals: int = 0
     warnings: int = 0
     error: str | None = None
 
@@ -322,38 +322,18 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
             )
             rows, _, lo, hi = model.predict_regions(test.x).flat()
             covered, sizes = (tuple(a.tolist()) for a in score_intervals(rows, lo, hi, test.y))
-            reports.append(
-                RepReport(
-                    method=tag,
-                    rep=rep,
-                    seed=seed_rep,
-                    coverage=float(np.mean(covered)),
-                    mean_size=float(np.mean(sizes)),
-                    sizes=sizes,
-                    covered=covered,
-                    x_test=x_test,
-                    wall_time=_timer() - t0,
-                    n_intervals=getattr(model, "n_intervals", 1),
-                    warnings=getattr(model, "dropped_pairs", 0),
-                )
+            outcome = dict(
+                coverage=float(np.mean(covered)),
+                mean_size=float(np.mean(sizes)),
+                sizes=sizes,
+                covered=covered,
+                x_test=x_test,
+                n_intervals=getattr(model, "n_intervals", 1),
+                warnings=getattr(model, "dropped_pairs", 0),
             )
         except Exception as exc:  # noqa: BLE001 - recorded, not silenced
-            reports.append(
-                RepReport(
-                    method=tag,
-                    rep=rep,
-                    seed=seed_rep,
-                    coverage=math.nan,
-                    mean_size=math.nan,
-                    sizes=(),
-                    covered=(),
-                    x_test=(),
-                    wall_time=_timer() - t0,
-                    n_intervals=0,
-                    warnings=0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            outcome = dict(error=f"{type(exc).__name__}: {exc}")
+        reports.append(RepReport(tag, rep, seed_rep, wall_time=_timer() - t0, **outcome))
     return reports
 
 

@@ -270,23 +270,38 @@ class TestPredict:
         assert run_cli(*args, "--split", "0.3,0.2,0.5", "--outdir", str(good)) == 0
         assert (good / "predictions.csv").exists()
 
-    def test_non_finite_test_covariate_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            ("train target", "train.csv: non-finite value at row 3, column 'y'"),
+            ("train covariate", "train.csv: non-finite value at row 3, column 'x0'"),
+            ("test covariate", "test.csv: non-finite value at row 2, column 'x0'"),
+        ],
+    )
+    def test_non_finite_cell_exits_2(self, tmp_path, capsys, bad, where, expected):
         rng = np.random.default_rng(4)
         x = rng.uniform(-5, 5, 100)
         y = 5 + 2 * x + rng.standard_normal(100)
-        train = tmp_path / "train.csv"
-        write_csv(
-            train, ["x0", "y"], [[repr(float(a)), repr(float(b))] for a, b in zip(x, y)]
-        )
-        test = tmp_path / "test.csv"
-        write_csv(test, ["x0", "y"], [["1.0", "7.0"], ["nan", "7.0"]])
+        rows = [[repr(float(a)), repr(float(b))] for a, b in zip(x, y)]
+        test_rows = [["1.0", "7.0"], ["2.0", "9.0"]]
+        if where == "train target":
+            rows[2][1] = bad
+            rows[1][0] = bad  # an earlier bad covariate: the target is named first
+        elif where == "train covariate":
+            rows[2][0] = bad
+        else:
+            test_rows[1][0] = bad
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_csv(train, ["x0", "y"], rows)
+        write_csv(test, ["x0", "y"], test_rows)
         out = tmp_path / "o"
         code = run_cli(
             "predict", "--train", str(train), "--test", str(test),
             "--target", "y", "--outdir", str(out),
         )
-        assert code == 1
-        assert "covariates must be finite" in capsys.readouterr().err
+        assert code == 2
+        assert expected in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
 
     def test_non_utf8_test_file_exits_2(self, sim_csvs, tmp_path, capsys):
@@ -400,6 +415,25 @@ class TestEvaluate:
         assert rows[("coverage", "ALL")] == "0.5"
         assert rows[("mean_size", "ALL")] == "2.5"
 
+    def test_interval_with_equal_infinite_endpoints_has_size_zero(self, tmp_path):
+        preds = tmp_path / "predictions.csv"
+        write_csv(
+            preds,
+            ["row", "interval_index", "lo", "hi"],
+            [["0", "0", "inf", "inf"], ["1", "0", "-inf", "-inf"], ["1", "1", "0.0", "2.0"]],
+        )
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["y"], [["2.5"], ["1.0"]])
+        out = tmp_path / "m"
+        assert run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--outdir", str(out),
+        ) == 0
+        rows = {(r[0], r[1]): r[2] for r in read_csv(out / "metrics.csv")[1:]}
+        assert rows[("coverage", "ALL")] == "0.5"
+        assert rows[("mean_size", "ALL")] == "1.0"
+        assert rows[("median_size", "ALL")] == "1.0"
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_truth_target_exits_2(self, tmp_path, capsys, bad):
         preds = tmp_path / "predictions.csv"
@@ -463,6 +497,23 @@ class TestEvaluate:
         ) == 0
         rows = {(r[0], r[1]): r[2] for r in read_csv(out / "metrics.csv")[1:]}
         assert rows[("coverage", "nan")] == "1.0" and rows[("coverage", "inf")] == "0.0"
+
+    @pytest.mark.parametrize(
+        "group, message", [("y", "--group-by must name a column other than --target"),
+                           ("g", "truth.csv: column 'g' not found")]
+    )
+    def test_group_column_must_be_another_truth_column(self, tmp_path, capsys, group, message):
+        preds = tmp_path / "predictions.csv"
+        write_csv(preds, ["row", "interval_index", "lo", "hi"], [["0", "0", "0", "1"]])
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["x", "y"], [["1.0", "0.5"]])
+        code = run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--group-by", group, "--outdir", str(tmp_path / "m"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m" / "metrics.csv").exists()
 
     def test_non_utf8_truth_file_exits_2(self, tmp_path, capsys):
         preds = tmp_path / "predictions.csv"
@@ -701,9 +752,9 @@ class TestNumericReader:
         path.write_bytes(("a,b\n" + body).encode("utf-8"))
         if isinstance(expected, str):
             with pytest.raises(cli.UsageError, match=expected):
-                cli._read_numeric_csv(path)
+                cli._read_table(path)
             return
-        header, data = cli._read_numeric_csv(path)
+        header, data, _ = cli._read_table(path)
         assert header == ["a", "b"] and data.shape == (len(expected), 2)
         np.testing.assert_array_equal(data, np.reshape(expected, (-1, 2)))
         assert np.signbit(data).tolist() == np.signbit(np.reshape(expected, (-1, 2))).tolist()
@@ -712,7 +763,7 @@ class TestNumericReader:
         path = tmp_path / "t.csv"
         path.write_bytes(b"")
         with pytest.raises(cli.UsageError, match="header row required"):
-            cli._read_numeric_csv(path)
+            cli._read_table(path)
 
 
 def write_csv_reference(path, header, rows):

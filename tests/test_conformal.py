@@ -10,6 +10,7 @@ from scipy.stats import norm
 from conformal_hpd import conformal
 from conformal_hpd.conformal import (
     DCP_LADDER_LEVELS,
+    CqrModel,
     DcpModel,
     KdeHpdConfig,
     _ladder_quantile,
@@ -333,8 +334,9 @@ class TestDcp:
 
 
 @st.composite
-def dcp_models(draw):
-    """A DCP model over a random, often crossing, linear ladder, and 20 covariate rows.
+def dcp_cases(draw):
+    """A DCP model over a random, often crossing, linear ladder, 20 covariate rows,
+    candidate responses per row, and which of them the property checks.
 
     Ladder levels that cross become flat segments under the running max;
     rounded coefficients add runs of equal knots. The cutoff ties with the
@@ -357,36 +359,74 @@ def dcp_models(draw):
     cutoff = draw(st.one_of(
         st.floats(0.0, 1.0, exclude_max=True), st.just(1.0), st.just(math.inf)
     ))
-    return DcpModel(ladder=ladder, alpha=alpha, cutoff=cutoff), rng.uniform(-2.0, 2.0, (20, 1))
+    model, x = DcpModel(ladder=ladder, alpha=alpha, cutoff=cutoff), rng.uniform(-2.0, 2.0, (20, 1))
+    qmat = np.maximum.accumulate(predict_quantile(model.ladder, x), axis=1)
+    center = optimal_lower_level(qmat, DCP_LADDER_LEVELS, model.alpha) + 0.5 * (1 - model.alpha)
+    first, last = qmat[:, :1], qmat[:, -1:]
+    ys = np.hstack([
+        qmat,  # every knot, flat runs included
+        np.nextafter(first, -np.inf), first - 1.0,  # beyond the ladder
+        np.nextafter(last, np.inf), last + 1.0,
+        rng.uniform(first - 1.0, last + 1.0, (x.shape[0], 20)),
+    ])
+    # a window end within rounding of a level leaves a knot's side to rounding
+    ends = np.column_stack([center - model.cutoff, center + model.cutoff])
+    near = (np.abs(ends[:, :, None] - DCP_LADDER_LEVELS) < 1e-9).any(axis=(1, 2))
+    checked = np.ones(ys.shape, dtype=bool)
+    checked[near, : qmat.shape[1]] = False
+    return model, x, ys, checked
 
 
-class TestDcpSublevelSet:
-    @given(dcp_models())
+@st.composite
+def cqr_cases(draw):
+    """A CQR model over a random, often crossing, linear band, 20 covariate
+    rows, candidate responses per row, and which of them the property checks.
+
+    Coefficients, covariates, cutoff and responses are multiples of 1/16,
+    so the band, its ends q_lo - cutoff and q_hi + cutoff, and every score
+    are exact, and every response is checked, those at both ends included.
+    A negative cutoff, or a crossed band, leaves rows empty; a cutoff of
+    minus half the first row's band width shrinks that row to one point.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sixteenths = lambda a: np.round(a * 16.0) / 16.0
+    ladder = QuantileEstimator(
+        kind="linear-quantile", d=1, levels=np.array([0.05, 0.95]),
+        coef=sixteenths(rng.normal(0.0, 1.0, (3, 2))), scale_mu=np.zeros(3), scale_sd=np.ones(3),
+    )
+    x = sixteenths(rng.uniform(-2.0, 2.0, (20, 1)))
+    band = predict_quantile(ladder, x)
+    q_lo, q_hi = band[:, :1], band[:, 1:]
+    cutoff = draw(st.one_of(
+        st.integers(-48, 48).map(lambda k: k / 16.0),
+        st.just(0.5 * (q_lo[0, 0] - q_hi[0, 0])),
+        st.just(math.inf),
+    ))
+    ys = np.hstack([
+        band, q_lo - cutoff, q_hi + cutoff, q_lo + cutoff, q_hi - cutoff,
+        sixteenths(rng.uniform(band.min() - 4.0, band.max() + 4.0, (x.shape[0], 20))),
+    ])
+    return CqrModel(ladder=ladder, cutoff=cutoff), x, ys, np.ones(ys.shape, dtype=bool)
+
+
+class TestSublevelSet:
+    @pytest.mark.parametrize("cases", [dcp_cases, cqr_cases], ids=["dcp", "cqr"])
+    @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_region_is_the_score_sublevel_set(self, case):
-        model, x = case
-        qmat = np.maximum.accumulate(predict_quantile(model.ladder, x), axis=1)
-        center = optimal_lower_level(qmat, DCP_LADDER_LEVELS, model.alpha) + 0.5 * (1 - model.alpha)
-        _, _, lo, hi = model.predict_regions(x).flat()
-        rng = np.random.default_rng(0)
-        first, last = qmat[:, :1], qmat[:, -1:]
-        ys = np.hstack([
-            qmat,  # every knot, flat runs included
-            np.nextafter(first, -np.inf), first - 1.0,  # beyond the ladder
-            np.nextafter(last, np.inf), last + 1.0,
-            rng.uniform(first - 1.0, last + 1.0, (x.shape[0], 20)),
-        ])
-        # a window end within rounding of a level leaves a knot's side to rounding
-        ends = np.column_stack([center - model.cutoff, center + model.cutoff])
-        near = (np.abs(ends[:, :, None] - DCP_LADDER_LEVELS) < 1e-9).any(axis=(1, 2))
-        checked = np.ones(ys.shape, dtype=bool)
-        checked[near, : qmat.shape[1]] = False
+    def test_region_is_the_score_sublevel_set(self, cases, data):
+        model, x, ys, checked = data.draw(cases())
+        batch = model.predict_regions(x)
         per_y = ys.shape[1]  # one score call: every candidate y against its own row
         scores = model.score(np.repeat(x, per_y, axis=0), ys.ravel()).reshape(ys.shape)
-        assert ((0.0 <= scores) & (scores <= 1.0)).all()
-        assert (scores[:, qmat.shape[1] : qmat.shape[1] + 4] == 1.0).all()  # beyond the ladder
-        inside = (lo[:, None] <= ys) & (ys <= hi[:, None])
-        np.testing.assert_array_equal(inside[checked], (scores <= model.cutoff)[checked])
+        if isinstance(model, DcpModel):
+            n_knots = DCP_LADDER_LEVELS.size
+            assert ((0.0 <= scores) & (scores <= 1.0)).all()
+            assert (scores[:, n_knots : n_knots + 4] == 1.0).all()  # beyond the ladder
+        # padding is NaN and compares false: an empty row holds no y
+        inside = (batch.lo[:, None, :] <= ys[..., None]) & (ys[..., None] <= batch.hi[:, None, :])
+        np.testing.assert_array_equal(
+            inside.any(axis=2)[checked], (scores <= model.cutoff)[checked]
+        )
 
     def test_tiny_calibration_fold_gives_the_whole_line(self):
         # five calibration scores: the 0.9 conformal quantile is +inf
@@ -528,6 +568,30 @@ class TestNonFiniteCovariates:
         model = fit_by_method(method, data, half_split(200))
         with pytest.raises(ValueError, match="finite"):
             predict_regions(model, np.array([[0.5], [bad]]))
+
+
+class TestFolds:
+    @pytest.mark.parametrize(
+        "plan, match",
+        [
+            (SplitPlan([], [], np.arange(20)), "training fold is empty"),
+            (SplitPlan(np.arange(10), [], []), "no calibration scores"),
+            (SplitPlan(np.arange(10), [], [10, 11, 20]), "idx_cal contains index >= n=20"),
+        ],
+        ids=["empty-training", "empty-calibration", "index-out-of-range"],
+    )
+    @pytest.mark.parametrize("method", ["kde-hpd", "secpr", "cqr", "dcp"])
+    def test_bad_folds_rejected_before_fitting(self, method, plan, match, monkeypatch):
+        rng = np.random.default_rng(94)
+        data = make_line_data(rng, 20, lambda n: rng.standard_normal(n))
+
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("fitted before checking the folds")
+
+        for name in ("fit_mean", "fit_scale", "fit_quantile_ladder", "fit_kde"):
+            monkeypatch.setattr(conformal, name, no_fitting)
+        with pytest.raises(ValueError, match=match):
+            fit_by_method(method, data, plan)
 
 
 class TestAlphaValidation:

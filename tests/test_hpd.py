@@ -17,7 +17,7 @@ from conformal_hpd.hpd import (
     smallest_mass_region,
     superlevel_intervals,
 )
-from conformal_hpd.kde import fit_kde, kde_cdf, kde_eval
+from conformal_hpd.kde import KdeModel, fit_kde, kde_cdf, kde_eval
 
 Z90 = norm.ppf(0.95)  # 1.6449
 
@@ -156,7 +156,7 @@ class TestExtractIntervals:
     def test_unimodal_gives_one_interval_for_any_cutoff(self):
         # premise: a single local maximum on the grid (moderate n, wide h)
         rng = np.random.default_rng(5)
-        model = fit_kde(rng.standard_normal(200), h=0.6)
+        model = KdeModel(rng.standard_normal(200), 0.6)
         dens = model.grid_density
         interior_peaks = np.flatnonzero(
             (dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:])
@@ -274,7 +274,7 @@ class TestSmallestMassRegion:
         # above the cutoff must be dropped from the pair list
         rng = np.random.default_rng(99)
         pts = np.concatenate([rng.standard_normal(2000), [40.0, 40.01, 40.02]])
-        model = fit_kde(pts, h=0.15)
+        model = KdeModel(pts, 0.15)
         res = smallest_mass_region(model, 0.10)
         assert all(hi < 20 for _, hi in res.intervals)
 
