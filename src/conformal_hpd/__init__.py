@@ -1,9 +1,10 @@
 """Conformal prediction regions from highest-predictive-density sets.
 
 Splits data into training/calibration folds, standardizes residuals with
-pluggable mean and scale estimators, estimates the smallest 1-alpha set of
-the score density with a kernel density estimate, and converts its
-endpoints into calibration order statistics with finite-sample coverage.
+pluggable mean and scale estimators, estimates their density with a kernel
+density estimate on the training fold, and keeps the responses whose
+density clears a conformal cutoff from the calibration fold, which gives
+finite-sample marginal coverage.
 """
 
 from conformal_hpd.conformal import (

@@ -9,12 +9,13 @@ model whose ``predict_regions`` maps covariate rows of shape (n, d) to a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from conformal_hpd.core import (  # noqa: F401 - coalesce stays patchable here for tracing
+# coalesce, fit_kde and smallest_mass_region stay patchable here for tracing
+from conformal_hpd.core import (  # noqa: F401
     Dataset,
     RegionBatch,
     ScoreVector,
@@ -23,8 +24,8 @@ from conformal_hpd.core import (  # noqa: F401 - coalesce stays patchable here f
     conformal_q,
     conformal_r,
 )
-from conformal_hpd.hpd import HpdResult, smallest_mass_region
-from conformal_hpd.kde import fit_kde
+from conformal_hpd.hpd import interpolated_level_set, smallest_mass_region  # noqa: F401
+from conformal_hpd.kde import binned_kde, fit_kde  # noqa: F401
 from conformal_hpd.regress import (
     MeanEstimator,
     QuantileConfig,
@@ -99,28 +100,46 @@ class KdeHpdConfig:
 
 @dataclass(frozen=True)
 class KdeHpdPipeline:
-    """Fitted highest-density conformal pipeline."""
+    """Highest-density conformal pipeline: {y : score(x, y) <= cutoff}.
+
+    The score of y at x is -f(s), with s = (y - gh(x)) / sh(x) and f the
+    linear interpolation of the training-fold KDE ``density`` on ``grid``,
+    0 off the grid. The region at x is gh(x) + sh(x) * ``intervals``, where
+    ``intervals`` is the s-space level set {f >= -cutoff}, computed when the
+    model is built. A cutoff of +inf, or any cutoff >= 0, gives the whole
+    line; a cutoff below -max(f) gives no interval.
+    """
 
     method = "kde-hpd"
+    dropped_pairs = 0  # the level-set region drops nothing; bench/spans.py still reads it
 
     gh: MeanEstimator
     sh: ScaleEstimator
-    scores: ScoreVector
-    hpd: HpdResult
-    eta_gamma: tuple
-    alpha: float
-    dropped_pairs: int = 0
+    grid: np.ndarray
+    density: np.ndarray
+    cutoff: float
+    intervals: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        level = -self.cutoff  # NaN before calibration: no interval
+        ivals = interpolated_level_set(self.grid, self.density, level)
+        object.__setattr__(self, "intervals", ivals)
 
     @property
     def n_intervals(self) -> int:
-        return len(self.eta_gamma)
+        return len(self.intervals)
+
+    def score(self, xs, y) -> np.ndarray:
+        """Minus the score density at the standardized residuals of ``y`` at rows ``xs``."""
+        y = np.asarray(y, dtype=np.float64)
+        s = (y - predict_mean(self.gh, xs)) / predict_scale(self.sh, xs)
+        return -np.interp(s, self.grid, self.density, left=0.0, right=0.0)
 
     def predict_regions(self, xs) -> RegionBatch:
-        g = predict_mean(self.gh, xs)
-        s = predict_scale(self.sh, xs)
-        eta, gamma = np.array(self.eta_gamma, dtype=np.float64).reshape(-1, 2).T
-        g, s = g[:, None], s[:, None]
-        return RegionBatch(g + eta * s, g + gamma * s)
+        g = predict_mean(self.gh, xs)[:, None]
+        s = predict_scale(self.sh, xs)[:, None]
+        lo, hi = self.intervals.T
+        return RegionBatch(g + lo * s, g + hi * s)
 
 
 def fit_kde_hpd(
@@ -129,33 +148,26 @@ def fit_kde_hpd(
     alpha: float,
     config: KdeHpdConfig = KdeHpdConfig(),
 ) -> KdeHpdPipeline:
-    """Fit the full pipeline: mean, scale, scores, KDE level set, indices.
+    """Fit the mean and scale, the score density, and the conformal cutoff.
 
-    The mean trains on train1 when a scale model is fitted on train2, and
-    on train1 + train2 under the constant-one scale, as the baselines do.
-    Quantile pairs whose conformal indices cross would be dropped from the
-    union and counted; each kept pair carries at least the sliver mass, so
-    its lower index stays below its upper one.
+    Under the constant-one scale the mean trains on train1 + train2 and the
+    density on those rows' scores, as the baselines train; with a fitted
+    scale the mean trains on train1, and the scale and the density on
+    train2. The score is fixed before the calibration fold is seen, so the
+    cutoff, its conformal 1 - alpha quantile there, gives finite-sample
+    marginal coverage (Lei, Robins & Wasserman 2013; Izbicki, Shimizu &
+    Stern 2022, HPD-split).
     """
     _check_alpha(alpha)
-    train, cal = _folds(data, plan, joint=config.scale.kind == "constant-one")
+    joint = config.scale.kind == "constant-one"
+    train, cal = _folds(data, plan, joint=joint)
     gh = fit_mean(train)
-    sh = fit_scale(data.subset(plan.idx_train2), gh, config.scale)
-    scores = ScoreVector((cal.y - predict_mean(gh, cal.x)) / predict_scale(sh, cal.x))
-    model = fit_kde(scores.v)
-    hpd = smallest_mass_region(model, alpha)
-    # each tail-mass pair is a SECPR interval's two budgets
-    ends = [secpr_corrections(scores, a, b) for a, b in hpd.pairs]
-    eta_gamma = tuple((eta, gamma) for eta, gamma in ends if eta <= gamma)
-    return KdeHpdPipeline(
-        gh=gh,
-        sh=sh,
-        scores=scores,
-        hpd=hpd,
-        eta_gamma=eta_gamma,
-        alpha=alpha,
-        dropped_pairs=len(ends) - len(eta_gamma),
-    )
+    fold2 = data.subset(plan.idx_train2)
+    sh = fit_scale(fold2, gh, config.scale)
+    fit = train if joint else fold2
+    grid, density = binned_kde((fit.y - predict_mean(gh, fit.x)) / predict_scale(sh, fit.x))
+    model = KdeHpdPipeline(gh=gh, sh=sh, grid=grid, density=density, cutoff=math.nan)
+    return _calibrated(model, cal, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +222,49 @@ def fit_secpr(
 # Conformalized quantile regression (CQR)
 
 
+_INT64_MIN = np.int64(np.iinfo(np.int64).min)
+
+
+def _float_key(y: np.ndarray) -> np.ndarray:
+    """Int64 keys in the order of the floats ``y``, both zeros at 0.
+
+    The map is its own inverse: applied to keys, it gives back the floats' bits.
+    """
+    bits = y.view(np.int64)
+    return np.where(bits < 0, _INT64_MIN - bits, bits)
+
+
+def _first_conforming(q: np.ndarray, c: float) -> np.ndarray:
+    """Per entry of ``q``, the smallest float y with fl(q - y) <= ``c``.
+
+    fl(q - y) is monotone in y and moves in steps of the ulp of y or of c,
+    so the rounded ``q - c`` lies within two of those ulps of the answer;
+    bisection over the floats in that bracket, in their integer order,
+    finds it exactly. An infinite ``q - c`` stays as it is.
+    """
+    end = q - c
+    finite = np.isfinite(end)
+    with np.errstate(invalid="ignore"):  # the spacing of an infinite c is NaN
+        slack = 2.0 * (np.spacing(np.abs(end)) + np.spacing(abs(c)))
+    below, above = np.where(finite, end - slack, end), np.where(finite, end + slack, end)
+    if (q - below <= c)[finite].any() or not (q - above <= c)[finite].all():
+        raise RuntimeError("region end not bracketed")
+    a, b = _float_key(below), _float_key(above)  # fails at a, holds at b
+    while (b - a > 1).any():
+        mid = a + (b - a) // 2
+        holds = q - _float_key(mid).view(np.float64) <= c
+        a, b = np.where(holds, a, mid), np.where(holds, mid, b)
+    return _float_key(b).view(np.float64)
+
+
 @dataclass(frozen=True)
 class CqrModel:
-    """Quantile-regression band widened by a conformal cutoff: {y : score(x, y) <= cutoff}."""
+    """Quantile-regression band widened by a conformal cutoff: {y : score(x, y) <= cutoff}.
+
+    The ends are exact in floating point: the lower end is the smallest
+    float y with fl(q_lo - y) <= cutoff, the upper the largest with
+    fl(y - q_hi) <= cutoff.
+    """
 
     method = "cqr"
 
@@ -226,11 +278,12 @@ class CqrModel:
         return np.maximum(band[:, 0] - y, y - band[:, 1])
 
     def predict_regions(self, xs) -> RegionBatch:
-        band = predict_quantile(self.ladder, xs)
-        lo = band[:, :1] - self.cutoff
-        hi = band[:, 1:] + self.cutoff
+        q_lo, q_hi = predict_quantile(self.ladder, xs).T
+        # fl(y - q_hi) = fl(-q_hi - (-y)): the upper end is the lower end of -q_hi, negated
+        ends = _first_conforming(np.concatenate((q_lo, -q_hi)), self.cutoff)
+        lo, hi = ends[: q_lo.size], -ends[q_lo.size :]
         # a row whose cutoff shrank the band past empty has no interval
-        return RegionBatch(lo, hi, counts=~(lo > hi)[:, 0])
+        return RegionBatch(lo[:, None], hi[:, None], counts=~(lo > hi))
 
 
 def fit_cqr(

@@ -5,6 +5,8 @@ largest cutoff whose mass reaches 1 - alpha (Hyndman 1996; Lei, Robins &
 Wasserman 2013). ``find_cutoff`` finds it for any density and CDF: a grid
 brackets the cutoff and the intervals, the interval ends are refined on the
 exact density, and their mass is read off the exact CDF at those ends.
+``interpolated_level_set`` is the closed-form counterpart for a density
+that is itself piecewise linear, such as a binned KDE read by ``np.interp``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "HpdResult",
     "find_cutoff",
     "superlevel_intervals",
+    "interpolated_level_set",
     "extract_intervals",
     "quantile_pairs",
     "smallest_mass_region",
@@ -44,6 +47,13 @@ def _next(x_prev, f_prev, x, fx, lo, hi):
     return np.where(fast, x_sec, 0.5 * (lo + hi))
 
 
+def _runs(mask) -> tuple:
+    """First and last index of every run of True in ``mask``."""
+    padded = np.concatenate(([False], mask, [False]))
+    rise, fall = padded[1:] & ~padded[:-1], ~padded[1:] & padded[:-1]
+    return np.flatnonzero(rise), np.flatnonzero(fall) - 1
+
+
 def superlevel_intervals(density, grid, values, lam) -> np.ndarray:
     """Maximal intervals where ``density`` exceeds ``lam``, as an (m, 2) array.
 
@@ -60,9 +70,7 @@ def superlevel_intervals(density, grid, values, lam) -> np.ndarray:
         raise ValueError("cutoff must be non-negative")
     if lam == 0:
         return np.array([[-np.inf, np.inf]])
-    padded = np.concatenate(([False], values > lam, [False]))
-    starts = np.flatnonzero(padded[1:] & ~padded[:-1])
-    ends = np.flatnonzero(~padded[1:] & padded[:-1]) - 1
+    starts, ends = _runs(values > lam)
     edge = np.concatenate((starts, ends))  # grid index of every end, lows first
     beyond = np.concatenate((starts - 1, ends + 1))  # its neighbour outside the run
     inner = (beyond >= 0) & (beyond < grid.size)
@@ -87,6 +95,29 @@ def superlevel_intervals(density, grid, values, lam) -> np.ndarray:
             raise RuntimeError("level-set crossing did not converge")
     out = grid[edge]
     out[inner] = x
+    return out.reshape(2, -1).T
+
+
+def interpolated_level_set(grid, values, level: float) -> np.ndarray:
+    """Closed intervals where ``np.interp(s, grid, values, 0, 0)`` >= ``level``, as (m, 2).
+
+    ``values`` are non-negative on the increasing ``grid``, and the function
+    is 0 off it. Each run of grid points at or above ``level`` is one
+    interval. An end on the first or last grid point stays there; every
+    other end is the linear crossing inside its bracketing cell, in closed
+    form. ``level <= 0`` gives the whole line; a level above every value
+    gives no interval.
+    """
+    if level <= 0:
+        return np.array([[-np.inf, np.inf]])
+    starts, ends = _runs(values >= level)
+    out = np.concatenate((grid[starts], grid[ends]))
+    # the cell left of a start and right of an end, where they lie on the grid
+    cell = np.concatenate((starts - 1, ends))
+    inner = (cell >= 0) & (cell < grid.size - 1)
+    a = cell[inner]
+    slope = (values[a + 1] - values[a]) / (grid[a + 1] - grid[a])  # as np.interp takes it
+    out[inner] = np.clip(grid[a] + (level - values[a]) / slope, grid[a], grid[a + 1])
     return out.reshape(2, -1).T
 
 

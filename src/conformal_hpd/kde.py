@@ -1,8 +1,10 @@
-"""Univariate Gaussian kernel density estimation over calibration scores.
+"""Univariate Gaussian kernel density estimation.
 
 Bandwidth follows the rule-of-thumb constant with the sample size exponent
 raised to -1/3, which trades mean-integrated-squared-error optimality for
-tighter level-set recovery.
+tighter level-set recovery. ``binned_kde`` gives the density on a uniform
+grid by linear binning and one FFT convolution (Silverman 1982; Fan &
+Marron 1994); ``KdeModel`` with ``kde_eval`` and ``kde_cdf`` is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = ["KdeModel", "bandwidth", "fit_kde", "kde_eval", "kde_cdf"]
+__all__ = ["KdeModel", "bandwidth", "binned_kde", "fit_kde", "kde_eval", "kde_cdf"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _GRID_SIZE = 2048
@@ -40,6 +42,38 @@ def bandwidth(points) -> float:
     return 0.9 * spread * n ** (-1.0 / 3.0)
 
 
+def _grid(pts: np.ndarray, h: float) -> np.ndarray:
+    return np.linspace(pts.min() - _GRID_PAD * h, pts.max() + _GRID_PAD * h, _GRID_SIZE)
+
+
+def binned_kde(points) -> tuple:
+    """The KDE of ``points`` at the rule-of-thumb ``bandwidth`` on a uniform grid.
+
+    Returns ``(grid, values)``: ``KdeModel``'s grid, and the density there
+    from linear binning (each point's unit weight split between the two
+    grid points around it) convolved with the kernel sampled at every grid
+    lag, by one zero-padded real FFT. The values are clipped at 0 against
+    FFT rounding; they differ from ``kde_eval`` on the grid by the binning
+    error, O(grid step squared).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    h = bandwidth(pts)
+    grid = _grid(pts, h)
+    step = grid[1] - grid[0]
+    pos = (pts - grid[0]) / step
+    cell = np.clip(np.floor(pos).astype(np.intp), 0, _GRID_SIZE - 2)
+    frac = pos - cell
+    counts = np.bincount(cell, 1.0 - frac, _GRID_SIZE) + np.bincount(cell + 1, frac, _GRID_SIZE)
+    # kernel at lags 0 .. G-1 then -G .. -1: grid points are at most G - 1
+    # apart, so the circular convolution of length 2G never wraps a lag
+    lags = np.arange(-_GRID_SIZE, _GRID_SIZE) * (step / h)
+    kernel = np.fft.ifftshift(np.exp(-0.5 * lags * lags))
+    size = 2 * _GRID_SIZE
+    conv = np.fft.irfft(np.fft.rfft(counts, size) * np.fft.rfft(kernel), size)[:_GRID_SIZE]
+    values = np.maximum(conv, 0.0) / (pts.size * h * _SQRT_2PI)
+    return grid, values
+
+
 @dataclass(frozen=True)
 class KdeModel:
     """Gaussian KDE with a cached uniform evaluation grid.
@@ -64,9 +98,7 @@ class KdeModel:
             raise ValueError("bandwidth must be positive")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        lo = pts.min() - _GRID_PAD * self.h
-        hi = pts.max() + _GRID_PAD * self.h
-        grid = np.linspace(lo, hi, _GRID_SIZE)
+        grid = _grid(pts, self.h)
         dens = kde_eval(self, grid)
         grid.flags.writeable = False
         dens.flags.writeable = False

@@ -26,6 +26,7 @@ from conformal_hpd.conformal import fit_kde_hpd, predict_regions, secpr_correcti
 from conformal_hpd.core import Dataset, SplitPlan
 from conformal_hpd.hpd import extract_intervals, find_cutoff
 from conformal_hpd.kde import fit_kde, kde_cdf, kde_eval
+from conformal_hpd.regress import predict_mean
 from conformal_hpd.sim import (
     Scenario,
     generate,
@@ -220,7 +221,7 @@ class TestCriterion9PropertySuites:
             assert abs(fd - dens) / dens < 1e-6
         report(9, True, f"KDE mass {total:.4f}; CDF-density consistency < 1e-6 rel")
 
-    def test_reduction_to_secpr_is_exact(self):
+    def test_kde_hpd_is_split_conformal_on_its_score(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-5, 5, 1000).reshape(-1, 1)
         y = 5 + 2 * x[:, 0] + rng.standard_normal(1000)
@@ -228,10 +229,12 @@ class TestCriterion9PropertySuites:
         idx = np.arange(1000)
         plan = SplitPlan(idx_train1=idx[:500], idx_train2=[], idx_cal=idx[500:])
         pipe = fit_kde_hpd(data, plan, 0.1)
-        assert pipe.n_intervals == 1
-        a1, b1 = pipe.hpd.pairs[0]
-        assert pipe.eta_gamma[0] == secpr_corrections(pipe.scores, a1, b1)
-        report(9, True, "single-interval pipeline equals signed-error order statistics")
+        cal = data.subset(plan.idx_cal)
+        assert pipe.cutoff == conformal_q(ScoreVector(pipe.score(cal.x, cal.y)), 0.9)
+        x0 = np.array([[0.0]])
+        region, g = predict_regions(pipe, x0)[0], predict_mean(pipe.gh, x0)[0]
+        np.testing.assert_array_equal(region.intervals, g + pipe.intervals)
+        report(9, True, "kde-hpd cutoff is the conformal quantile of its own calibration scores")
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(8)

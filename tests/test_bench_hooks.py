@@ -81,15 +81,30 @@ def test_traced_fit_reaches_the_patched_names():
     with spans.installed(spans.Tracer()) as tracer:
         pipe = conformal_hpd.fit_kde_hpd(Dataset(x, y), plan, 0.1)
         conformal_hpd.predict_regions(pipe, x[:5])
-    names = {span.name for span in tracer.spans}
     assert {
+        "conformal.fit.kde-hpd",
+        "kde.bandwidth",
+        "regress.fit_mean",
+        "regress.fit_scale",
+        "regress.predict_mean",
+        "regress.predict_scale",
+        "conformal.predict_regions.kde-hpd",
+    } <= {span.name for span in tracer.spans}
+    assert tracer.leaf_calls["core.conformal_q"] == 1
+    # the kde-hpd fit no longer reaches the exact KDE or the level-set search;
+    # their wrappers still measure a direct call
+    with spans.installed(spans.Tracer()) as tracer:
+        model = conformal.fit_kde(y[:200])
+        conformal.smallest_mass_region(model, 0.1)
+    assert {
+        "kde.fit_kde",
         "hpd.smallest_mass_region",
         "hpd.find_cutoff",
         "hpd.extract_intervals",
         "hpd.quantile_pairs",
-        "conformal.predict_regions.kde-hpd",
-    } <= names
+    } <= {span.name for span in tracer.spans}
     assert tracer.counts["hpd.kde_eval_calls"] > 0
+    assert tracer.counts["hpd.components_kept"] == 2
 
 
 @pytest.mark.parametrize("name", ["replication-table", "kde-hpd-fit", "batch-predict"])
@@ -106,9 +121,9 @@ def test_workload_runs_one_smoke_operation(name, tmp_path):
 # as they are; a change that alters outputs on purpose updates them and
 # says so in CHANGES.md.
 SMOKE_DIGESTS = {
-    "replication-table": "0e0715d4c5bac86fb5e58c381de77113290c822559e6a0a6909df26c78bf1d33",
-    "kde-hpd-fit": "91814a6df3db34eee0e9735ebbbb06cc898015a458c626fe017baf90967e637a",
-    "batch-predict": "a506fceee4b0bf75dc07660b53f2e33924cf44798816fbd5abb28a29dfe66fe8",
+    "replication-table": "c5607efb1d2344b5bfd035f82781f502883fcd12edab1b7bd37c4774e8cb85fd",
+    "kde-hpd-fit": "88afbde313517fce658fc8cceb2911b99b40ef0ce765e1ed19333adc614bb831",
+    "batch-predict": "742c9867afd51a20fbf003e7eef039bd9a32717b9d621dee6e4923506e84a81c",
 }
 
 

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
-from conformal_hpd import conformal
+from conformal_hpd import conformal, sim
 from conformal_hpd.conformal import (
     DCP_LADDER_LEVELS,
     CqrModel,
@@ -34,7 +34,7 @@ from conformal_hpd.core import (
     region_contains,
     region_length,
 )
-from conformal_hpd.hpd import HpdResult
+from conformal_hpd.kde import binned_kde
 from conformal_hpd.sim import fit_method
 from conformal_hpd.regress import (
     MeanEstimator,
@@ -42,7 +42,9 @@ from conformal_hpd.regress import (
     ScaleConfig,
     ScaleEstimator,
     _Knn,
+    predict_mean,
     predict_quantile,
+    predict_scale,
 )
 
 
@@ -71,15 +73,19 @@ def exact_secpr_coverage(n_cal, alpha1, alpha2):
     return hits / (n_cal + 1)
 
 
+def bimodal_noise(rng):
+    return lambda n: rng.normal(np.where(rng.random(n) < 0.5, -6.0, 6.0), 1.0)
+
+
 class TestKdeHpdPipeline:
     def test_unimodal_symmetric_recovers_normal_interval(self):
+        # a KDE wiggle may split the level set, but it spans the normal interval
         rng = np.random.default_rng(40)
         data = make_line_data(rng, 1000, lambda n: rng.standard_normal(n))
         pipe = fit_kde_hpd(data, half_split(1000), alpha=0.1)
-        assert pipe.n_intervals == 1
-        eta, gamma = pipe.eta_gamma[0]
-        assert eta == pytest.approx(-1.645, abs=0.2)
-        assert gamma == pytest.approx(1.645, abs=0.2)
+        assert pipe.intervals[0, 0] == pytest.approx(-1.645, abs=0.2)
+        assert pipe.intervals[-1, 1] == pytest.approx(1.645, abs=0.2)
+        assert np.sum(pipe.intervals[:, 1] - pipe.intervals[:, 0]) == pytest.approx(3.29, abs=0.2)
 
     def test_bimodal_detects_two_intervals(self):
         hits = 0
@@ -92,37 +98,50 @@ class TestKdeHpdPipeline:
             hits += pipe.n_intervals == 2
         assert hits >= 28
 
-    def test_reduces_to_secpr_when_unimodal(self):
+    def test_cutoff_is_the_conformal_quantile_of_its_own_scores(self):
         rng = np.random.default_rng(42)
         data = make_line_data(rng, 600, lambda n: rng.standard_normal(n))
-        pipe = fit_kde_hpd(data, half_split(600), alpha=0.1)
-        assert pipe.n_intervals == 1
-        a1, b1 = pipe.hpd.pairs[0]
-        eta = conformal_r(pipe.scores, a1)
-        gamma = conformal_q(pipe.scores, 1.0 - b1)
-        assert pipe.eta_gamma[0] == (eta, gamma)
+        plan = half_split(600)
+        pipe = fit_kde_hpd(data, plan, alpha=0.1)
+        cal = data.subset(plan.idx_cal)
+        assert pipe.cutoff == conformal_q(ScoreVector(pipe.score(cal.x, cal.y)), 0.9)
         x = np.array([[1.5]])
-        from conformal_hpd.regress import predict_mean
-
         g = predict_mean(pipe.gh, x)[0]
         region = predict_regions(pipe, x)[0]
-        assert region.intervals[0][0] == g + eta
-        assert region.intervals[0][1] == g + gamma
+        np.testing.assert_array_equal(region.intervals, g + pipe.intervals)
 
-    def test_constant_scale_trains_the_mean_on_both_folds(self):
-        # with the constant-one scale, a non-empty train2 joins the mean
-        # fit exactly as in SECPR, and the criterion-9 reduction holds
+    def test_constant_scale_trains_mean_and_density_on_both_folds(self):
+        # with the constant-one scale, a non-empty train2 joins the mean fit
+        # exactly as in SECPR, and its scores join the density's
         rng = np.random.default_rng(44)
         data = make_line_data(rng, 1000, lambda n: rng.standard_normal(n))
         plan = SplitPlan.sequential(np.arange(1000), 300, 200)
         pipe = fit_kde_hpd(data, plan, 0.1)
-        assert pipe.n_intervals == 1
-        a1, b1 = pipe.hpd.pairs[0]
-        secpr = fit_secpr(data, plan, a1, b1)
+        secpr = fit_secpr(data, plan, 0.05, 0.05)
         np.testing.assert_array_equal(pipe.gh.coef, secpr.gh.coef)
-        np.testing.assert_array_equal(pipe.scores.v, secpr.scores.v)
-        assert pipe.eta_gamma[0] == secpr_corrections(pipe.scores, a1, b1)
-        assert pipe.eta_gamma[0] == (secpr.lower, secpr.upper)
+        train = data.subset(np.arange(500))
+        grid, density = binned_kde(train.y - predict_mean(secpr.gh, train.x))
+        np.testing.assert_array_equal(pipe.grid, grid)
+        np.testing.assert_array_equal(pipe.density, density)
+
+    def test_fitted_scale_trains_the_density_on_train2(self):
+        rng = np.random.default_rng(45)
+        data = make_line_data(rng, 600, lambda n: rng.standard_normal(n))
+        plan = SplitPlan.sequential(np.arange(600), 200, 200)
+        scale = ScaleConfig(kind="knn-quantile-absres")
+        pipe = fit_kde_hpd(data, plan, 0.1, KdeHpdConfig(scale=scale))
+        fold2 = data.subset(plan.idx_train2)
+        s = (fold2.y - predict_mean(pipe.gh, fold2.x)) / predict_scale(pipe.sh, fold2.x)
+        np.testing.assert_array_equal(pipe.density, binned_kde(s)[1])
+
+    def test_tiny_calibration_fold_gives_the_whole_line(self):
+        # five calibration scores: the 0.9 conformal quantile is +inf
+        rng = np.random.default_rng(46)
+        data = make_line_data(rng, 105, lambda n: rng.standard_normal(n))
+        idx = np.arange(105)
+        pipe = fit_kde_hpd(data, SplitPlan(idx[:100], [], idx[100:]), 0.1)
+        assert pipe.cutoff == math.inf and pipe.n_intervals == 1
+        assert predict_regions(pipe, np.array([[0.0]]))[0].intervals == ((-math.inf, math.inf),)
 
     def test_empty_folds_rejected(self):
         rng = np.random.default_rng(43)
@@ -142,17 +161,78 @@ class TestKdeHpdPipeline:
             )
 
 
-def stub_pipeline(center, scale_coef, eta_gamma):
+def leave_one_out_hits(data, idx_train, pool, alpha, scale_on=False):
+    """Times each pooled row is covered by the fit calibrated on the other rows.
+
+    Every fit trains on the same rows, so the score is the same; the pool's
+    scores must be distinct, which the caller checks on the returned scores.
+    """
+    n1 = idx_train.size // 2 if scale_on else idx_train.size
+    hits, first = 0, None
+    for j in range(pool.size):
+        plan = SplitPlan(idx_train[:n1], idx_train[n1:], np.delete(pool, j))
+        pipe = fit_method("kde-hpd", data, plan, alpha, scale_on)
+        first = pipe if first is None else first
+        np.testing.assert_array_equal(pipe.density, first.density)
+        held = data.subset(pool[j : j + 1])
+        hits += region_contains(predict_regions(pipe, held.x)[0], held.y[0])
+    held = data.subset(pool)
+    return hits, first.score(held.x, held.y)
+
+
+def rank_count(n_cal, alpha):
+    """Rows of n_cal + 1 exchangeable ones that split conformal covers: conformal_q's index k."""
+    k = conformal_q(ScoreVector(np.arange(1.0, n_cal + 1)), 1.0 - alpha)
+    return n_cal + 1 if k == math.inf else int(k)
+
+
+class TestKdeHpdCoverage:
+    """The score is fixed before calibration, so coverage is a rank count.
+
+    Among n + 1 rows with distinct scores, the row held out is covered
+    exactly when its score is within the k-th smallest of the others, k
+    being conformal_q's index; over the n + 1 choices that is k rows, or
+    all of them when k > n and the cutoff is infinite.
+    """
+
+    @pytest.mark.parametrize("n_cal, alpha", [(19, 0.1), (20, 0.1), (9, 0.25), (30, 0.05), (5, 0.1)])
+    def test_rank_enumeration_is_exact(self, n_cal, alpha):
+        rng = np.random.default_rng(47)
+        data = make_line_data(rng, 400 + n_cal + 1, bimodal_noise(rng))
+        idx = np.arange(data.n)
+        hits, scores = leave_one_out_hits(data, idx[:400], idx[400:], alpha)
+        assert np.unique(scores).size == n_cal + 1  # premise: distinct scores
+        assert hits == rank_count(n_cal, alpha)
+
+    @given(
+        tag=st.sampled_from(sim.SCENARIO_TAGS),
+        alpha=st.floats(0.01, 0.5),
+        n_cal=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_small_calibration_folds_on_every_scenario(self, tag, alpha, n_cal, seed):
+        scn = sim.Scenario(tag, n_train=60, n_cal=n_cal + 1, n_test=1, alpha=alpha, seed=seed)
+        observed, _, _ = sim.generate(scn)
+        idx = np.arange(observed.n)
+        hits, scores = leave_one_out_hits(
+            observed, idx[:60], idx[60:], alpha, sim.use_scale(None, tag)
+        )
+        assume(np.unique(scores).size == n_cal + 1)
+        assert hits == rank_count(n_cal, alpha)
+
+
+def stub_pipeline(center, scale_coef, intervals, cutoff=-1.0):
+    """A pipeline whose density is 1 on each s-space interval, falling to 0
+    a quarter unit outside it; at cutoff -1 its level set is ``intervals``."""
     gh = MeanEstimator(d=1, coef=np.array([center, 0.0]))
     # every neighbour's target is scale_coef, so the scale is scale_coef everywhere
     x_fit = np.linspace(-5, 5, 20).reshape(-1, 1)
     knn = _Knn(x_fit, np.full(20, scale_coef), 10)
     sh = ScaleEstimator(kind="knn-quantile-absres", d=1, knn=knn)
-    scores = ScoreVector(np.linspace(-2, 2, 9))
-    hpd = HpdResult(lambda_hat=0.1, intervals=((-1, 1),), pairs=((0.05, 0.05),), alpha=0.1)
-    return KdeHpdPipeline(
-        gh=gh, sh=sh, scores=scores, hpd=hpd, eta_gamma=eta_gamma, alpha=0.1
-    )
+    grid = np.ravel([(a - 0.25, a, b, b + 0.25) for a, b in intervals])
+    density = np.tile([0.0, 1.0, 1.0, 0.0], len(intervals))
+    return KdeHpdPipeline(gh=gh, sh=sh, grid=grid, density=density, cutoff=cutoff)
 
 
 class TestPredictRegion:
@@ -168,10 +248,11 @@ class TestPredictRegion:
             2 * region_length(predict_regions(narrow, [[0.0]])[0])
         )
 
-    def test_overlapping_mapped_intervals_coalesce(self):
-        pipe = stub_pipeline(0.0, 1.0, ((-1.0, 0.5), (0.2, 1.0)))
+    def test_each_run_above_the_level_is_one_interval(self):
+        pipe = stub_pipeline(0.0, 1.0, ((-1.0, -0.5), (0.2, 1.0)))
+        assert pipe.n_intervals == 2
         region = predict_regions(pipe, [[0.0]])[0]
-        assert region.intervals == ((-1.0, 1.0),)
+        np.testing.assert_allclose(region.intervals, [(-1.0, -0.5), (0.2, 1.0)])
 
     def test_batch_matches_single(self):
         pipe = stub_pipeline(1.0, 1.0, ((-1.0, 1.0),))
@@ -179,6 +260,16 @@ class TestPredictRegion:
         batch = predict_regions(pipe, xs)
         for row, reg in zip(xs, batch):
             assert predict_regions(pipe, row[None, :])[0].intervals == reg.intervals
+
+    @pytest.mark.parametrize("cutoff", [math.inf, 0.0, -0.0, 0.5])
+    def test_cutoff_at_or_above_zero_gives_the_whole_line(self, cutoff):
+        pipe = stub_pipeline(1.0, 1.0, ((-1.0, 1.0),), cutoff=cutoff)
+        assert predict_regions(pipe, [[0.0]])[0].intervals == ((-math.inf, math.inf),)
+
+    def test_cutoff_below_the_peak_gives_no_interval(self):
+        pipe = stub_pipeline(1.0, 1.0, ((-1.0, 1.0),), cutoff=-1.5)
+        batch = predict_regions(pipe, [[0.0], [1.0]])
+        assert batch.counts.tolist() == [0, 0] and pipe.n_intervals == 0
 
 
 class TestSecpr:
@@ -382,35 +473,77 @@ def cqr_cases(draw):
     """A CQR model over a random, often crossing, linear band, 20 covariate
     rows, candidate responses per row, and which of them the property checks.
 
-    Coefficients, covariates, cutoff and responses are multiples of 1/16,
-    so the band, its ends q_lo - cutoff and q_hi + cutoff, and every score
-    are exact, and every response is checked, those at both ends included.
-    A negative cutoff, or a crossed band, leaves rows empty; a cutoff of
-    minus half the first row's band width shrinks that row to one point.
+    Every response is checked: the band, the closed-form ends q_lo - cutoff
+    and q_hi + cutoff, the region's own ends and the floats on either side
+    of them, and random draws. A negative cutoff, or a crossed band, leaves
+    rows empty; a cutoff of minus half the first row's band width shrinks
+    that row to about one point.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sixteenths = lambda a: np.round(a * 16.0) / 16.0
     ladder = QuantileEstimator(
         kind="linear-quantile", d=1, levels=np.array([0.05, 0.95]),
-        coef=sixteenths(rng.normal(0.0, 1.0, (3, 2))), scale_mu=np.zeros(3), scale_sd=np.ones(3),
+        coef=rng.normal(0.0, 1.0, (3, 2)) * 10.0 ** rng.integers(-3, 4), scale_mu=np.zeros(3),
+        scale_sd=np.ones(3),
     )
-    x = sixteenths(rng.uniform(-2.0, 2.0, (20, 1)))
+    x = rng.uniform(-2.0, 2.0, (20, 1))
     band = predict_quantile(ladder, x)
     q_lo, q_hi = band[:, :1], band[:, 1:]
     cutoff = draw(st.one_of(
-        st.integers(-48, 48).map(lambda k: k / 16.0),
+        st.floats(-1e3, 1e3, allow_subnormal=False),
         st.just(0.5 * (q_lo[0, 0] - q_hi[0, 0])),
         st.just(math.inf),
     ))
+    model = CqrModel(ladder=ladder, cutoff=cutoff)
+    batch = model.predict_regions(x)
+    ends = np.where(np.isnan(batch.lo), q_lo - cutoff, np.hstack([batch.lo, batch.hi]))
     ys = np.hstack([
         band, q_lo - cutoff, q_hi + cutoff, q_lo + cutoff, q_hi - cutoff,
-        sixteenths(rng.uniform(band.min() - 4.0, band.max() + 4.0, (x.shape[0], 20))),
+        ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+        rng.uniform(band.min() - 4.0, band.max() + 4.0, (x.shape[0], 20)),
     ])
-    return CqrModel(ladder=ladder, cutoff=cutoff), x, ys, np.ones(ys.shape, dtype=bool)
+    return model, x, ys, np.isfinite(ys)
+
+
+@st.composite
+def kde_hpd_cases(draw):
+    """A kde-hpd pipeline whose interpolation arithmetic is exact, 20
+    covariate rows, and candidate responses per row.
+
+    The grid is consecutive integers, and the density a walk in steps of
+    0 or +-1/2 clipped at 0, so every slope is 0 or +-1/2; the mean is a
+    multiple of 1/8 with unit scale and the cutoff a multiple of 1/16. Then
+    every interpolated density, crossing and score is exact, every crossing
+    is a multiple of 1/8, and the responses, every multiple of 1/8 from 2
+    below the grid to 2 above it, hit each crossing and each grid point.
+    The cutoff may tie with grid values, lie above every value (no
+    interval) or be >= 0 or +inf (the whole line).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2, 24))
+    grid = np.arange(size, dtype=np.float64) + draw(st.integers(-20, 20))
+    walk = rng.integers(0, 4) * 0.5 + np.cumsum(rng.choice([-0.5, 0.0, 0.5], size))
+    density = np.maximum(walk, 0.0)
+    cutoff = draw(st.one_of(
+        st.integers(-16 * int(density.max()) - 32, 8).map(lambda k: k / 16.0),
+        st.sampled_from(list(-density)),
+        st.just(math.inf),
+    ))
+    center = draw(st.integers(-80, 80)) / 8.0
+    model = KdeHpdPipeline(
+        gh=MeanEstimator(d=1, coef=np.array([center, 0.0])),
+        sh=ScaleEstimator(kind="constant-one", d=1),
+        grid=grid, density=density, cutoff=cutoff,
+    )
+    x = rng.uniform(-2.0, 2.0, (20, 1))
+    s = np.arange(8.0 * (grid[0] - 2.0), 8.0 * (grid[-1] + 2.0) + 1.0) / 8.0
+    ys = np.tile(center + s, (x.shape[0], 1))
+    return model, x, ys, np.ones(ys.shape, dtype=bool)
 
 
 class TestSublevelSet:
-    @pytest.mark.parametrize("cases", [dcp_cases, cqr_cases], ids=["dcp", "cqr"])
+    @pytest.mark.parametrize(
+        "cases", [dcp_cases, cqr_cases, kde_hpd_cases], ids=["dcp", "cqr", "kde-hpd"]
+    )
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_region_is_the_score_sublevel_set(self, cases, data):
@@ -588,7 +721,7 @@ class TestFolds:
         def no_fitting(*args, **kwargs):
             raise AssertionError("fitted before checking the folds")
 
-        for name in ("fit_mean", "fit_scale", "fit_quantile_ladder", "fit_kde"):
+        for name in ("fit_mean", "fit_scale", "fit_quantile_ladder", "binned_kde"):
             monkeypatch.setattr(conformal, name, no_fitting)
         with pytest.raises(ValueError, match=match):
             fit_by_method(method, data, plan)
