@@ -305,10 +305,9 @@ def fit_cqr(
 def _ladder_quantile(qmat: np.ndarray, levels: np.ndarray, tau) -> np.ndarray:
     """Row-wise linear interpolation of the ladder at levels ``tau``.
 
-    ``tau`` is one level for all rows, or an (n,) or (n, G) array of levels per row.
+    ``tau`` is one level for all rows, an (n,) or (n, G) array per row, or a shared (1, G) grid.
     """
     tau = np.asarray(tau, dtype=np.float64)
-    tau = np.broadcast_to(tau, qmat.shape[:1] + tau.shape[1:])
     rows = np.arange(qmat.shape[0]).reshape(-1, *[1] * (tau.ndim - 1))
     j = np.clip(np.searchsorted(levels, tau), 1, levels.size - 1)
     # levels beyond the ladder take the clamp branch below; clipping keeps w finite

@@ -220,11 +220,12 @@ def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
     """Convolution-smoothed linear quantile regression at every level at once.
 
     Minimises the pinball loss convolved with a logistic kernel (He, Pan,
-    Tan & Zhou 2023, "conquer"): with z = (y - X b) / s and G the logistic
-    CDF, the loss ``s mean(rho_tau(z) + log(1 + exp(-|z|)))`` has gradient
-    ``X'(G(-z) - tau) / n`` and Hessian ``X' diag(G'(-z) / s) X / n``. The
-    kernel's sd is conquer's bandwidth ``h = c max(0.01, sqrt(tau (1 - tau))
-    min((p + log n) / n, 0.5) ** 0.4)``, c the OLS residual sd, so its
+    Tan & Zhou 2023, "conquer"): with z = (y - X b) / s, G the logistic CDF
+    and u = G(z) - 1/2 = copysign(1 / (1 + exp(-|z|)) - 1/2, z), the loss
+    ``s mean(rho_tau(z) + log(1 + exp(-|z|)))`` has gradient
+    ``X'(1/2 - tau - u) / n`` and Hessian ``X' diag(1/4 - u^2) X / (n s)``.
+    The kernel's sd is conquer's bandwidth ``h = c max(0.01, sqrt(tau (1 -
+    tau)) min((p + log n) / n, 0.5) ** 0.4)``, c the OLS residual sd, so its
     logistic scale is s = h sqrt(3) / pi.
 
     Damped Newton on all levels from the OLS fit, each intercept moved to
@@ -233,6 +234,7 @@ def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
     at the optimum; steps that fail the Armijo test are halved. A level stops
     once its largest gradient entry (free of the scale of y) is at most
     ``QUANTILE_TOL``. Returns the (p, L) coefficients and the steps taken.
+    Four (L, n) work arrays, made per call, hold u, a trial's u and scratch.
     """
     n, p = design.shape
     w0 = _ols(design, y)
@@ -241,44 +243,53 @@ def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
     h = c * np.maximum(0.01, np.sqrt(levels * (1 - levels)) * min((p + math.log(n)) / n, 0.5) ** 0.4)
     s = h * math.sqrt(3) / math.pi
     outer = (design[:, :, None] * design[:, None, :]).reshape(n, p * p)
-    gram = design.T @ design / (n * c)
+    gram = (design.T @ design / (n * c)).ravel()  # laid out like the rows of outer
+    u, trial_u, z, e = np.empty((4, levels.size, n))
 
-    def evaluate(b, at):
-        """z, exp(-|z|) and the loss at offsets ``b``, one row per level index in ``at``."""
-        z = (resid - b @ design.T) / s[at, None]
-        e = np.exp(-np.abs(z))
-        loss = levels[at] * z.mean(axis=1) + (np.log1p(e) - np.minimum(z, 0.0)).mean(axis=1)
-        return z, e, s[at] * loss
+    def evaluate(b, at, out):
+        """The loss at offsets ``b``, one row per level index in ``at``; u goes to ``out``."""
+        zk, ek, uk = z[: at.size], e[: at.size], out[: at.size]
+        np.subtract(resid, np.matmul(b, design.T, out=zk), out=zk)
+        zk /= s[at, None]
+        mean_z, mean_neg = zk.mean(axis=1), np.copysign(zk, -1.0, out=ek).mean(axis=1)
+        np.log1p(np.exp(ek, out=ek), out=uk)
+        # mean(min(z, 0)) = (mean(z) + mean(-|z|)) / 2
+        loss = (levels[at] - 0.5) * mean_z - 0.5 * mean_neg + uk.mean(axis=1)
+        np.divide(1.0, np.add(ek, 1.0, out=ek), out=uk)
+        np.copysign(np.subtract(uk, 0.5, out=uk), zk, out=uk)
+        return s[at] * loss
 
     b = np.zeros((levels.size, p))  # offsets from the OLS fit, one row per level
     b[:, 0] = np.quantile(resid, levels)
-    active = np.arange(levels.size)  # levels still moving; z, e and loss follow it
-    z, e, loss = evaluate(b, active)
+    active = np.arange(levels.size)  # levels still moving; rows of u and loss follow it
+    loss = evaluate(b, active, u)
     for step in range(QUANTILE_MAX_STEPS + 1):
-        q = 1.0 / (1.0 + e)
-        grad = (np.where(z < 0, q, e * q) - levels[active, None]) @ design / n  # G(-z) = 1/(1+e^z)
+        k = active.size
+        grad = np.subtract((0.5 - levels[active])[:, None], u[:k], out=z[:k]) @ design / n
+        curv = np.subtract(0.25, np.square(u[:k], out=e[:k]), out=e[:k]) @ outer / n
         keep = np.abs(grad).max(axis=1) > QUANTILE_TOL
-        active, z, e, q, loss, grad = (a[keep] for a in (active, z, e, q, loss, grad))
+        active, loss, grad, curv = (a[keep] for a in (active, loss, grad, curv))
         if active.size == 0:
             return (w0 + b).T, step
         if step == QUANTILE_MAX_STEPS:
             raise RuntimeError(
                 f"smoothed quantile fit did not converge at levels {levels[active].tolist()}"
             )
-        hess = ((e * q * q / s[active, None]) @ outer / n).reshape(-1, p, p)
-        hess += np.abs(grad).max(axis=1)[:, None, None] * gram
+        hess = (curv / s[active, None] + np.abs(grad).max(axis=1)[:, None] * gram).reshape(-1, p, p)
         move = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
         slope = (grad * move).sum(axis=1)
-        t = np.ones(active.size)
-        todo = np.arange(active.size)
+        t, todo = np.ones(active.size), np.arange(active.size)
         while todo.size:
             trial = b[active[todo]] + t[todo, None] * move[todo]
-            zt, et, lt = evaluate(trial, active[todo])
+            # the first trial writes every row of u, and a row's last trial is the one it accepts
+            lt = evaluate(trial, active[todo], u if todo.size == active.size else trial_u)
+            if todo.size < active.size:
+                u[todo] = trial_u[: todo.size]
             # the slack absorbs rounding in the loss, so a step too small to
             # move b passes and the halving ends
             ok = lt <= loss[todo] * (1.0 + 1e-12) + 1e-4 * t[todo] * slope[todo]
             b[active[todo[ok]]] = trial[ok]
-            z[todo[ok]], e[todo[ok]], loss[todo[ok]] = zt[ok], et[ok], lt[ok]
+            loss[todo[ok]] = lt[ok]
             todo = todo[~ok]
             t[todo] *= 0.5
 

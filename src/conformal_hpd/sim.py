@@ -247,7 +247,7 @@ def generate(scn: Scenario):
 # Replication engine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepReport:
     """Per-replication outcome for one method; fields after ``seed`` default to a failed fit's."""
 
@@ -321,12 +321,13 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
                 tag, observed, plan, scn.alpha, scale_on
             )
             rows, _, lo, hi = model.predict_regions(test.x).flat()
-            covered, sizes = (tuple(a.tolist()) for a in score_intervals(rows, lo, hi, test.y))
+            covered, sizes = (a.tolist() for a in score_intervals(rows, lo, hi, test.y))
+            shared = {v: v for v in sizes}  # equal sizes share one float: runs keep many reports
             outcome = dict(
                 coverage=float(np.mean(covered)),
                 mean_size=float(np.mean(sizes)),
-                sizes=sizes,
-                covered=covered,
+                sizes=tuple(map(shared.get, sizes)),
+                covered=tuple(covered),
                 x_test=x_test,
                 n_intervals=getattr(model, "n_intervals", 1),
                 warnings=getattr(model, "dropped_pairs", 0),

@@ -121,7 +121,7 @@ def test_workload_runs_one_smoke_operation(name, tmp_path):
 # as they are; a change that alters outputs on purpose updates them and
 # says so in CHANGES.md.
 SMOKE_DIGESTS = {
-    "replication-table": "c5607efb1d2344b5bfd035f82781f502883fcd12edab1b7bd37c4774e8cb85fd",
+    "replication-table": "1027253f99c615561727d4612f9f2611ba32939aed1543a3787bc153ecc49b8a",
     "kde-hpd-fit": "88afbde313517fce658fc8cceb2911b99b40ef0ce765e1ed19333adc614bb831",
     "batch-predict": "742c9867afd51a20fbf003e7eef039bd9a32717b9d621dee6e4923506e84a81c",
 }

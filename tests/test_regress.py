@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from conformal_hpd.regress import (
     predict_quantile,
     predict_scale,
     _Knn,
+    _ols,
     _quantile_design,
 )
 
@@ -209,16 +213,36 @@ def lp_pinball(design, y, tau):
     return -res.fun / y.size
 
 
-def smoothed_gradient(qe, data):
-    """The smoothed pinball gradient at a fitted linear ladder, from the documented formulas."""
-    design = (_quantile_design(data.x) - qe.scale_mu) / qe.scale_sd
+def standardized_design(data):
+    """The design ``fit_quantile_ladder`` hands the Newton loop, by its documented steps."""
+    design = _quantile_design(data.x)
+    mu, sd = design.mean(axis=0), design.std(axis=0)
+    mu[0], sd[0] = 0.0, 1.0  # the intercept column stays as it is
+    sd[sd == 0] = 1.0
+    return (design - mu) / sd
+
+
+def smoothed_z(coef, design, y, levels):
+    """z = (y - X coef) / s at a linear ladder, and s, from the documented formulas."""
     n, p = design.shape
-    ols, *_ = np.linalg.lstsq(design, data.y, rcond=None)
-    c = np.std(data.y - design @ ols)
-    tau = qe.levels
-    h = c * np.maximum(0.01, np.sqrt(tau * (1 - tau)) * min((p + np.log(n)) / n, 0.5) ** 0.4)
-    z = (data.y[:, None] - design @ qe.coef) / (h * np.sqrt(3) / np.pi)
-    return design.T @ (expit(-z) - tau) / n
+    ols, *_ = np.linalg.lstsq(design, y, rcond=None)
+    c = np.std(y - design @ ols)
+    h = c * np.maximum(0.01, np.sqrt(levels * (1 - levels)) * min((p + np.log(n)) / n, 0.5) ** 0.4)
+    s = h * np.sqrt(3) / np.pi
+    return (y[:, None] - design @ coef) / s, s
+
+
+def smoothed_gradient(qe, data):
+    """The smoothed pinball gradient at a fitted linear ladder."""
+    design = standardized_design(data)
+    z, _ = smoothed_z(qe.coef, design, data.y, qe.levels)
+    return design.T @ (expit(-z) - qe.levels) / data.n
+
+
+def smoothed_loss(coef, design, y, levels):
+    """The smoothed pinball loss s mean(tau z + log(1 + exp(-z))) per level."""
+    z, s = smoothed_z(coef, design, y, levels)
+    return s * (levels * z + np.logaddexp(0.0, -z)).mean(axis=0)
 
 
 @st.composite
@@ -239,6 +263,67 @@ def ladder_folds(draw, max_n=4000, offsets=(0.0, 1e9)):
     if draw(st.booleans()):
         y = np.round(y)  # tied responses
     return Dataset(x, y + draw(st.sampled_from(offsets)))
+
+
+def reference_smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
+    """``regress._smoothed_quantiles`` as first written, with fresh temporaries and masked selects.
+
+    The work-array loop must take the same steps and reach the same
+    coefficients up to rounding.
+    """
+    n, p = design.shape
+    w0 = _ols(design, y)
+    resid = y - design @ w0  # the fit is translation-invariant
+    c = max(float(np.std(resid)), 1e-8)
+    h = c * np.maximum(0.01, np.sqrt(levels * (1 - levels)) * min((p + math.log(n)) / n, 0.5) ** 0.4)
+    s = h * math.sqrt(3) / math.pi
+    outer = (design[:, :, None] * design[:, None, :]).reshape(n, p * p)
+    gram = design.T @ design / (n * c)
+
+    def evaluate(b, at):
+        """z, exp(-|z|) and the loss at offsets ``b``, one row per level index in ``at``."""
+        z = (resid - b @ design.T) / s[at, None]
+        e = np.exp(-np.abs(z))
+        loss = levels[at] * z.mean(axis=1) + (np.log1p(e) - np.minimum(z, 0.0)).mean(axis=1)
+        return z, e, s[at] * loss
+
+    b = np.zeros((levels.size, p))  # offsets from the OLS fit, one row per level
+    b[:, 0] = np.quantile(resid, levels)
+    active = np.arange(levels.size)  # levels still moving; z, e and loss follow it
+    z, e, loss = evaluate(b, active)
+    for step in range(QUANTILE_MAX_STEPS + 1):
+        q = 1.0 / (1.0 + e)
+        grad = (np.where(z < 0, q, e * q) - levels[active, None]) @ design / n  # G(-z) = 1/(1+e^z)
+        keep = np.abs(grad).max(axis=1) > QUANTILE_TOL
+        active, z, e, q, loss, grad = (a[keep] for a in (active, z, e, q, loss, grad))
+        if active.size == 0:
+            return (w0 + b).T, step
+        if step == QUANTILE_MAX_STEPS:
+            raise RuntimeError(
+                f"smoothed quantile fit did not converge at levels {levels[active].tolist()}"
+            )
+        hess = ((e * q * q / s[active, None]) @ outer / n).reshape(-1, p, p)
+        hess += np.abs(grad).max(axis=1)[:, None, None] * gram
+        move = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        slope = (grad * move).sum(axis=1)
+        t = np.ones(active.size)
+        todo = np.arange(active.size)
+        while todo.size:
+            trial = b[active[todo]] + t[todo, None] * move[todo]
+            zt, et, lt = evaluate(trial, active[todo])
+            # the slack absorbs rounding in the loss, so a step too small to
+            # move b passes and the halving ends
+            ok = lt <= loss[todo] * (1.0 + 1e-12) + 1e-4 * t[todo] * slope[todo]
+            b[active[todo[ok]]] = trial[ok]
+            z[todo[ok]], e[todo[ok]], loss[todo[ok]] = zt[ok], et[ok], lt[ok]
+            todo = todo[~ok]
+            t[todo] *= 0.5
+
+
+def assert_ladders_close(got, expected, rel):
+    """Every level's coefficients within ``rel`` of that level's largest |coef|."""
+    assert got.shape == expected.shape
+    assert (np.abs(got - expected) <= rel * np.abs(expected).max(axis=0)).all()
 
 
 class TestSmoothedQuantileLadder:
@@ -282,6 +367,59 @@ class TestSmoothedQuantileLadder:
         expected[0] += b
         scale = a * np.abs(base).max(axis=0) + abs(b)  # per level
         assert (np.abs(mapped.coef - expected) <= 1e-8 * scale).all()
+
+    @pytest.mark.parametrize("tag", sim.SCENARIO_TAGS)
+    def test_same_steps_and_coefficients_as_the_reference_loop(self, tag):
+        data = scenario_fold(tag, 500)
+        qe = fit_quantile_ladder(data, DCP_LADDER_LEVELS, LINEAR)
+        coef, steps = reference_smoothed_quantiles(
+            standardized_design(data), data.y, DCP_LADDER_LEVELS
+        )
+        assert qe.iterations == steps
+        assert_ladders_close(qe.coef, coef, 1e-10)
+
+    @given(ladder_folds(offsets=(0.0,)))
+    @settings(max_examples=30, deadline=None)
+    def test_reaches_the_reference_optimum(self, data):
+        # on ill-conditioned folds (ties, thousands of rows, an outer level)
+        # rounding moves the iterates along nearly flat directions of the
+        # loss: the two loops' coefficients can differ by ~5e-9 of max|coef|
+        # there, and the reference's by ~3e-10 when that level is fitted
+        # alone, while the smoothed loss agrees to ~5e-15
+        design = standardized_design(data)
+        try:
+            coef, _ = reference_smoothed_quantiles(design, data.y, DCP_LADDER_LEVELS)
+        except RuntimeError as exc:  # past the step cap: the same levels must stop the fit
+            with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                fit_quantile_ladder(data, DCP_LADDER_LEVELS, LINEAR)
+            return
+        qe = fit_quantile_ladder(data, DCP_LADDER_LEVELS, LINEAR)
+        ours, ref = (smoothed_loss(c, design, data.y, DCP_LADDER_LEVELS) for c in (qe.coef, coef))
+        assert (np.abs(ours - ref) <= 1e-12 * ref).all()
+        assert np.abs(smoothed_gradient(qe, data)).max() <= QUANTILE_TOL
+
+    @given(
+        st.sampled_from(sim.SCENARIO_TAGS),
+        st.lists(st.integers(0, DCP_LADDER_LEVELS.size - 1), min_size=1, unique=True),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_levels_are_independent_problems(self, tag, picked):
+        # any subset, in any order: a row of the work arrays paired with the
+        # wrong level would move that level's coefficients
+        data = scenario_fold(tag, 500)
+        full = fit_quantile_ladder(data, DCP_LADDER_LEVELS, LINEAR).coef
+        part = fit_quantile_ladder(data, DCP_LADDER_LEVELS[picked], LINEAR).coef
+        assert_ladders_close(part, full[:, picked], 1e-12)
+
+    def test_step_counts_pinned(self):
+        # a count-based guard: a change that adds Newton steps fails here;
+        # one that changes the iteration on purpose re-pins these values
+        steps = [
+            fit_quantile_ladder(scenario_fold(tag, n), DCP_LADDER_LEVELS, LINEAR).iterations
+            for n in (500, 60)
+            for tag in sim.SCENARIO_TAGS
+        ]
+        assert steps == [10, 10, 8, 15, 15, 10, 8, 7, 10, 13]
 
     def test_step_cap_raises_naming_levels(self, monkeypatch):
         monkeypatch.setattr(regress, "QUANTILE_MAX_STEPS", 1)

@@ -232,7 +232,7 @@ class TestRunReplications:
             scn = Scenario(tag, n_train=60, n_cal=60, n_test=8, seed=11)
             h.update(repr(run_replications(scn, METHOD_TAGS, reps=2)).encode())
         assert h.hexdigest() == (
-            "da7d62d948a1a724b0a6318e91d0719969849a2659e450c349cc7af26598bd09"
+            "fec6ced6cf2b823e1ac37c0f87d1e365556a8d3a98a7157a2cd16195c91840e4"
         )
 
     def test_determinism_across_calls(self):
