@@ -33,6 +33,12 @@ from conformal_hpd.sim import (
 __all__ = ["main"]
 
 
+# Rows per write in _write_csv and characters per read when _read_table
+# counts lines: the text held at once stays a few hundred KB at any size.
+CSV_CHUNK_ROWS = 4096
+_READ_CHUNK = 1 << 16
+
+
 class UsageError(Exception):
     """Invalid flags, files, or configuration; maps to exit code 2."""
 
@@ -65,20 +71,22 @@ def _csv_cell(text: str) -> str:
 
 
 def _write_csv(path, header, columns):
-    """Write ``header`` and ``columns`` (one per header name) in one write.
+    """Write ``header`` and ``columns`` (one per header name), ``CSV_CHUNK_ROWS`` rows per write.
 
     Array cells go through ``tolist()`` and ``repr``, which spells Python
     ints and floats as ``_fmt`` does; text cells are quoted as csv.writer does.
     """
-    cells = []
-    for col in columns:
-        if isinstance(col, np.ndarray):
-            cells.append(map(repr, col.tolist()))
-        else:
-            cells.append([_csv_cell(v) if isinstance(v, str) else _fmt(v) for v in col])
-    lines = [",".join(map(_csv_cell, header)), *map(",".join, zip(*cells))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(map(_csv_cell, header)) + "\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            cells = []
+            for col in columns:
+                part = col[start : start + CSV_CHUNK_ROWS]
+                if isinstance(part, np.ndarray):
+                    cells.append(map(repr, part.tolist()))
+                else:
+                    cells.append([_csv_cell(v) if isinstance(v, str) else _fmt(v) for v in part])
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _parse_cell(path, header, row_idx, col_idx, cell):
@@ -96,30 +104,51 @@ def _parse_cell(path, header, row_idx, col_idx, cell):
         ) from None
 
 
-def _loadtxt(body, n_cols):
-    """Every cell through numpy's parser, or None where the csv path must decide.
+def _numpy_cells(path, fh, n_cols):
+    """The cells after the header line through numpy's parser, or None where the csv path must decide.
 
-    numpy rejects quoted cells, ``1_000`` and non-ASCII digits, which the
-    csv path accepts, and skips the blank lines that the csv path rejects.
+    A pass over ``fh`` counts the lines and leaves a ``\\r`` or a blank line (numpy skips
+    it) to the csv path, as numpy's rejections: quoted cells, ``1_000``, non-ASCII digits
+    and whitespace-only lines. numpy reads the file by absolute path (never as a URL).
     """
-    if not body or not {"\n", "\r\n", "\r"}.isdisjoint(body):
-        return None
     try:
-        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+        rows, last = 0, "\n"
+        while chunk := fh.read(_READ_CHUNK):
+            if "\r" in chunk or "\n\n" in last + chunk:
+                return None
+            rows, last = rows + chunk.count("\n"), chunk[-1]
+        rows += last != "\n"
+        if not rows:
+            return None
+        data = np.loadtxt(os.path.abspath(path), delimiter=",", comments=None, ndmin=2,
+                          skiprows=1, max_rows=rows, encoding="utf-8")
+    except ValueError:  # a UnicodeDecodeError too: the csv path reports it
         return None
-    return data if data.shape == (len(body), n_cols) else None
+    return data if data.shape == (rows, n_cols) else None
 
 
 def _read_table(path, text=""):
-    """Header, numeric cells and ``text`` labels of a CSV file.
+    """Header, numeric cells and ``text`` labels of a CSV file; one leading BOM is dropped.
 
-    Every column but ``text`` holds numbers, read by numpy's parser when it can,
-    else cell by cell in row order; the stripped ``text`` cells are the labels (or None).
+    Every column but ``text`` holds numbers: numpy parses plain numeric files
+    (see ``_numpy_cells``), csv.reader and ``_parse_cell`` all others, cell by
+    cell in row order. The stripped ``text`` cells are the labels (or None).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            first = fh.readline()
+            head = first.removeprefix("\ufeff")
+            # an unquoted, non-empty header that csv.reader splits at each comma; numpy
+            # reopens the path and decompresses by suffix, so pipes and such names cannot go
+            plain = head.endswith("\n") and head[-2:] not in ("\r\n", "\n") and '"' not in head
+            numpy_opens = fh.seekable() and not str(path).endswith((".gz", ".bz2", ".xz", ".lzma"))
+            if plain and numpy_opens and not text:
+                data = _numpy_cells(path, fh, head.count(",") + 1)
+                if data is not None:
+                    return head[:-1].split(","), data, None
+                fh.seek(0)
+                fh.readline()
+            lines = [head, *fh.readlines()] if first else []
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -130,19 +159,16 @@ def _read_table(path, text=""):
         raise UsageError(f"{path}: empty file, header row required")
     if text and text not in header:
         raise UsageError(f"{path}: column {text!r} not found")
-    data = _loadtxt(lines[reader.line_num :], len(header))
-    # numeric files skip the csv rows unless labels are asked for
-    rows = list(reader) if data is None or text else []
+    rows = list(reader)
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise UsageError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
     g = header.index(text) if text else -1
-    if data is None:
-        data = np.full((len(rows), len(header)), np.nan)
-        for i, row in enumerate(rows, start=1):
-            for j, cell in enumerate(row):
-                if j != g:
-                    data[i - 1, j] = _parse_cell(path, header, i, j, cell)
+    data = np.full((len(rows), len(header)), np.nan)
+    for i, row in enumerate(rows, start=1):
+        for j, cell in enumerate(row):
+            if j != g:
+                data[i - 1, j] = _parse_cell(path, header, i, j, cell)
     return header, data, ([row[g].strip() for row in rows] if text else None)
 
 

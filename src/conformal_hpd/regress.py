@@ -109,13 +109,14 @@ class _Knn:
             order = np.argsort(self.xs[:, 0], kind="stable")
             # the +inf pad keeps the last window from moving right
             self.sorted_x = np.append(self.xs[order, 0], np.inf)
-            self.sorted_targets = targets[order]
+            # the targets of every window of k sorted rows, (n - k + 1, k)
+            self.windows = np.lib.stride_tricks.sliding_window_view(targets[order], self.k)
 
     def neighbor_targets(self, x: np.ndarray) -> np.ndarray:
         """Targets of the k nearest fitted rows, shape (m, k)."""
+        if x.shape[1] == 1:
+            return self.windows[self._window_starts(x)]
         q = (x - self.mu) / self.sd
-        if q.shape[1] == 1:
-            return self._window_targets(q[:, 0])
         out = np.empty((q.shape[0], self.k), dtype=self.targets.dtype)
         for start in range(0, q.shape[0], KNN_BLOCK):
             block = q[start : start + KNN_BLOCK]
@@ -124,13 +125,28 @@ class _Knn:
             out[start : start + block.shape[0]] = self.targets[idx]
         return out
 
-    def _window_targets(self, q: np.ndarray) -> np.ndarray:
-        """The window of k sorted fitted rows nearest each query, in sorted order.
+    def quantile(self, x: np.ndarray, levels) -> np.ndarray:
+        """``np.quantile(self.neighbor_targets(x), levels, axis=1)``, shape (m,) or (L, m).
+
+        With one column, taken once per window some query uses, then indexed:
+        a row's quantile depends on its own values only, so the bits are the same.
+        """
+        if x.shape[1] != 1:
+            return np.quantile(self.neighbor_targets(x), levels, axis=1)
+        start = self._window_starts(x)
+        used = np.zeros(self.windows.shape[0], dtype=bool)
+        used[start] = True
+        table = np.quantile(self.windows[used], levels, axis=1)
+        return table[..., (np.cumsum(used) - 1)[start]]
+
+    def _window_starts(self, x: np.ndarray) -> np.ndarray:
+        """The start of the window of k sorted fitted rows nearest each query row of ``x``.
 
         A window starting at s moves right while its first row is strictly
         farther from q than the row after its end; that test turns false
         once, somewhere in [pos - k, pos] for pos = searchsorted(q).
         """
+        q = (x[:, 0] - self.mu[0]) / self.sd[0]
         xs, k = self.sorted_x, self.k
         last = xs.size - 1 - k  # the highest window start
         pos = np.searchsorted(xs, q)
@@ -143,8 +159,7 @@ class _Knn:
             hi = np.where(right, hi, mid)
         # a window of one repeated value below q ties with every lower
         # window of that value: start at the value's first row
-        start = np.minimum(lo, np.searchsorted(xs, xs[lo + k - 1]))
-        return np.lib.stride_tricks.sliding_window_view(self.sorted_targets, k)[start]
+        return np.minimum(lo, np.searchsorted(xs, xs[lo + k - 1]))
 
 
 @dataclass(frozen=True)
@@ -212,8 +227,7 @@ def predict_scale(sh: ScaleEstimator, x) -> np.ndarray:
     xm = _as_matrix(x, sh.d)
     if sh.kind == "constant-one":
         return np.ones(xm.shape[0])
-    vals = np.quantile(sh.knn.neighbor_targets(xm), sh.level, axis=1)
-    return np.maximum(vals, SCALE_FLOOR)
+    return np.maximum(sh.knn.quantile(xm, sh.level), SCALE_FLOOR)
 
 
 def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
@@ -332,6 +346,6 @@ def predict_quantile(qe: QuantileEstimator, x):
     """The fitted quantile ladder at covariate rows ``x`` of shape (n, d), shape (n, L)."""
     xm = _as_matrix(x, qe.d)
     if qe.kind == "knn-quantile":
-        return np.quantile(qe.knn.neighbor_targets(xm), qe.levels, axis=1).T
+        return qe.knn.quantile(xm, qe.levels).T
     design = (_quantile_design(xm) - qe.scale_mu) / qe.scale_sd
     return design @ qe.coef

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conformal_hpd.sim as sim
 from conformal_hpd import cli
@@ -314,6 +319,22 @@ class TestPredict:
         )
         assert code == 2
         assert "latin1.csv" in capsys.readouterr().err
+
+    def test_train_file_with_a_bom_predicts_as_without(self, sim_csvs, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        _, train_path, test_path = sim_csvs
+        bom_train = tmp_path / "bom.csv"
+        bom_train.write_bytes(b"\xef\xbb\xbf" + train_path.read_bytes())
+        outputs = []
+        for train in (train_path, bom_train):
+            out = tmp_path / train.stem
+            code = run_cli(
+                "predict", "--train", str(train), "--test", str(test_path),
+                "--target", "price", "--outdir", str(out),
+            )
+            assert code == 0
+            outputs.append((out / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_missing_target_column_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
@@ -742,9 +763,64 @@ READER_CASES = [
     ('"1,5",2\n', "non-numeric value '1,5' at row 1, column 'a'"),
     ("1,0x10\n", "non-numeric value '0x10' at row 1, column 'b'"),
     ("1,2 3\n", "non-numeric value '2 3' at row 1, column 'b'"),
+    ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("\n1,2\n", "row 1 has 0 fields, expected 2"),
+    ("1,2\n \n3,4\n", "row 2 has 1 fields, expected 2"),
+    ("1,2\n\t\n", "row 2 has 1 fields, expected 2"),
+    ("1,2\n3,4\n\n\n", "row 3 has 0 fields, expected 2"),
+]
+
+# (whole file, header, parsed rows or the rejection message): headers the
+# numpy path leaves to the csv path, and one leading BOM, which is dropped
+FILE_CASES = [
+    ("\ufeffa,b\n1,2\n", ["a", "b"], [[1.0, 2.0]]),
+    ('\ufeff"a",b\n1,2\n', ["a", "b"], [[1.0, 2.0]]),
+    ("\ufeff\ufeffa,b\n1,2\n", ["\ufeffa", "b"], [[1.0, 2.0]]),
+    ('"a\nx",b\n1,2\n', ["a\nx", "b"], [[1.0, 2.0]]),
+    ('"a""q",b\n1,2\n', ['a"q', "b"], [[1.0, 2.0]]),
+    ("a,b\r\n1,2\n", ["a", "b"], [[1.0, 2.0]]),
+    ("a,b\r1,2\r", ["a", "b"], [[1.0, 2.0]]),
+    ("a,b\n", ["a", "b"], []),
+    ("\ufeffa,b", ["a", "b"], []),
+    ("a\n1\n\n", ["a"], "row 2 has 0 fields, expected 1"),
+    (" a , b\n1,2\n", [" a ", " b"], [[1.0, 2.0]]),
+    ("\n1,2\n", [], "row 1 has 2 fields, expected 0"),
+    ("\ufeff\n", [], []),
 ]
 
 
+def read_both(path, monkeypatch):
+    """``_read_table`` with numpy's parser allowed and on the csv path alone.
+
+    Returns the two results (a UsageError becomes its message) and whether
+    the first one came from numpy's parser.
+    """
+    results, used_numpy = [], []
+
+    def spy(*args):
+        data = numpy_cells(*args)
+        used_numpy.append(data is not None)
+        return data
+
+    numpy_cells = cli._numpy_cells
+    for fallback in (spy, lambda *args: None):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_numpy_cells", fallback)
+            try:
+                results.append(cli._read_table(path))
+            except cli.UsageError as exc:
+                results.append(str(exc))
+    return results, any(used_numpy)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# numpy warns on a blank line it skips; the reader must leave those to the csv path
+@pytest.mark.filterwarnings("error")
 class TestNumericReader:
     @pytest.mark.parametrize("body, expected", READER_CASES)
     def test_pinned_accept_and_reject(self, tmp_path, body, expected):
@@ -758,6 +834,114 @@ class TestNumericReader:
         assert header == ["a", "b"] and data.shape == (len(expected), 2)
         np.testing.assert_array_equal(data, np.reshape(expected, (-1, 2)))
         assert np.signbit(data).tolist() == np.signbit(np.reshape(expected, (-1, 2))).tolist()
+
+    @pytest.mark.parametrize("body, expected", READER_CASES)
+    def test_both_paths_agree(self, tmp_path, monkeypatch, body, expected):
+        path = tmp_path / "t.csv"
+        path.write_bytes(("a,b\n" + body).encode("utf-8"))
+        (fast, slow), _ = read_both(path, monkeypatch)
+        if isinstance(expected, str):
+            assert fast == slow and expected in fast
+            return
+        assert fast[0] == slow[0] == ["a", "b"] and fast[2] is slow[2] is None
+        assert_same_bits(fast[1], slow[1])
+
+    @pytest.mark.parametrize("text, header, expected", FILE_CASES)
+    def test_header_cases_on_both_paths(self, tmp_path, monkeypatch, text, header, expected):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        (fast, slow), _ = read_both(path, monkeypatch)
+        if isinstance(expected, str):
+            assert fast == slow and expected in fast
+            return
+        assert fast[0] == slow[0] == header
+        assert_same_bits(fast[1], slow[1])
+        assert_same_bits(fast[1], np.array(expected, dtype=float).reshape(len(expected), len(header)))
+
+    def test_labels_are_read_on_the_csv_path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes("\ufeffg,y\n 1 ,2\nb,3\n".encode("utf-8"))
+        header, data, labels = cli._read_table(path, "g")
+        assert header == ["g", "y"] and labels == ["1", "b"]
+        np.testing.assert_array_equal(data[:, 1], [2.0, 3.0])
+
+    @given(
+        values=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300, -5e-324]),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        cols=st.integers(1, 3),
+        style=st.sampled_from(["repr", "%.17g"]),
+        newline_at_end=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_written_floats_read_back_to_the_same_bits(
+        self, tmp_path_factory, values, cols, style, newline_at_end
+    ):
+        table = np.array(values)[:, :cols]
+        spell = repr if style == "repr" else (lambda v: "%.17g" % v)
+        lines = [",".join(f"c{j}" for j in range(cols))]
+        lines += [",".join(spell(float(v)) for v in row) for row in table]
+        path = tmp_path_factory.mktemp("prop") / "t.csv"
+        path.write_bytes(("\n".join(lines) + ("\n" if newline_at_end else "")).encode("utf-8"))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            (fast, slow), used_numpy = read_both(path, monkeypatch)
+        assert used_numpy
+        expected = np.where(np.isnan(table), np.nan, table)  # one NaN spelling: "nan"
+        assert_same_bits(fast[1], slow[1])
+        assert_same_bits(fast[1], expected)
+
+    def test_reading_a_large_numeric_file_holds_no_object_per_line(self, tmp_path):
+        n = 200_000
+        rng = np.random.default_rng(5)
+        path = tmp_path / "predictions.csv"
+        cli._write_csv(
+            path, ["row", "interval_index", "lo", "hi"],
+            [np.arange(n), np.zeros(n, dtype=int), rng.standard_normal(n), rng.standard_normal(n)],
+        )
+        tracemalloc.start()
+        try:
+            _, data, _ = cli._read_table(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (n, 4)
+        # the array is 6.4 MB; a str per line (the csv path) adds about 20 MB more
+        assert peak <= data.nbytes + 2_000_000, peak
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_text_file_named_like_an_archive_is_read_as_text(self, tmp_path, suffix):
+        # np.loadtxt would decompress such a name; the reader reads what is there
+        path = tmp_path / f"t.csv{suffix}"
+        path.write_bytes(b"a,b\n1,2\n3,4\n")
+        header, data, _ = cli._read_table(path)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_once_on_the_csv_path(self, tmp_path):
+        path = tmp_path / "fifo.csv"
+        os.mkfifo(path)
+        result = []
+        reader = threading.Thread(target=lambda: result.append(cli._read_table(path)), daemon=True)
+        reader.start()
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")  # once the reader opens the pipe
+        reader.join(timeout=10)
+        if reader.is_alive():  # a second open of the pipe waits for a writer: let it go
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert len(result) == 1
+        header, data, _ = result[0]
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -792,8 +976,36 @@ class TestCsvWriter:
         cli._write_csv(got, header, [labels, labels[::-1], ints.tolist(), values.tolist()])
         assert got.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, cli.CSV_CHUNK_ROWS + 3])
+    def test_bytes_equal_the_csv_writer_path_across_chunks(self, tmp_path, extra):
+        n = cli.CSV_CHUNK_ROWS + extra
+        rng = np.random.default_rng(n)
+        specials = np.array([math.inf, -math.inf, math.nan, -0.0, 1e-300])
+        values = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.standard_normal(n))
+        ints = rng.integers(-10, 10, n)
+        labels = [("a,b", 'q"', "x\ny", "plain", "")[i % 5] + str(i) for i in range(n)]
+        header = ["label", "i", "value", "text"]
+        rows = list(zip(labels, ints.tolist(), values.tolist(), labels[::-1]))
+        expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
+        write_csv_reference(expected, header, rows)
+        cli._write_csv(got, header, [labels, ints, values, tuple(labels[::-1])])
+        assert got.read_bytes() == expected.read_bytes()
+
     def test_header_only_table(self, tmp_path):
         expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
         write_csv_reference(expected, ["row", "lo"], [])
         cli._write_csv(got, ["row", "lo"], [np.array([], dtype=int), np.array([])])
         assert got.read_bytes() == expected.read_bytes()
+
+    def test_writing_holds_one_chunk_of_text(self, tmp_path):
+        n = 200_000
+        rng = np.random.default_rng(6)
+        columns = [np.arange(n), np.zeros(n, dtype=int), rng.standard_normal(n), rng.standard_normal(n)]
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "p.csv", ["row", "interval_index", "lo", "hi"], columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole text at once, as lines and then joined, is about 50 MB
+        assert peak <= 8_000_000, peak

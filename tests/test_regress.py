@@ -519,3 +519,62 @@ class TestKnnWindow:
         assert nearest(start).all()
         # the valid starts are contiguous, so none lower exists when s - 1 fails
         assert not (nearest(start - 1) & (start[:, 0] > 0)).any()
+
+
+@st.composite
+def quantile_levels(draw):
+    """One level as a float, or a vector of 1-5 levels, 0 and 1 included."""
+    level = st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        return draw(level)
+    return np.array(draw(st.lists(level, min_size=1, max_size=5)))
+
+
+class TestKnnWindowQuantiles:
+    """With one column the quantiles are taken once per window, then indexed."""
+
+    @staticmethod
+    def assert_same_bits(knn, queries, levels):
+        got = knn.quantile(queries, levels)
+        want = np.quantile(knn.neighbor_targets(queries), levels, axis=1)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(case=st.one_of(window_cases(ties=False), window_cases(ties=True)), levels=quantile_levels())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_quantile_of_the_gathered_neighbours(self, case, levels):
+        x, queries, k = case
+        knn = _Knn(x, np.random.default_rng(1).standard_normal(x.shape[0]), k)
+        self.assert_same_bits(knn, queries, levels)
+        # repeated queries share a window
+        self.assert_same_bits(knn, np.vstack([queries, queries[::-2]]), levels)
+
+    @pytest.mark.parametrize("levels", [0.9, np.array([0.1, 0.5, 0.9])])
+    @pytest.mark.parametrize(
+        "queries",
+        [np.empty((0, 1)), np.array([[-1e6], [1e6], [0.0], [0.0], [-1e6]])],
+        ids=["no-queries", "outside-and-repeated"],
+    )
+    @pytest.mark.parametrize("k", [1, 7, 40], ids=["k=1", "k=7", "k=n"])
+    def test_edge_cases(self, k, queries, levels):
+        rng = np.random.default_rng(k)
+        x = rng.integers(-3, 4, (40, 1)).astype(float)  # tied x
+        self.assert_same_bits(_Knn(x, rng.standard_normal(40), k), queries, levels)
+
+    def test_two_columns_take_the_blocked_lookup(self):
+        rng = np.random.default_rng(2)
+        knn = _Knn(rng.standard_normal((60, 2)), rng.standard_normal(60), k=9)
+        assert not hasattr(knn, "windows")
+        self.assert_same_bits(knn, rng.standard_normal((KNN_BLOCK + 5, 2)), np.array([0.2, 0.8]))
+
+    def test_estimators_predict_through_the_window_table(self):
+        data = scenario_fold("heteroscedastic", 300)
+        sh = fit_scale(data, fit_mean(data), ScaleConfig(kind="knn-quantile-absres"))
+        qe = fit_quantile_ladder(data, [0.05, 0.5, 0.95], QuantileConfig(kind="knn-quantile"))
+        x = np.linspace(-6.0, 6.0, 1001).reshape(-1, 1)
+        want_scale = np.maximum(
+            np.quantile(sh.knn.neighbor_targets(x), sh.level, axis=1), regress.SCALE_FLOOR
+        )
+        assert predict_scale(sh, x).tobytes() == want_scale.tobytes()
+        want_ladder = np.quantile(qe.knn.neighbor_targets(x), qe.levels, axis=1).T
+        assert predict_quantile(qe, x).tobytes() == want_ladder.tobytes()
