@@ -14,13 +14,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from conformal_hpd.core import Dataset, SplitPlan, score_intervals
 from conformal_hpd.sim import (
     METHOD_TAGS,
+    RepReport,
     Scenario,
     build_plan,
     fit_method,
@@ -104,12 +105,12 @@ def _parse_cell(path, header, row_idx, col_idx, cell):
         ) from None
 
 
-def _numpy_cells(path, fh, n_cols):
+def _numpy_cells(fh, n_cols):
     """The cells after the header line through numpy's parser, or None where the csv path must decide.
 
     A pass over ``fh`` counts the lines and leaves a ``\\r`` or a blank line (numpy skips
     it) to the csv path, as numpy's rejections: quoted cells, ``1_000``, non-ASCII digits
-    and whitespace-only lines. numpy reads the file by absolute path (never as a URL).
+    and whitespace-only lines. numpy then reads ``fh`` itself from its start, as text.
     """
     try:
         rows, last = 0, "\n"
@@ -120,8 +121,8 @@ def _numpy_cells(path, fh, n_cols):
         rows += last != "\n"
         if not rows:
             return None
-        data = np.loadtxt(os.path.abspath(path), delimiter=",", comments=None, ndmin=2,
-                          skiprows=1, max_rows=rows, encoding="utf-8")
+        fh.seek(0)
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=1, max_rows=rows)
     except ValueError:  # a UnicodeDecodeError too: the csv path reports it
         return None
     return data if data.shape == (rows, n_cols) else None
@@ -139,11 +140,10 @@ def _read_table(path, text=""):
             first = fh.readline()
             head = first.removeprefix("\ufeff")
             # an unquoted, non-empty header that csv.reader splits at each comma; numpy
-            # reopens the path and decompresses by suffix, so pipes and such names cannot go
+            # reads the file a second time, which a pipe cannot give
             plain = head.endswith("\n") and head[-2:] not in ("\r\n", "\n") and '"' not in head
-            numpy_opens = fh.seekable() and not str(path).endswith((".gz", ".bz2", ".xz", ".lzma"))
-            if plain and numpy_opens and not text:
-                data = _numpy_cells(path, fh, head.count(",") + 1)
+            if plain and fh.seekable() and not text:
+                data = _numpy_cells(fh, head.count(",") + 1)
                 if data is not None:
                     return head[:-1].split(","), data, None
                 fh.seek(0)
@@ -264,30 +264,21 @@ def cmd_simulate(args) -> int:
     summaries = summarize(reports)
     os.makedirs(args.outdir, exist_ok=True)
     if args.format in ("csv", "both"):
-        fields = ["method", "coverage", "coverage_se", "mean_size", "size_se",
+        header = ["method", "coverage", "coverage_se", "mean_size", "size_se",
                   "mean_runtime_s", "failures"]
-        columns = [[getattr(s, f) for s in summaries] for f in fields]
-        _write_csv(os.path.join(args.outdir, "report.csv"), fields, columns)
+        columns = [[getattr(s, f) for s in summaries] for f in header]
+        _write_csv(os.path.join(args.outdir, "report.csv"), header, columns)
     if args.format in ("json", "both"):
+        # one row per report: every field but the per-test-point tuples, wall time in seconds
+        per_point = ("sizes", "covered", "x_test")
+        keys = {f.name: f.name for f in fields(RepReport) if f.name not in per_point}
+        keys["wall_time"] = "wall_time_s"
         payload = {
             "scenario": asdict(scn),
             "reps": args.reps,
             "scale_model": scale_on,
             "methods": [asdict(s) for s in summaries],
-            "replications": [
-                {
-                    "method": r.method,
-                    "rep": r.rep,
-                    "seed": r.seed,
-                    "coverage": r.coverage,
-                    "mean_size": r.mean_size,
-                    "wall_time_s": r.wall_time,
-                    "n_intervals": r.n_intervals,
-                    "warnings": r.warnings,
-                    "error": r.error,
-                }
-                for r in reports
-            ],
+            "replications": [{k: getattr(r, f) for f, k in keys.items()} for r in reports],
         }
         with open(
             os.path.join(args.outdir, "report.json"), "w", encoding="utf-8"
@@ -381,12 +372,11 @@ def cmd_evaluate(args) -> int:
         ("median_size", "ALL", float(np.median(sizes))),
     ]
     if args.group_by:
-        labels = sorted(set(groups))
-        index = {label: k for k, label in enumerate(labels)}
-        idx = np.array([index[label] for label in groups], dtype=np.intp)
+        # as objects, labels compare as Python str: no fixed-width copy, no trailing NUL dropped
+        labels, idx = np.unique(np.array(groups, dtype=object), return_inverse=True)
         hits = np.bincount(idx[covered], minlength=len(labels))
         counts = np.bincount(idx, minlength=len(labels))
-        for label, h, n in zip(labels, hits.tolist(), counts.tolist()):
+        for label, h, n in zip(labels.tolist(), hits.tolist(), counts.tolist()):
             out_rows.append(("coverage", label, h / n))
     os.makedirs(args.outdir, exist_ok=True)
     metrics_path = os.path.join(args.outdir, "metrics.csv")

@@ -186,9 +186,6 @@ class SecprModel:
     method = "secpr"
 
     gh: MeanEstimator
-    scores: ScoreVector
-    alpha1: float
-    alpha2: float
     lower: float
     upper: float
 
@@ -213,9 +210,7 @@ def fit_secpr(
     gh = fit_mean(train)
     scores = ScoreVector(cal.y - predict_mean(gh, cal.x))
     lower, upper = secpr_corrections(scores, alpha1, alpha2)
-    return SecprModel(
-        gh=gh, scores=scores, alpha1=alpha1, alpha2=alpha2, lower=lower, upper=upper
-    )
+    return SecprModel(gh=gh, lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------

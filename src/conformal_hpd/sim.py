@@ -60,8 +60,6 @@ SCENARIO_TAGS = (
     "bowtie",
 )
 
-METHOD_TAGS = ("kde-hpd", "secpr", "cqr", "dcp", "parametric", "oracle")
-
 _timer = time.perf_counter  # replaceable hook so tests can freeze wall time
 
 
@@ -288,24 +286,26 @@ def build_plan(n_obs: int, n_train: int, scale_on: bool) -> SplitPlan:
     return SplitPlan.sequential(np.arange(n_obs), n1, n_train - n1)
 
 
+# Each fit with the benchmark's default estimators. The fit functions are looked
+# up by name at call time, so a wrapper installed on this module sees every call.
+_FITS = {
+    "kde-hpd": lambda data, plan, alpha, scale_on: fit_kde_hpd(
+        data, plan, alpha,
+        KdeHpdConfig(ScaleConfig("knn-quantile-absres", level=0.9) if scale_on else ScaleConfig()),
+    ),
+    "secpr": lambda data, plan, alpha, scale_on: fit_secpr(data, plan, alpha / 2.0, alpha / 2.0),
+    "cqr": lambda data, plan, alpha, scale_on: fit_cqr(data, plan, alpha),
+    "dcp": lambda data, plan, alpha, scale_on: fit_dcp(data, plan, alpha),
+    "parametric": lambda data, plan, alpha, scale_on: fit_parametric_normal(data, alpha),
+}
+METHOD_TAGS = (*_FITS, "oracle")
+
+
 def fit_method(tag, observed, plan, alpha, scale_on):
     """Fit one method by tag with the benchmark's default estimators."""
-    if tag == "kde-hpd":
-        scale = (
-            ScaleConfig(kind="knn-quantile-absres", level=0.9)
-            if scale_on
-            else ScaleConfig(kind="constant-one")
-        )
-        return fit_kde_hpd(observed, plan, alpha, KdeHpdConfig(scale=scale))
-    if tag == "secpr":
-        return fit_secpr(observed, plan, alpha / 2.0, alpha / 2.0)
-    if tag == "cqr":
-        return fit_cqr(observed, plan, alpha)
-    if tag == "dcp":
-        return fit_dcp(observed, plan, alpha)
-    if tag == "parametric":
-        return fit_parametric_normal(observed, alpha)
-    raise ValueError(f"unknown method {tag!r}; valid tags: {', '.join(METHOD_TAGS)}")
+    if tag not in _FITS:
+        raise ValueError(f"unknown method {tag!r}; valid tags: {', '.join(METHOD_TAGS)}")
+    return _FITS[tag](observed, plan, alpha, scale_on)
 
 
 def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
@@ -378,64 +378,46 @@ def run_replications(
     return [report for chunk in nested for report in chunk]
 
 
+def _mean_se(values) -> tuple:
+    """Mean and Monte-Carlo SE; NaN when empty, an infinite SE when a value is infinite."""
+    a = np.array(values)
+    if a.size == 0:
+        return math.nan, math.nan
+    if np.isinf(a).any():  # an unbounded region: the spread is infinite too
+        return float(a.mean()), math.inf
+    return float(a.mean()), float(a.std(ddof=1) / math.sqrt(a.size)) if a.size > 1 else 0.0
+
+
 def summarize(reports) -> list[MethodSummary]:
-    """Aggregate per-method means with Monte-Carlo standard errors."""
-    order = []
-    for r in reports:
-        if r.method not in order:
-            order.append(r.method)
+    """Aggregate per-method means with Monte-Carlo standard errors, methods in first-seen order."""
     out = []
-    for tag in order:
+    for tag in dict.fromkeys(r.method for r in reports):
         rows = [r for r in reports if r.method == tag]
         good = [r for r in rows if r.error is None]
-        failures = len(rows) - len(good)
-        if not good:
-            out.append(
-                MethodSummary(tag, len(rows), failures, math.nan, math.nan, math.nan, math.nan, math.nan)
-            )
-            continue
-        cov = np.array([r.coverage for r in good])
-        size = np.array([r.mean_size for r in good])
-        runt = np.array([r.wall_time for r in good])
-        n = len(good)
-        cov_se = float(cov.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        if np.isinf(size).any():  # an unbounded region: the spread is infinite too
-            size_se = math.inf
-        else:
-            size_se = float(size.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        out.append(
-            MethodSummary(
-                method=tag,
-                n_reps=len(rows),
-                failures=failures,
-                coverage=float(cov.mean()),
-                coverage_se=cov_se,
-                mean_size=float(size.mean()),
-                size_se=size_se,
-                mean_runtime_s=float(runt.mean()),
-            )
+        # (mean, standard error) pairs, in MethodSummary's field order
+        cov, size, runtime = (
+            _mean_se([getattr(r, f) for r in good]) for f in ("coverage", "mean_size", "wall_time")
         )
+        out.append(MethodSummary(tag, len(rows), len(rows) - len(good), *cov, *size, runtime[0]))
     return out
 
 
 def conditional_coverage(reports, slicer) -> dict:
     """Coverage within each group that ``slicer`` assigns to a test point.
 
-    Returns ``{label: (coverage, binomial_se, count)}``; groups with no
-    points are absent rather than zero.
+    Returns ``{label: (coverage, binomial_se, count)}``, labels in the order
+    they first appear; groups with no points are absent rather than zero.
     """
-    hits: dict = {}
-    totals: dict = {}
+    tally: dict = {}  # label -> (hits, count)
     for r in reports:
-        if r.error is not None:
-            continue
-        for x, c in zip(r.x_test, r.covered):
-            label = slicer(x)
-            hits[label] = hits.get(label, 0) + bool(c)
-            totals[label] = totals.get(label, 0) + 1
+        if r.error is None:
+            for x, c in zip(r.x_test, r.covered):
+                label = slicer(x)
+                hits, n = tally.get(label, (0, 0))
+                tally[label] = (hits + bool(c), n + 1)
     out = {}
-    for label, n in totals.items():
-        p = hits[label] / n
+    for label, (hits, n) in tally.items():
+        p = hits / n
         out[label] = (p, math.sqrt(max(p * (1.0 - p), 1e-12) / n), n)
     return out
 

@@ -615,6 +615,8 @@ class TestEvaluate:
         y = rng.normal(size=n)
         labels = [f"g{k}" for k in rng.integers(0, 400, n)]
         labels[:3] = ["", " b ", "b"]  # an empty label, and one that strips to another
+        # a trailing NUL keeps a label apart, and non-ASCII labels sort as Python str
+        labels[3:6] = ["b\x00", "\u00e9", "Z"]
         preds = tmp_path / "predictions.csv"
         write_csv(
             preds,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
@@ -161,65 +161,94 @@ class TestKdeHpdPipeline:
             )
 
 
-def leave_one_out_hits(data, idx_train, pool, alpha, scale_on=False):
-    """Times each pooled row is covered by the fit calibrated on the other rows.
+def leave_one_out_hits(data, idx_train, pool, alpha, method="kde-hpd", scale_on=False):
+    """Times each pooled row is covered by the fit calibrated on the other rows, and the pool's scores.
 
-    Every fit trains on the same rows, so the score is the same; the pool's
-    scores must be distinct, which the caller checks on the returned scores.
+    Every fit trains on the same rows, so each must give the pool the same
+    scores, which is checked here.
     """
     n1 = idx_train.size // 2 if scale_on else idx_train.size
-    hits, first = 0, None
+    held = data.subset(pool)
+    hits, scores = 0, None
     for j in range(pool.size):
         plan = SplitPlan(idx_train[:n1], idx_train[n1:], np.delete(pool, j))
-        pipe = fit_method("kde-hpd", data, plan, alpha, scale_on)
-        first = pipe if first is None else first
-        np.testing.assert_array_equal(pipe.density, first.density)
-        held = data.subset(pool[j : j + 1])
-        hits += region_contains(predict_regions(pipe, held.x)[0], held.y[0])
-    held = data.subset(pool)
-    return hits, first.score(held.x, held.y)
+        model = fit_method(method, data, plan, alpha, scale_on)
+        fold_scores = model.score(held.x, held.y)
+        scores = fold_scores if scores is None else scores
+        np.testing.assert_array_equal(fold_scores, scores)
+        hits += region_contains(predict_regions(model, held.x[j : j + 1])[0], held.y[j])
+    return hits, scores
 
 
 def rank_count(n_cal, alpha):
-    """Rows of n_cal + 1 exchangeable ones that split conformal covers: conformal_q's index k."""
-    k = conformal_q(ScoreVector(np.arange(1.0, n_cal + 1)), 1.0 - alpha)
-    return n_cal + 1 if k == math.inf else int(k)
+    """Rows of n_cal + 1 exchangeable ones that split conformal covers: k, or all of them when k > n_cal.
+
+    k = ceil((1 - alpha)(n_cal + 1)), a product within 1e-9 of an integer
+    snapped to it as conformal_q snaps it. It is worked out here rather than
+    read from conformal_q, so an index off by one there shows as a count off by one.
+    """
+    x = (1.0 - alpha) * (n_cal + 1)
+    return min(round(x) if abs(x - round(x)) < 1e-9 else math.ceil(x), n_cal + 1)
 
 
-class TestKdeHpdCoverage:
-    """The score is fixed before calibration, so coverage is a rank count.
+def rank_hits(scores, alpha):
+    """Pooled rows whose score is at most the k-th smallest of the other rows' (k as in rank_count).
+
+    With distinct scores this is rank_count; tied scores can add rows.
+    """
+    n = scores.size - 1
+    k = rank_count(n, alpha)
+    if k > n:
+        return n + 1
+    return sum(int(np.sort(np.delete(scores, j))[k - 1] >= scores[j]) for j in range(n + 1))
+
+
+class TestRankCoverage:
+    """The score is fixed by the training fold, so coverage is a rank count.
 
     Among n + 1 rows with distinct scores, the row held out is covered
     exactly when its score is within the k-th smallest of the others, k
     being conformal_q's index; over the n + 1 choices that is k rows, or
-    all of them when k > n and the cutoff is infinite.
+    all of them when k > n and the cutoff is infinite. Tied scores, as of
+    responses beyond DCP's ladder (all 1.0) or off kde-hpd's grid (all 0),
+    count by the same ranks.
     """
 
+    @pytest.mark.parametrize("method", ["kde-hpd", "cqr", "dcp"])
     @pytest.mark.parametrize("n_cal, alpha", [(19, 0.1), (20, 0.1), (9, 0.25), (30, 0.05), (5, 0.1)])
-    def test_rank_enumeration_is_exact(self, n_cal, alpha):
+    def test_rank_enumeration_is_exact(self, method, n_cal, alpha):
         rng = np.random.default_rng(47)
         data = make_line_data(rng, 400 + n_cal + 1, bimodal_noise(rng))
         idx = np.arange(data.n)
-        hits, scores = leave_one_out_hits(data, idx[:400], idx[400:], alpha)
+        hits, scores = leave_one_out_hits(data, idx[:400], idx[400:], alpha, method)
         assert np.unique(scores).size == n_cal + 1  # premise: distinct scores
         assert hits == rank_count(n_cal, alpha)
 
     @given(
+        method=st.sampled_from(["kde-hpd", "cqr", "dcp"]),
         tag=st.sampled_from(sim.SCENARIO_TAGS),
         alpha=st.floats(0.01, 0.5),
         n_cal=st.integers(1, 20),
+        far=st.integers(0, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_small_calibration_folds_on_every_scenario(self, tag, alpha, n_cal, seed):
+    @settings(max_examples=200, deadline=None)
+    def test_small_calibration_folds_on_every_scenario(self, method, tag, alpha, n_cal, far, seed):
         scn = sim.Scenario(tag, n_train=60, n_cal=n_cal + 1, n_test=1, alpha=alpha, seed=seed)
         observed, _, _ = sim.generate(scn)
-        idx = np.arange(observed.n)
+        # the first ``far`` pooled responses lie far beyond any fitted band, ladder or grid
+        y = observed.y.copy()
+        y[60 : 60 + far] += np.resize([1e3, -1e3], min(far, n_cal + 1))
+        data = Dataset(observed.x, y)
+        idx = np.arange(data.n)
         hits, scores = leave_one_out_hits(
-            observed, idx[:60], idx[60:], alpha, sim.use_scale(None, tag)
+            data, idx[:60], idx[60:], alpha, method, sim.use_scale(None, tag)
         )
-        assume(np.unique(scores).size == n_cal + 1)
-        assert hits == rank_count(n_cal, alpha)
+        if far <= n_cal:  # premise: the far rows score above every other row
+            assert scores[:far].min(initial=np.inf) >= scores[far:].max()
+        assert hits == rank_hits(scores, alpha)
+        if np.unique(scores).size == n_cal + 1:
+            assert hits == rank_count(n_cal, alpha)
 
 
 def stub_pipeline(center, scale_coef, intervals, cutoff=-1.0):
@@ -321,8 +350,10 @@ class TestSecpr:
             data = make_line_data(rng, 300, lambda n: rng.standard_normal(n))
             plan = half_split(300)
             direct = fit_secpr(data, plan, alpha1, alpha2)
-            flipped = np.sort(-direct.scores.v)
-            n = direct.scores.n
+            cal = data.subset(plan.idx_cal)
+            scores = cal.y - predict_mean(direct.gh, cal.x)  # the signed calibration errors
+            flipped = np.sort(-scores)
+            n = scores.size
             k_lower = math.ceil(round(alpha1 * (n + 1) - 1.0, 9))
             k_upper = math.ceil(round((1.0 - alpha2) * (n + 1), 9))
             assert direct.lower == mirrored_order_stat(flipped, k_lower)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from conformal_hpd import hpd
@@ -18,6 +20,7 @@ from conformal_hpd.hpd import (
     MASS_TOL,
     extract_intervals,
     find_cutoff,
+    interpolated_level_set,
     quantile_pairs,
     smallest_mass_region,
     superlevel_intervals,
@@ -198,6 +201,85 @@ class TestSuperlevelIntervals:
     def test_empty_when_nothing_exceeds_the_cutoff(self):
         grid = np.linspace(-3.0, 3.0, 61)
         assert superlevel_intervals(norm.pdf, grid, norm.pdf(grid), 1.0).shape == (0, 2)
+
+
+@st.composite
+def interpolant_cases(draw):
+    """A non-negative function on a grid and a level: strictly increasing grid
+    points with uneven steps, values with runs of zeros (and of ties when
+    rounded), and a level drawn freely or equal to a grid value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2, 30))
+    grid = np.cumsum(rng.uniform(0.01, 2.0, size)) + rng.uniform(-10.0, 10.0)
+    values = np.maximum(rng.normal(0.5, 1.0, size), 0.0)
+    if draw(st.booleans()):
+        values = np.round(values, 1)
+    positive = values[values > 0].tolist() or [1.0]
+    level = draw(st.one_of(st.floats(1e-3, 3.0), st.sampled_from(positive)))
+    return grid, values, level
+
+
+def runs_at_or_above(values, level):
+    """First and last index of each run of grid values at or above ``level``."""
+    above = np.concatenate(([False], values >= level, [False]))
+    return np.flatnonzero(above[1:] & ~above[:-1]), np.flatnonzero(~above[1:] & above[:-1]) - 1
+
+
+class TestInterpolatedLevelSet:
+    @given(case=interpolant_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_dense_points_are_inside_exactly_where_the_interpolant_reaches_the_level(self, case):
+        grid, values, level = case
+        ivals = interpolated_level_set(grid, values, level)
+        s = np.concatenate((
+            np.linspace(grid[0] - 1.0, grid[-1] + 1.0, 4001), grid, (grid[1:] + grid[:-1]) / 2.0
+        ))
+        inside = ((ivals[:, 0] <= s[:, None]) & (s[:, None] <= ivals[:, 1])).any(axis=1)
+        expected = np.interp(s, grid, values, 0.0, 0.0) >= level
+        # a point within rounding of a crossing may fall on either side
+        near = (np.abs(s[:, None] - ivals.ravel()) <= 1e-9 * np.abs(grid).max()).any(axis=1)
+        np.testing.assert_array_equal(inside[~near], expected[~near])
+
+    @given(case=interpolant_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_each_end_lies_in_its_bracketing_cell(self, case):
+        grid, values, level = case
+        ivals = interpolated_level_set(grid, values, level)
+        starts, stops = runs_at_or_above(values, level)
+        assert ivals.shape == (starts.size, 2)
+        last = grid.size - 1
+        for (lo, hi), a, b in zip(ivals, starts, stops):
+            if a == 0:
+                assert lo == grid[0]
+            else:
+                assert grid[a - 1] <= lo <= grid[a]
+                assert np.interp(lo, grid, values) == pytest.approx(level, rel=1e-9)
+            if b == last:
+                assert hi == grid[-1]
+            else:
+                assert grid[b] <= hi <= grid[b + 1]
+                assert np.interp(hi, grid, values) == pytest.approx(level, rel=1e-9)
+
+    def test_runs_touching_the_grid_ends_stay_on_them(self):
+        grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        values = np.array([2.0, 1.0, 0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(
+            interpolated_level_set(grid, values, 1.5), [[0.0, 0.5], [3.5, 4.0]]
+        )
+
+    @pytest.mark.parametrize("level", [0.0, -0.5, -math.inf])
+    def test_level_at_or_below_zero_gives_the_whole_line(self, level):
+        grid = np.linspace(-1.0, 1.0, 5)
+        values = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
+        np.testing.assert_array_equal(
+            interpolated_level_set(grid, values, level), [[-math.inf, math.inf]]
+        )
+
+    @pytest.mark.parametrize("level", [np.nextafter(2.0, math.inf), 5.0, math.inf, math.nan])
+    def test_level_above_every_value_gives_no_interval(self, level):
+        grid = np.linspace(-1.0, 1.0, 5)
+        values = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
+        assert interpolated_level_set(grid, values, level).shape == (0, 2)
 
 
 class TestQuantilePairs:
