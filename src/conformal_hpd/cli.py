@@ -18,12 +18,13 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from conformal_hpd.core import Dataset, SplitPlan, score_intervals
+from conformal_hpd.core import ConfigError, Dataset, SplitPlan, check_alpha, score_intervals
 from conformal_hpd.sim import (
-    METHOD_TAGS,
+    FIT_TAGS,
     RepReport,
     Scenario,
     build_plan,
+    check_methods,
     fit_method,
     generate,
     run_replications,
@@ -41,22 +42,12 @@ _READ_CHUNK = 1 << 16
 
 
 class UsageError(Exception):
-    """Invalid flags, files, or configuration; maps to exit code 2."""
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
+    """Invalid flags or input files; maps to exit code 2, as the library's ConfigError does."""
 
 
 def _json_safe(node):
     if isinstance(node, float) and not math.isfinite(node):
-        return _fmt(node)
+        return repr(node)  # inf, -inf or nan
     if isinstance(node, dict):
         return {k: _json_safe(v) for k, v in node.items()}
     if isinstance(node, (list, tuple)):
@@ -74,8 +65,8 @@ def _csv_cell(text: str) -> str:
 def _write_csv(path, header, columns):
     """Write ``header`` and ``columns`` (one per header name), ``CSV_CHUNK_ROWS`` rows per write.
 
-    Array cells go through ``tolist()`` and ``repr``, which spells Python
-    ints and floats as ``_fmt`` does; text cells are quoted as csv.writer does.
+    Number cells, array cells through ``tolist()``, are spelled by ``repr``
+    (``inf``, ``-inf``, ``nan``); text cells are quoted as csv.writer does.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_csv_cell, header)) + "\n")
@@ -86,7 +77,7 @@ def _write_csv(path, header, columns):
                 if isinstance(part, np.ndarray):
                     cells.append(map(repr, part.tolist()))
                 else:
-                    cells.append([_csv_cell(v) if isinstance(v, str) else _fmt(v) for v in part])
+                    cells.append([_csv_cell(v) if isinstance(v, str) else repr(v) for v in part])
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -208,31 +199,24 @@ def _covariates_from_csv(path, names):
     return data[:, cols]
 
 
-def _scenario_from_args(args, n_test: int) -> Scenario:
+# --scale-model choices as run_replications's scale_model (None: auto)
+_SCALE_MODES = {"auto": None, "on": True, "off": False}
+
+
+def _scenario_from_args(args, n_test: int) -> tuple:
+    """The scenario and the scale switch given by the flags simulate and regions share."""
     n_obs = args.n
     if n_obs < 4:
         raise UsageError("--n must be at least 4")
-    try:
-        return Scenario(
-            tag=args.scenario,
-            n_train=n_obs // 2,
-            n_cal=n_obs - n_obs // 2,
-            n_test=n_test,
-            alpha=args.alpha,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _check_methods(tags, valid):
-    unknown = [t for t in tags if t not in valid]
-    if unknown:
-        raise UsageError(f"unknown method {unknown[0]!r}; valid tags: {', '.join(valid)}")
-
-
-# --scale-model choices as run_replications's scale_model (None: auto)
-_SCALE_MODES = {"auto": None, "on": True, "off": False}
+    scn = Scenario(
+        tag=args.scenario,
+        n_train=n_obs // 2,
+        n_cal=n_obs - n_obs // 2,
+        n_test=n_test,
+        alpha=args.alpha,
+        seed=args.seed,
+    )
+    return scn, use_scale(_SCALE_MODES[args.scale_model], scn.tag)
 
 
 def _thread_count(flag) -> int:
@@ -253,13 +237,12 @@ def _thread_count(flag) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scn = _scenario_from_args(args, args.n_test)
+    scn, scale_on = _scenario_from_args(args, args.n_test)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    _check_methods(methods, METHOD_TAGS)
+    check_methods(methods)
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
     threads = _thread_count(args.threads)
-    scale_on = use_scale(_SCALE_MODES[args.scale_model], scn.tag)
     reports = run_replications(scn, methods, args.reps, threads=threads, scale_model=scale_on)
     summaries = summarize(reports)
     os.makedirs(args.outdir, exist_ok=True)
@@ -298,9 +281,8 @@ def _sequential_plan(n: int, fractions, shuffle_seed=None) -> SplitPlan:
 
 
 def cmd_predict(args) -> int:
-    _check_methods([args.method], [m for m in METHOD_TAGS if m != "oracle"])
-    if not 0.0 < args.alpha < 1.0:  # the message Scenario gives simulate and regions
-        raise UsageError("alpha must lie in (0, 1)")
+    check_methods([args.method], FIT_TAGS)
+    check_alpha(args.alpha)
     names, train = _dataset_from_csv(args.train, args.target)
     x_test = _covariates_from_csv(args.test, names)
     scale_on = _SCALE_MODES[args.scale_model]
@@ -385,13 +367,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    scn = _scenario_from_args(args, n_test=1)  # the test fold is never read
-    _check_methods([args.method], METHOD_TAGS)
+    scn, scale_on = _scenario_from_args(args, n_test=1)  # the test fold is never read
+    check_methods([args.method])
     if args.grid_points < 1:
         raise UsageError(f"--grid-points must be >= 1, got {args.grid_points}")
     grid = np.linspace(-5.0, 5.0, args.grid_points)
     observed, _, oracle = generate(scn)
-    scale_on = use_scale(_SCALE_MODES[args.scale_model], scn.tag)
     plan = build_plan(observed.n, scn.n_train, scale_on)
     model = oracle if args.method == "oracle" else fit_method(
         args.method, observed, plan, scn.alpha, scale_on
@@ -417,18 +398,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim_p = sub.add_parser("simulate", help="run a benchmark scenario")
-    sim_p.add_argument("--scenario", required=True)
+    # the flags of a scenario's replication, shared by simulate and regions
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True)
+    scenario.add_argument("--alpha", type=float, default=0.1)
+    scenario.add_argument("--seed", type=int, default=0)
+    scenario.add_argument("--n", type=int, default=1000, help="observed points per replication")
+    scenario.add_argument("--scale-model", choices=list(_SCALE_MODES), default="auto")
+    scenario.add_argument("--outdir", default=".")
+
+    sim_p = sub.add_parser("simulate", parents=[scenario], help="run a benchmark scenario")
     sim_p.add_argument("--methods", default="kde-hpd,secpr,cqr,dcp")
     sim_p.add_argument("--reps", type=int, default=200)
-    sim_p.add_argument("--alpha", type=float, default=0.1)
-    sim_p.add_argument("--seed", type=int, default=0)
-    sim_p.add_argument("--n", type=int, default=1000, help="observed points per rep")
     sim_p.add_argument("--n-test", type=int, default=50)
     sim_p.add_argument("--threads", type=int, help="default: CONFORMAL_HPD_THREADS, else 1")
-    sim_p.add_argument("--scale-model", choices=["auto", "on", "off"], default="auto")
     sim_p.add_argument("--format", choices=["csv", "json", "both"], default="both")
-    sim_p.add_argument("--outdir", default=".")
     sim_p.set_defaults(func=cmd_simulate)
 
     pred_p = sub.add_parser("predict", help="fit on a train CSV, predict a test CSV")
@@ -456,15 +440,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev_p.add_argument("--outdir", default=".")
     ev_p.set_defaults(func=cmd_evaluate)
 
-    reg_p = sub.add_parser("regions", help="export plot-ready region traces")
-    reg_p.add_argument("--scenario", required=True)
+    reg_p = sub.add_parser("regions", parents=[scenario], help="export plot-ready region traces")
     reg_p.add_argument("--method", default="kde-hpd")
-    reg_p.add_argument("--alpha", type=float, default=0.1)
-    reg_p.add_argument("--seed", type=int, default=0)
-    reg_p.add_argument("--n", type=int, default=1000)
     reg_p.add_argument("--grid-points", type=int, default=200)
-    reg_p.add_argument("--scale-model", choices=["auto", "on", "off"], default="auto")
-    reg_p.add_argument("--outdir", default=".")
     reg_p.set_defaults(func=cmd_regions)
 
     return parser
@@ -478,7 +456,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failure boundary

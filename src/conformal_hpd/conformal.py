@@ -16,10 +16,12 @@ from scipy.special import ndtri
 
 # coalesce, fit_kde and smallest_mass_region stay patchable here for tracing
 from conformal_hpd.core import (  # noqa: F401
+    ConfigError,
     Dataset,
     RegionBatch,
     ScoreVector,
     SplitPlan,
+    check_alpha,
     coalesce,
     conformal_q,
     conformal_r,
@@ -68,22 +70,17 @@ DCP_SEARCH_STEP = 0.005
 # KDE-HPD
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-
-
 def _folds(data: Dataset, plan: SplitPlan, joint: bool = True) -> tuple:
     """Training rows (train1 + train2, or train1 alone unless ``joint``) and the calibration fold.
 
-    Raises on an index outside ``data`` or an empty fold, before any estimator is fitted.
+    Raises ConfigError on an index outside ``data`` or an empty fold, before any estimator is fitted.
     """
     plan.check_against(data.n)
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2]) if joint else plan.idx_train1
-    if idx_train.size == 0:
-        raise ValueError("training fold is empty")
-    if plan.idx_cal.size == 0:
-        raise ValueError("no calibration scores")
+    for fold, idx in (("training", idx_train), ("calibration", plan.idx_cal)):
+        if idx.size == 0:
+            rows = "/".join(str(a.size) for a in (plan.idx_train1, plan.idx_train2, plan.idx_cal))
+            raise ConfigError(f"{fold} fold is empty: split of {rows} rows to train1/train2/cal")
     return data.subset(idx_train), data.subset(plan.idx_cal)
 
 
@@ -158,7 +155,7 @@ def fit_kde_hpd(
     marginal coverage (Lei, Robins & Wasserman 2013; Izbicki, Shimizu &
     Stern 2022, HPD-split).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     joint = config.scale.kind == "constant-one"
     train, cal = _folds(data, plan, joint=joint)
     gh = fit_mean(train)
@@ -204,8 +201,7 @@ def fit_secpr(
 
     Each budget must be non-negative and their sum must lie in (0, 1).
     """
-    if not (alpha1 >= 0.0 and alpha2 >= 0.0 and 0.0 < alpha1 + alpha2 < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha1 + alpha2 if alpha1 >= 0.0 and alpha2 >= 0.0 else math.nan)
     train, cal = _folds(data, plan)
     gh = fit_mean(train)
     scores = ScoreVector(cal.y - predict_mean(gh, cal.x))
@@ -287,7 +283,7 @@ def fit_cqr(
     alpha: float,
 ) -> CqrModel:
     """CQR with equal-tailed kNN quantile bands at alpha/2 and 1 - alpha/2."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     train, cal = _folds(data, plan)
     ladder = fit_quantile_ladder(train, [alpha / 2, 1 - alpha / 2], QuantileConfig())
     return _calibrated(CqrModel(ladder=ladder, cutoff=math.nan), cal, alpha)
@@ -297,13 +293,12 @@ def fit_cqr(
 # Distributional conformal prediction (DCP)
 
 
-def _ladder_quantile(qmat: np.ndarray, levels: np.ndarray, tau) -> np.ndarray:
-    """Row-wise linear interpolation of the ladder at levels ``tau``.
+def _ladder_quantile(qmat: np.ndarray, levels: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Row-wise linear interpolation of the ladder at levels ``tau``, shape (n, G).
 
-    ``tau`` is one level for all rows, an (n,) or (n, G) array per row, or a shared (1, G) grid.
+    ``tau`` is an (n, G) array of levels per row, or a (1, G) grid shared by every row.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    rows = np.arange(qmat.shape[0]).reshape(-1, *[1] * (tau.ndim - 1))
+    rows = np.arange(qmat.shape[0])[:, None]
     j = np.clip(np.searchsorted(levels, tau), 1, levels.size - 1)
     # levels beyond the ladder take the clamp branch below; clipping keeps w finite
     w = (np.clip(tau, levels[0], levels[-1]) - levels[j - 1]) / (levels[j] - levels[j - 1])
@@ -391,9 +386,9 @@ class DcpModel:
         qmat, center = _dcp_window(self.ladder, self.alpha, xs)
         # levels beyond the ladder clamp to the outer quantiles, as the
         # scores of responses beyond them exceed the cutoff
-        lo = _ladder_quantile(qmat, DCP_LADDER_LEVELS, center - self.cutoff)
-        hi = _ladder_quantile(qmat, DCP_LADDER_LEVELS, center + self.cutoff)
-        return RegionBatch(lo[:, None], hi[:, None])
+        tau = center[:, None] + [-self.cutoff, self.cutoff]
+        ends = _ladder_quantile(qmat, DCP_LADDER_LEVELS, tau)
+        return RegionBatch(ends[:, :1], ends[:, 1:])
 
 
 def fit_dcp(
@@ -408,7 +403,7 @@ def fit_dcp(
     shortest-interval window (``_dcp_scores``). A cutoff of 1 or more,
     such as the infinite one of a tiny calibration fold, gives the whole line.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     train, cal = _folds(data, plan)
     ladder = fit_quantile_ladder(train, DCP_LADDER_LEVELS, DCP_QUANTILE)
     return _calibrated(DcpModel(ladder=ladder, alpha=alpha, cutoff=math.nan), cal, alpha)
@@ -440,7 +435,7 @@ class ParametricNormalModel:
 
 def fit_parametric_normal(data: Dataset, alpha: float) -> ParametricNormalModel:
     """Fit on every row of ``data`` (no calibration fold is needed)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     design = _design(data.x)
     coef = _ols(design, data.y)
     resid = data.y - design @ coef

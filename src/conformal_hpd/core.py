@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "ConfigError",
+    "check_alpha",
     "Dataset",
     "SplitPlan",
     "PredictionRegion",
@@ -28,6 +30,16 @@ __all__ = [
     "region_contains",
     "hausdorff",
 ]
+
+
+class ConfigError(ValueError):
+    """An argument outside its domain: a level, a tag, a fold size or an empty fold."""
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise :class:`ConfigError` unless ``0 < alpha < 1`` (NaN fails too)."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError("alpha must lie in (0, 1)")
 
 
 def _as_readonly(a, dtype=np.float64, ndim=None):
@@ -108,7 +120,7 @@ class SplitPlan:
         for name in ("idx_train1", "idx_train2", "idx_cal"):
             arr = getattr(self, name)
             if arr.size and arr.max() >= n:
-                raise ValueError(f"{name} contains index >= n={n}")
+                raise ConfigError(f"{name} contains index >= n={n}")
 
     @classmethod
     def sequential(cls, order, n1: int, n2: int) -> "SplitPlan":
@@ -223,8 +235,10 @@ class ScoreVector:
 
 
 def _order_stat(scores: ScoreVector, k: int) -> float:
-    """k-th smallest score (1-indexed), with +/-inf clamping outside 1..n."""
+    """k-th smallest score (1-indexed), with +/-inf clamping outside 1..n; raises if n is 0."""
     n = scores.n
+    if n == 0:
+        raise ValueError("no calibration scores")
     if k < 1:
         return -math.inf
     if k > n:
@@ -247,16 +261,12 @@ def conformal_q(scores: ScoreVector, delta: float) -> float:
     Indices above ``n`` clamp to ``+inf`` and indices below 1 clamp to
     ``-inf``, preserving the coverage guarantee at extreme levels.
     """
-    if scores.n == 0:
-        raise ValueError("no calibration scores")
     k = _ceil_index(delta * (scores.n + 1))
     return _order_stat(scores, k)
 
 
 def conformal_r(scores: ScoreVector, delta: float) -> float:
     """Lower conformal order statistic: the ceil(delta*(n+1) - 1)-th smallest score."""
-    if scores.n == 0:
-        raise ValueError("no calibration scores")
     k = _ceil_index(delta * (scores.n + 1) - 1.0)
     return _order_stat(scores, k)
 

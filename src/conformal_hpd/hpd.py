@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from conformal_hpd.core import check_alpha
 from conformal_hpd.kde import KdeModel, kde_cdf, kde_eval
 
 __all__ = [
@@ -151,8 +152,7 @@ def find_cutoff(density, cdf, grid, values, alpha: float) -> float:
     sees, or alpha below the mass outside the grid), the result is 0, whose
     superlevel set is the whole line.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     target = 1.0 - alpha
 
     def excess(lam):

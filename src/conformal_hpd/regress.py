@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conformal_hpd.core import Dataset
+from conformal_hpd.core import ConfigError, Dataset
 
 __all__ = [
     "ScaleConfig",
@@ -125,19 +125,19 @@ class _Knn:
             out[start : start + block.shape[0]] = self.targets[idx]
         return out
 
-    def quantile(self, x: np.ndarray, levels) -> np.ndarray:
-        """``np.quantile(self.neighbor_targets(x), levels, axis=1)``, shape (m,) or (L, m).
+    def quantile(self, x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """``np.quantile(self.neighbor_targets(x), levels, axis=1).T`` for 1-D ``levels``: (m, L).
 
         With one column, taken once per window some query uses, then indexed:
         a row's quantile depends on its own values only, so the bits are the same.
         """
         if x.shape[1] != 1:
-            return np.quantile(self.neighbor_targets(x), levels, axis=1)
+            return np.quantile(self.neighbor_targets(x), levels, axis=1).T
         start = self._window_starts(x)
         used = np.zeros(self.windows.shape[0], dtype=bool)
         used[start] = True
-        table = np.quantile(self.windows[used], levels, axis=1)
-        return table[..., (np.cumsum(used) - 1)[start]]
+        table = np.quantile(self.windows[used], levels, axis=1).T
+        return table[(np.cumsum(used) - 1)[start]]
 
     def _window_starts(self, x: np.ndarray) -> np.ndarray:
         """The start of the window of k sorted fitted rows nearest each query row of ``x``.
@@ -214,7 +214,7 @@ def fit_scale(
     if config.kind == "constant-one":
         return ScaleEstimator(kind="constant-one", d=data.d)
     if data.n == 0:
-        raise ValueError("scale fold is empty")
+        raise ConfigError("scale fold is empty")
     absres = np.abs(data.y - predict_mean(gh, data.x))
     k = max(10, round(math.sqrt(data.n)))
     return ScaleEstimator(
@@ -227,7 +227,7 @@ def predict_scale(sh: ScaleEstimator, x) -> np.ndarray:
     xm = _as_matrix(x, sh.d)
     if sh.kind == "constant-one":
         return np.ones(xm.shape[0])
-    return np.maximum(sh.knn.quantile(xm, sh.level), SCALE_FLOOR)
+    return np.maximum(sh.knn.quantile(xm, [sh.level])[:, 0], SCALE_FLOOR)
 
 
 def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
@@ -346,6 +346,6 @@ def predict_quantile(qe: QuantileEstimator, x):
     """The fitted quantile ladder at covariate rows ``x`` of shape (n, d), shape (n, L)."""
     xm = _as_matrix(x, qe.d)
     if qe.kind == "knn-quantile":
-        return qe.knn.quantile(xm, qe.levels).T
+        return qe.knn.quantile(xm, qe.levels)
     design = (_quantile_design(xm) - qe.scale_mu) / qe.scale_sd
     return design @ qe.coef

@@ -25,9 +25,11 @@ from conformal_hpd.conformal import (
     fit_secpr,
 )
 from conformal_hpd.core import (
+    ConfigError,
     Dataset,
     RegionBatch,
     SplitPlan,
+    check_alpha,
     hausdorff,
     region_contains,  # noqa: F401 - stays patchable here for tracing
     region_length,  # noqa: F401 - stays patchable here for tracing
@@ -39,6 +41,7 @@ from conformal_hpd.regress import ScaleConfig, _as_matrix
 __all__ = [
     "SCENARIO_TAGS",
     "METHOD_TAGS",
+    "FIT_TAGS",
     "Scenario",
     "RepReport",
     "MethodSummary",
@@ -50,15 +53,8 @@ __all__ = [
     "conditional_coverage",
     "hausdorff_diagnostic",
     "fit_method",
+    "check_methods",
 ]
-
-SCENARIO_TAGS = (
-    "unimodal-symmetric",
-    "unimodal-skewed",
-    "bimodal",
-    "heteroscedastic",
-    "bowtie",
-)
 
 _timer = time.perf_counter  # replaceable hook so tests can freeze wall time
 
@@ -76,13 +72,12 @@ class Scenario:
 
     def __post_init__(self):
         if self.tag not in SCENARIO_TAGS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown scenario {self.tag!r}; valid tags: {', '.join(SCENARIO_TAGS)}"
             )
         if min(self.n_train, self.n_cal, self.n_test) < 1:
-            raise ValueError("fold sizes must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise ConfigError("fold sizes must be >= 1")
+        check_alpha(self.alpha)
 
 
 def _mean_fn(x: np.ndarray) -> np.ndarray:
@@ -190,6 +185,7 @@ _LAWS = {
     "heteroscedastic": _HeteroGammaLaw,
     "bowtie": _BowtieLaw,
 }
+SCENARIO_TAGS = tuple(_LAWS)
 
 
 @dataclass(frozen=True)
@@ -277,7 +273,7 @@ class MethodSummary:
 
 def use_scale(scale_model: bool | None, tag: str) -> bool:
     """Whether to fit the conditional scale; ``None`` (auto) means exactly for bowtie."""
-    return tag == "bowtie" if scale_model is None else bool(scale_model)
+    return _LAWS.get(tag) is _BowtieLaw if scale_model is None else bool(scale_model)
 
 
 def build_plan(n_obs: int, n_train: int, scale_on: bool) -> SplitPlan:
@@ -298,13 +294,20 @@ _FITS = {
     "dcp": lambda data, plan, alpha, scale_on: fit_dcp(data, plan, alpha),
     "parametric": lambda data, plan, alpha, scale_on: fit_parametric_normal(data, alpha),
 }
-METHOD_TAGS = (*_FITS, "oracle")
+FIT_TAGS = tuple(_FITS)
+METHOD_TAGS = (*FIT_TAGS, "oracle")
+
+
+def check_methods(tags, valid=METHOD_TAGS) -> None:
+    """Raise ConfigError naming the first of ``tags`` not in ``valid``, and listing ``valid``."""
+    unknown = [t for t in tags if t not in valid]
+    if unknown:
+        raise ConfigError(f"unknown method {unknown[0]!r}; valid tags: {', '.join(valid)}")
 
 
 def fit_method(tag, observed, plan, alpha, scale_on):
     """Fit one method by tag with the benchmark's default estimators."""
-    if tag not in _FITS:
-        raise ValueError(f"unknown method {tag!r}; valid tags: {', '.join(METHOD_TAGS)}")
+    check_methods([tag], FIT_TAGS)
     return _FITS[tag](observed, plan, alpha, scale_on)
 
 
@@ -330,7 +333,6 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
                 covered=tuple(covered),
                 x_test=x_test,
                 n_intervals=getattr(model, "n_intervals", 1),
-                warnings=getattr(model, "dropped_pairs", 0),
             )
         except Exception as exc:  # noqa: BLE001 - recorded, not silenced
             outcome = dict(error=f"{type(exc).__name__}: {exc}")
@@ -352,15 +354,11 @@ def run_replications(
     are identical for any ``threads`` value.
     """
     if reps < 1:
-        raise ValueError("reps must be >= 1")
+        raise ConfigError("reps must be >= 1")
     if threads < 1:
-        raise ValueError("threads must be >= 1")
+        raise ConfigError("threads must be >= 1")
     methods = tuple(methods)
-    for tag in methods:
-        if tag not in METHOD_TAGS:
-            raise ValueError(
-                f"unknown method {tag!r}; valid tags: {', '.join(METHOD_TAGS)}"
-            )
+    check_methods(methods)
     scale_on = use_scale(scale_model, scn.tag)
     if threads > 1:
         import multiprocessing as mp

@@ -275,6 +275,39 @@ class TestPredict:
         assert run_cli(*args, "--split", "0.3,0.2,0.5", "--outdir", str(good)) == 0
         assert (good / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("method", ["kde-hpd", "secpr", "cqr", "dcp"])
+    @pytest.mark.parametrize(
+        "split, fold",
+        [("0,0,1", "training"), ("1,0,0", "calibration"), ("0.5,0.5,0", "calibration"), ("", "training")],
+        ids=["no-training", "no-calibration", "no-calibration-two-trains", "one-row-train-file"],
+    )
+    def test_empty_fold_exits_2_naming_it(self, sim_csvs, tmp_path, capsys, method, split, fold):
+        _, train_path, test_path = sim_csvs
+        if not split:  # the default split gives one row no training rows
+            header, first = read_csv(train_path)[:2]
+            train_path = tmp_path / "one.csv"
+            write_csv(train_path, header, [first])
+        out = tmp_path / "o"
+        code = run_cli(
+            "predict", "--train", str(train_path), "--test", str(test_path), "--target", "price",
+            "--method", method, "--split", split, "--outdir", str(out),
+        )
+        assert code == 2
+        assert f"{fold} fold is empty" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
+    def test_empty_scale_fold_exits_2_and_parametric_ignores_the_split(self, sim_csvs, tmp_path, capsys):
+        _, train_path, test_path = sim_csvs
+        args = ("predict", "--train", str(train_path), "--test", str(test_path), "--target", "price")
+        out = tmp_path / "o"
+        assert run_cli(
+            *args, "--scale-model", "on", "--split", "0.5,0,0.5", "--outdir", str(out)
+        ) == 2
+        assert "scale fold is empty" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+        # parametric fits every row, whatever the split
+        assert run_cli(*args, "--method", "parametric", "--split", "0,0,1", "--outdir", str(out)) == 0
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "where, expected",
@@ -952,13 +985,24 @@ class TestNumericReader:
             cli._read_table(path)
 
 
+def reference_fmt(value) -> str:
+    """A number's cell text as the csv.writer path spelled it: ``repr`` of a float, ``str`` else."""
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return repr(value)
+    return str(value)
+
+
 def write_csv_reference(path, header, rows):
     """The row-by-row csv.writer path that ``cli._write_csv`` replaces."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([cli._fmt(v) for v in row])
+            writer.writerow([reference_fmt(v) for v in row])
 
 
 class TestCsvWriter:

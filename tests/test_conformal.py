@@ -146,7 +146,7 @@ class TestKdeHpdPipeline:
     def test_empty_folds_rejected(self):
         rng = np.random.default_rng(43)
         data = make_line_data(rng, 20, lambda n: rng.standard_normal(n))
-        with pytest.raises(ValueError, match="no calibration scores"):
+        with pytest.raises(ValueError, match="calibration fold is empty"):
             fit_kde_hpd(
                 data,
                 SplitPlan(idx_train1=np.arange(10), idx_train2=[], idx_cal=[]),
@@ -187,8 +187,12 @@ def rank_count(n_cal, alpha):
     snapped to it as conformal_q snaps it. It is worked out here rather than
     read from conformal_q, so an index off by one there shows as a count off by one.
     """
-    x = (1.0 - alpha) * (n_cal + 1)
-    return min(round(x) if abs(x - round(x)) < 1e-9 else math.ceil(x), n_cal + 1)
+    return min(snapped_ceil((1.0 - alpha) * (n_cal + 1)), n_cal + 1)
+
+
+def snapped_ceil(x):
+    """ceil(x), with an x within 1e-9 of an integer snapped to it, as conformal_q and conformal_r snap."""
+    return round(x) if abs(x - round(x)) < 1e-9 else math.ceil(x)
 
 
 def rank_hits(scores, alpha):
@@ -249,6 +253,56 @@ class TestRankCoverage:
         assert hits == rank_hits(scores, alpha)
         if np.unique(scores).size == n_cal + 1:
             assert hits == rank_count(n_cal, alpha)
+
+    @given(
+        method=st.sampled_from([("kde-hpd", False), ("kde-hpd", True), ("cqr", False), ("dcp", False)]),
+        d=st.integers(1, 2),
+        alpha=st.floats(0.001, 0.99),
+        offset=st.sampled_from([0.0, 1e9]),
+        noise=st.sampled_from(["normal", "bimodal", "cauchy"]),
+        n_cal=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rank_count_at_the_edges(self, method, d, alpha, offset, noise, n_cal, seed):
+        """Multi-column covariates, alpha near 0 or 1, a response offset of 1e9 and heavy tails."""
+        rng = np.random.default_rng(seed)
+        n = 60 + n_cal + 1
+        x = rng.uniform(-5.0, 5.0, (n, d))
+        eps = {
+            "normal": rng.standard_normal,
+            "bimodal": bimodal_noise(rng),
+            "cauchy": rng.standard_cauchy,
+        }[noise](n)
+        data = Dataset(x, offset + 5.0 + x @ np.array([2.0, -1.0])[:d] + eps)
+        idx = np.arange(n)
+        tag, scale_on = method
+        hits, scores = leave_one_out_hits(data, idx[:60], idx[60:], alpha, tag, scale_on)
+        assert hits == rank_hits(scores, alpha)
+
+    @given(
+        alpha=st.floats(0.001, 0.99),
+        lower_share=st.floats(0.0, 1.0),
+        n_cal=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_secpr_two_sided_rank_count(self, alpha, lower_share, n_cal, seed):
+        """With distinct signed errors, SECPR covers the pooled ranks r with k_R < r <= k_Q."""
+        alpha1 = alpha * lower_share
+        alpha2 = alpha - alpha1
+        rng = np.random.default_rng(seed)
+        data = make_line_data(rng, 60 + n_cal + 1, lambda n: rng.standard_normal(n))
+        idx = np.arange(data.n)
+        pool = idx[60:]
+        hits = 0
+        for j in range(pool.size):
+            model = fit_secpr(data, SplitPlan(idx[:60], [], np.delete(pool, j)), alpha1, alpha2)
+            row = data.subset(pool[j : j + 1])
+            hits += region_contains(predict_regions(model, row.x)[0], row.y[0])
+        k_r = snapped_ceil(alpha1 * (n_cal + 1) - 1.0)
+        k_q = snapped_ceil((1.0 - alpha2) * (n_cal + 1))
+        assert hits == sum(k_r < r <= k_q for r in range(1, n_cal + 2))
 
 
 def stub_pipeline(center, scale_coef, intervals, cutoff=-1.0):
@@ -439,7 +493,8 @@ class TestDcp:
             ]
         )
         expected = [scalar(qmat[i : i + 1], DCP_LADDER_LEVELS, t)[0] for i, t in enumerate(tau)]
-        np.testing.assert_array_equal(_ladder_quantile(qmat, DCP_LADDER_LEVELS, tau), expected)
+        per_row = _ladder_quantile(qmat, DCP_LADDER_LEVELS, tau[:, None])[:, 0]
+        np.testing.assert_array_equal(per_row, expected)
         grid = tau[None, :]  # every level at every row, as the DCP window search asks
         expected = np.column_stack([scalar(qmat, DCP_LADDER_LEVELS, t) for t in tau])
         np.testing.assert_array_equal(_ladder_quantile(qmat, DCP_LADDER_LEVELS, grid), expected)
@@ -739,7 +794,7 @@ class TestFolds:
         "plan, match",
         [
             (SplitPlan([], [], np.arange(20)), "training fold is empty"),
-            (SplitPlan(np.arange(10), [], []), "no calibration scores"),
+            (SplitPlan(np.arange(10), [], []), "calibration fold is empty"),
             (SplitPlan(np.arange(10), [], [10, 11, 20]), "idx_cal contains index >= n=20"),
         ],
         ids=["empty-training", "empty-calibration", "index-out-of-range"],

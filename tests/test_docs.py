@@ -1,10 +1,12 @@
 """README's library example runs as written, its Layout names every module,
-and every exported name exists.
+its Command line section names every CLI option, and every exported name exists.
 
-A deleted export, a stale README example or a module missing from the
-Layout would otherwise go unnoticed until a reader tried it.
+A deleted export, a stale README example, a module missing from the
+Layout or an undocumented flag would otherwise go unnoticed until a
+reader tried it.
 """
 
+import argparse
 import importlib
 import pkgutil
 import re
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import conformal_hpd
+from conformal_hpd import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE_DIR = Path(conformal_hpd.__file__).resolve().parent
@@ -49,3 +52,23 @@ def layout_block() -> str:
 def test_readme_layout_names_every_module(path):
     # each module starts an indented line of the block under src/conformal_hpd/
     assert re.search(rf"^\s+{re.escape(path.name)}\s", layout_block(), re.M)
+
+
+def cli_options() -> list:
+    """(subcommand, option string) for every option of every subcommand but --help."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, option)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    ]
+
+
+@pytest.mark.parametrize("command, option", cli_options(), ids=lambda v: v)
+def test_readme_command_line_names_every_option(command, option):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    # the whole flag: --n must not match inside --n-test
+    assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", section)

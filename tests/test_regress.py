@@ -535,8 +535,9 @@ class TestKnnWindowQuantiles:
 
     @staticmethod
     def assert_same_bits(knn, queries, levels):
+        levels = np.atleast_1d(levels)
         got = knn.quantile(queries, levels)
-        want = np.quantile(knn.neighbor_targets(queries), levels, axis=1)
+        want = np.quantile(knn.neighbor_targets(queries), levels, axis=1).T
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
