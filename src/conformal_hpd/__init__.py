@@ -19,15 +19,11 @@ from conformal_hpd.conformal import (
 )
 from conformal_hpd.core import (
     Dataset,
-    PredictionRegion,
     ScoreVector,
     SplitPlan,
-    coalesce,
     conformal_q,
     conformal_r,
     hausdorff,
-    region_contains,
-    region_length,
 )
 from conformal_hpd.sim import (
     Scenario,
@@ -42,15 +38,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "PredictionRegion",
     "ScoreVector",
     "SplitPlan",
-    "coalesce",
     "conformal_q",
     "conformal_r",
     "hausdorff",
-    "region_contains",
-    "region_length",
     "KdeHpdConfig",
     "KdeHpdPipeline",
     "fit_kde_hpd",

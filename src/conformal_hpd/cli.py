@@ -14,7 +14,9 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import asdict, fields
+from itertools import chain
 
 import numpy as np
 
@@ -123,8 +125,8 @@ def _read_table(path, text=""):
     """Header, numeric cells and ``text`` labels of a CSV file; one leading BOM is dropped.
 
     Every column but ``text`` holds numbers: numpy parses plain numeric files
-    (see ``_numpy_cells``), csv.reader and ``_parse_cell`` all others, cell by
-    cell in row order. The stripped ``text`` cells are the labels (or None).
+    (see ``_numpy_cells``), csv.reader and ``_parse_cell`` all others, row by
+    row as the file is read. The stripped ``text`` cells are the labels (or None).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -139,28 +141,29 @@ def _read_table(path, text=""):
                     return head[:-1].split(","), data, None
                 fh.seek(0)
                 fh.readline()
-            lines = [head, *fh.readlines()] if first else []
+            reader = csv.reader(chain([head], fh) if first else ())
+            header = next(reader, None)
+            if header is None:
+                raise UsageError(f"{path}: empty file, header row required")
+            if text and text not in header:
+                raise UsageError(f"{path}: column {text!r} not found")
+            g = header.index(text) if text else -1
+            cells, labels, i = array("d"), [], 0
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise UsageError(
+                        f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
+                    )
+                for j, cell in enumerate(row):
+                    cells.append(math.nan if j == g else _parse_cell(path, header, i, j, cell))
+                if text:
+                    labels.append(row[g].strip())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise UsageError(f"{path}: empty file, header row required")
-    if text and text not in header:
-        raise UsageError(f"{path}: column {text!r} not found")
-    rows = list(reader)
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise UsageError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-    g = header.index(text) if text else -1
-    data = np.full((len(rows), len(header)), np.nan)
-    for i, row in enumerate(rows, start=1):
-        for j, cell in enumerate(row):
-            if j != g:
-                data[i - 1, j] = _parse_cell(path, header, i, j, cell)
-    return header, data, ([row[g].strip() for row in rows] if text else None)
+    data = np.frombuffer(cells, dtype=np.float64).reshape(i, len(header))
+    return header, data, (labels if text else None)
 
 
 def _reject_where(path, header, bad, what):
@@ -219,19 +222,6 @@ def _scenario_from_args(args, n_test: int) -> tuple:
     return scn, use_scale(_SCALE_MODES[args.scale_model], scn.tag)
 
 
-def _thread_count(flag) -> int:
-    """``--threads`` if given, else ``CONFORMAL_HPD_THREADS``, else 1."""
-    env = os.environ.get("CONFORMAL_HPD_THREADS") or "1"
-    source, text = ("--threads", flag) if flag is not None else ("CONFORMAL_HPD_THREADS", env)
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(f"{source} must be an integer >= 1, got {text!r}")
-    return threads
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -239,11 +229,7 @@ def _thread_count(flag) -> int:
 def cmd_simulate(args) -> int:
     scn, scale_on = _scenario_from_args(args, args.n_test)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    check_methods(methods)
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
-    threads = _thread_count(args.threads)
-    reports = run_replications(scn, methods, args.reps, threads=threads, scale_model=scale_on)
+    reports = run_replications(scn, methods, args.reps, args.threads, scale_model=scale_on)
     summaries = summarize(reports)
     os.makedirs(args.outdir, exist_ok=True)
     if args.format in ("csv", "both"):
@@ -411,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--methods", default="kde-hpd,secpr,cqr,dcp")
     sim_p.add_argument("--reps", type=int, default=200)
     sim_p.add_argument("--n-test", type=int, default=50)
-    sim_p.add_argument("--threads", type=int, help="default: CONFORMAL_HPD_THREADS, else 1")
+    sim_p.add_argument("--threads", type=int, default=1)
     sim_p.add_argument("--format", choices=["csv", "json", "both"], default="both")
     sim_p.set_defaults(func=cmd_simulate)
 

@@ -25,6 +25,7 @@ from conformal_hpd.core import (  # noqa: F401
     coalesce,
     conformal_q,
     conformal_r,
+    first_float,
 )
 from conformal_hpd.hpd import interpolated_level_set, smallest_mass_region  # noqa: F401
 from conformal_hpd.kde import binned_kde, fit_kde  # noqa: F401
@@ -61,7 +62,6 @@ __all__ = [
     "optimal_lower_level",
 ]
 
-DCP_QUANTILE = QuantileConfig(kind="linear-quantile")
 DCP_LADDER_LEVELS = np.round(np.arange(1, 100) / 100.0, 2)
 DCP_SEARCH_STEP = 0.005
 
@@ -213,25 +213,13 @@ def fit_secpr(
 # Conformalized quantile regression (CQR)
 
 
-_INT64_MIN = np.int64(np.iinfo(np.int64).min)
-
-
-def _float_key(y: np.ndarray) -> np.ndarray:
-    """Int64 keys in the order of the floats ``y``, both zeros at 0.
-
-    The map is its own inverse: applied to keys, it gives back the floats' bits.
-    """
-    bits = y.view(np.int64)
-    return np.where(bits < 0, _INT64_MIN - bits, bits)
-
-
 def _first_conforming(q: np.ndarray, c: float) -> np.ndarray:
     """Per entry of ``q``, the smallest float y with fl(q - y) <= ``c``.
 
     fl(q - y) is monotone in y and moves in steps of the ulp of y or of c,
     so the rounded ``q - c`` lies within two of those ulps of the answer;
-    bisection over the floats in that bracket, in their integer order,
-    finds it exactly. An infinite ``q - c`` stays as it is.
+    ``first_float`` finds it exactly in that bracket. An infinite ``q - c``
+    stays as it is.
     """
     end = q - c
     finite = np.isfinite(end)
@@ -240,12 +228,7 @@ def _first_conforming(q: np.ndarray, c: float) -> np.ndarray:
     below, above = np.where(finite, end - slack, end), np.where(finite, end + slack, end)
     if (q - below <= c)[finite].any() or not (q - above <= c)[finite].all():
         raise RuntimeError("region end not bracketed")
-    a, b = _float_key(below), _float_key(above)  # fails at a, holds at b
-    while (b - a > 1).any():
-        mid = a + (b - a) // 2
-        holds = q - _float_key(mid).view(np.float64) <= c
-        a, b = np.where(holds, a, mid), np.where(holds, mid, b)
-    return _float_key(b).view(np.float64)
+    return first_float(below, above, lambda y: q - y <= c)
 
 
 @dataclass(frozen=True)
@@ -405,7 +388,7 @@ def fit_dcp(
     """
     check_alpha(alpha)
     train, cal = _folds(data, plan)
-    ladder = fit_quantile_ladder(train, DCP_LADDER_LEVELS, DCP_QUANTILE)
+    ladder = fit_quantile_ladder(train, DCP_LADDER_LEVELS, QuantileConfig("linear-quantile"))
     return _calibrated(DcpModel(ladder=ladder, alpha=alpha, cutoff=math.nan), cal, alpha)
 
 
@@ -441,7 +424,7 @@ def fit_parametric_normal(data: Dataset, alpha: float) -> ParametricNormalModel:
     resid = data.y - design @ coef
     dof = data.n - design.shape[1]
     if dof <= 0:
-        raise ValueError("too few rows to fit a regression")
+        raise ConfigError(f"too few rows to fit a regression: {data.n} rows, {dof} residual dof")
     s = math.sqrt(float(resid @ resid) / dof)
     xtx_inv = np.linalg.inv(design.T @ design)
     return ParametricNormalModel(

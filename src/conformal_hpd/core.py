@@ -271,6 +271,25 @@ def conformal_r(scores: ScoreVector, delta: float) -> float:
     return _order_stat(scores, k)
 
 
+def first_float(below, above, holds) -> np.ndarray:
+    """Per entry, the smallest float in (``below``, ``above``] where ``holds`` is true.
+
+    ``holds`` maps floats to a mask that is false at ``below`` and true from some
+    float on up to ``above``; bisection over the floats in their integer order finds it.
+    """
+
+    def key(y):  # int64 keys in the order of the floats, both zeros at 0; its own inverse
+        bits = y.view(np.int64)
+        return np.where(bits < 0, -(bits & 0x7FFF_FFFF_FFFF_FFFF), bits)
+
+    a, b = (key(np.asarray(v, dtype=np.float64)) for v in (below, above))
+    for _ in range(int((b - a).view(np.uint64).max(initial=0)).bit_length()):  # halving steps
+        mid = a + ((b - a).view(np.uint64) >> 1).view(np.int64)  # b - a may wrap as int64
+        ok = holds(key(mid).view(np.float64))
+        a, b = np.where(ok, a, mid), np.where(ok, mid, b)
+    return key(b).view(np.float64)
+
+
 def _intervals(region: PredictionRegion):
     """The ``lo`` and ``hi`` endpoints of a region's intervals, in its order."""
     return np.reshape(region.intervals, (-1, 2)).T

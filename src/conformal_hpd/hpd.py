@@ -5,8 +5,8 @@ largest cutoff whose mass reaches 1 - alpha (Hyndman 1996; Lei, Robins &
 Wasserman 2013). ``find_cutoff`` finds it for any density and CDF: a grid
 brackets the cutoff and the intervals, the interval ends are refined on the
 exact density, and their mass is read off the exact CDF at those ends.
-``interpolated_level_set`` is the closed-form counterpart for a density
-that is itself piecewise linear, such as a binned KDE read by ``np.interp``.
+``interpolated_level_set`` is the exact counterpart for a density that is
+itself piecewise linear, such as a binned KDE read by ``np.interp``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conformal_hpd.core import check_alpha
+from conformal_hpd.core import check_alpha, first_float
 from conformal_hpd.kde import KdeModel, kde_cdf, kde_eval
 
 __all__ = [
@@ -27,10 +27,6 @@ __all__ = [
     "quantile_pairs",
     "smallest_mass_region",
 ]
-
-# Intervals holding less smoothed mass than this are treated as tail
-# wiggles: their conformal indices would clamp and blow up region size.
-MIN_COMPONENT_MASS = 1e-3
 
 # Tolerances of the cutoff search (see find_cutoff) and of a crossing in grid
 # steps; a crossing still takes its last secant step, so its error is far smaller.
@@ -105,9 +101,11 @@ def interpolated_level_set(grid, values, level: float) -> np.ndarray:
     ``values`` are non-negative on the increasing ``grid``, and the function
     is 0 off it. Each run of grid points at or above ``level`` is one
     interval. An end on the first or last grid point stays there; every
-    other end is the linear crossing inside its bracketing cell, in closed
-    form. ``level <= 0`` gives the whole line; a level above every value
-    gives no interval.
+    other end is the first float of its cell where ``np.interp`` reaches
+    ``level`` (the last, for an upper end), found by bisection within a few
+    roundings of the closed-form linear crossing, or within the whole cell
+    where that bracket misses. ``level <= 0`` gives the whole line; a level
+    above every value gives no interval.
     """
     if level <= 0:
         return np.array([[-np.inf, np.inf]])
@@ -116,9 +114,20 @@ def interpolated_level_set(grid, values, level: float) -> np.ndarray:
     # the cell left of a start and right of an end, where they lie on the grid
     cell = np.concatenate((starts - 1, ends))
     inner = (cell >= 0) & (cell < grid.size - 1)
+    rising = np.flatnonzero(inner) < starts.size  # lower ends, where the function rises
     a = cell[inner]
-    slope = (values[a + 1] - values[a]) / (grid[a + 1] - grid[a])  # as np.interp takes it
-    out[inner] = np.clip(grid[a] + (level - values[a]) / slope, grid[a], grid[a + 1])
+    lo, hi, v_lo, v_hi = grid[a], grid[a + 1], values[a], values[a + 1]
+    slope = (v_hi - v_lo) / (hi - lo)  # as np.interp takes it
+    guess = lo + (level - v_lo) / slope
+    # np.interp rounds to an ulp of its values, which moves the crossing by that over the slope
+    ulps = np.spacing(np.maximum(v_lo, v_hi)) / np.abs(slope) + np.spacing(np.abs(lo) + np.abs(hi))
+
+    def holds(s):  # at or past a lower end, or past an upper end
+        return (np.interp(s, grid, values, 0.0, 0.0) >= level) == rising
+
+    below, above = np.maximum(guess - 4.0 * ulps, lo), np.minimum(guess + 4.0 * ulps, hi)
+    first = first_float(np.where(holds(below), lo, below), np.where(holds(above), above, hi), holds)
+    out[inner] = np.where(rising, first, np.nextafter(first, -np.inf))
     return out.reshape(2, -1).T
 
 
@@ -128,22 +137,16 @@ def _tail_pairs(cdf, intervals) -> np.ndarray:
     return np.column_stack((c[:, 0], 1.0 - c[:, 1]))
 
 
-def _kept(pairs) -> np.ndarray:
-    """Mask of the intervals whose mass 1 - a - b is not a sliver's."""
-    return 1.0 - pairs[:, 0] - pairs[:, 1] >= MIN_COMPONENT_MASS
-
-
 def find_cutoff(density, cdf, grid, values, alpha: float) -> float:
-    """Largest cutoff whose kept superlevel intervals carry mass >= 1 - alpha.
+    """Largest cutoff whose superlevel intervals carry mass >= 1 - alpha.
 
     ``density`` and ``cdf`` map 1-D arrays to 1-D arrays; ``values`` is
     ``density`` on the sorted uniform ``grid``. The mass at a cutoff is the
     sum of 1 - a - b over the tail-mass pairs (a, b) that ``cdf`` gives at the
-    ends ``superlevel_intervals`` returns for it, slivers (mass below
-    ``MIN_COMPONENT_MASS``) left out; extracting again at the returned cutoff
-    gives the same ends and pairs. The search starts from the grid's Riemann
-    estimate, takes one Newton step on the grid's slope, then secant steps,
-    bisecting whenever the excess mass fails to halve.
+    ends ``superlevel_intervals`` returns for it; extracting again at the
+    returned cutoff gives the same ends and pairs. The search starts from the
+    grid's Riemann estimate, takes one Newton step on the grid's slope, then
+    secant steps, bisecting whenever the excess mass fails to halve.
 
     Tolerance: the returned cutoff's mass is at least 1 - alpha, and either at
     most 1 - alpha + ``MASS_TOL``, or a cutoff at most ``CUTOFF_TOL`` times
@@ -157,7 +160,7 @@ def find_cutoff(density, cdf, grid, values, alpha: float) -> float:
 
     def excess(lam):
         pairs = _tail_pairs(cdf, superlevel_intervals(density, grid, values, lam))
-        return float((1.0 - pairs[:, 0] - pairs[:, 1])[_kept(pairs)].sum()) - target
+        return float((1.0 - pairs[:, 0] - pairs[:, 1]).sum()) - target
 
     top = values.max()
     step = grid[1] - grid[0]
@@ -208,16 +211,15 @@ def quantile_pairs(model: KdeModel, intervals) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HpdResult:
-    """Cutoff, retained intervals, and their tail-mass pairs for one level."""
+    """Cutoff, superlevel intervals, and their tail-mass pairs for one level."""
 
     lambda_hat: float
     intervals: tuple
     pairs: tuple
-    alpha: float
 
 
 def smallest_mass_region(model: KdeModel, alpha: float) -> HpdResult:
-    """Cutoff, kept intervals and their tail pairs for the KDE at level ``alpha``.
+    """Cutoff, intervals and their tail pairs for the KDE at level ``alpha``.
 
     ``extract_intervals`` and ``quantile_pairs`` reproduce, at the cutoff
     ``find_cutoff`` accepts, the ends and pairs whose mass it measured.
@@ -225,11 +227,8 @@ def smallest_mass_region(model: KdeModel, alpha: float) -> HpdResult:
     density, cdf = (lambda z: kde_eval(model, z)), (lambda z: kde_cdf(model, z))
     lam = find_cutoff(density, cdf, model.grid, model.grid_density, alpha)
     intervals = extract_intervals(model, lam)
-    pairs = quantile_pairs(model, intervals)
-    kept = _kept(pairs)
     return HpdResult(
         lambda_hat=lam,
-        intervals=tuple(map(tuple, intervals[kept].tolist())),
-        pairs=tuple(map(tuple, pairs[kept].tolist())),
-        alpha=alpha,
+        intervals=tuple(map(tuple, intervals.tolist())),
+        pairs=tuple(map(tuple, quantile_pairs(model, intervals).tolist())),
     )

@@ -67,9 +67,10 @@ def _quantile_design(x: np.ndarray) -> np.ndarray:
 
 
 def _ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if design.shape[0] < 2:
-        raise ValueError("too few rows to fit a regression")
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    rows, coefs = design.shape
+    if rows < max(2, coefs):
+        raise ConfigError(f"too few rows to fit a regression: {rows} rows for {coefs} coefficients")
+    if np.linalg.matrix_rank(design) < coefs:
         raise ValueError("singular design matrix")
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return coef
@@ -210,7 +211,7 @@ def fit_scale(
     over-smooths a steep sigma).
     """
     if config.kind not in SCALE_KINDS:
-        raise ValueError(f"unknown scale estimator kind: {config.kind!r}")
+        raise ConfigError(f"unknown scale estimator kind: {config.kind!r}")
     if config.kind == "constant-one":
         return ScaleEstimator(kind="constant-one", d=data.d)
     if data.n == 0:
@@ -313,14 +314,14 @@ def fit_quantile_ladder(
 ) -> QuantileEstimator:
     """Fit conditional quantiles at several levels jointly."""
     if config.kind not in QUANTILE_KINDS:
-        raise ValueError(f"unknown quantile estimator kind: {config.kind!r}")
+        raise ConfigError(f"unknown quantile estimator kind: {config.kind!r}")
     levels = np.atleast_1d(np.asarray(levels, dtype=np.float64))
     if ((levels <= 0) | (levels >= 1)).any():
-        raise ValueError("quantile levels must lie in (0, 1)")
+        raise ConfigError("quantile levels must lie in (0, 1)")
     if config.kind == "knn-quantile":
         k = max(10, data.n // 10)
         if data.n < k:
-            raise ValueError("too few rows to fit a regression")
+            raise ConfigError(f"too few rows to fit a regression: {data.n} rows for {k} neighbours")
         return QuantileEstimator(
             kind="knn-quantile", d=data.d, levels=levels, knn=_Knn(data.x, data.y, k)
         )

@@ -121,9 +121,9 @@ def test_workload_runs_one_smoke_operation(name, tmp_path):
 # as they are; a change that alters outputs on purpose updates them and
 # says so in CHANGES.md.
 SMOKE_DIGESTS = {
-    "replication-table": "1027253f99c615561727d4612f9f2611ba32939aed1543a3787bc153ecc49b8a",
-    "kde-hpd-fit": "88afbde313517fce658fc8cceb2911b99b40ef0ce765e1ed19333adc614bb831",
-    "batch-predict": "742c9867afd51a20fbf003e7eef039bd9a32717b9d621dee6e4923506e84a81c",
+    "replication-table": "1477e378902bcf363dd5c73511149752cebb0fc0c9aeca5c81e27f6268502649",
+    "kde-hpd-fit": "5ef6d605fe40bc6492e896faca1dd34cced177bdc3ee16279ef0f299a385fe6e",
+    "batch-predict": "55dee4117cef0bebf090ee0ee86b0df1007ee2fa3cc4e8991aba9567d909673e",
 }
 
 

@@ -123,25 +123,6 @@ class TestSimulate:
         assert not raw.startswith(b"\xef\xbb\xbf")
         assert b"\r" not in raw
 
-    def test_threads_env_var_fallback(self, tmp_path, monkeypatch, capsys):
-        seen = []
-
-        def record(scn, methods, reps, threads, scale_model):
-            seen.append(threads)
-            return []
-
-        monkeypatch.setattr(cli, "run_replications", record)
-        args = ["simulate", "--scenario", "bimodal", "--outdir", str(tmp_path)]
-        monkeypatch.setenv("CONFORMAL_HPD_THREADS", "3")
-        assert run_cli(*args) == 0
-        assert run_cli(*args, "--threads", "2") == 0
-        assert seen == [3, 2]
-        for bad in ("junk", "0", "-2"):
-            monkeypatch.setenv("CONFORMAL_HPD_THREADS", bad)
-            assert run_cli(*args) == 2
-            assert "CONFORMAL_HPD_THREADS" in capsys.readouterr().err
-        assert seen == [3, 2]
-
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_thread_count_below_one_exits_2(self, tmp_path, capsys, threads):
         code = run_cli(
@@ -149,25 +130,18 @@ class TestSimulate:
             "--threads", threads, "--outdir", str(tmp_path),
         )
         assert code == 2
-        assert "--threads" in capsys.readouterr().err
+        assert "threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
-    def test_bad_threads_env_var_leaves_other_commands_alone(self, sim_csvs, tmp_path, monkeypatch):
-        _, train_path, test_path = sim_csvs
-        monkeypatch.setenv("CONFORMAL_HPD_THREADS", "junk")
-        pred = tmp_path / "p"
-        assert run_cli(
-            "predict", "--train", str(train_path), "--test", str(test_path),
-            "--target", "price", "--method", "secpr", "--outdir", str(pred),
-        ) == 0
-        assert run_cli(
-            "evaluate", "--predictions", str(pred / "predictions.csv"),
-            "--truth", str(test_path), "--target", "price", "--outdir", str(tmp_path / "e"),
-        ) == 0
-        assert run_cli(
-            "regions", "--scenario", "bimodal", "--method", "secpr", "--n", "200",
-            "--grid-points", "5", "--outdir", str(tmp_path / "r"),
-        ) == 0
+    @pytest.mark.parametrize("flag, value", [("--threads", "junk"), ("--reps", "0")])
+    def test_bad_threads_or_reps_exit_2_without_a_report(self, tmp_path, flag, value):
+        code = run_cli(
+            "simulate", "--scenario", "bimodal", "--reps", "1", "--n", "40",
+            flag, value, "--outdir", str(tmp_path),
+        )
+        assert code == 2
+        assert not (tmp_path / "report.csv").exists()
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestPredict:
@@ -250,6 +224,30 @@ class TestPredict:
         )
         assert code == 1
         assert "singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, method, scale",
+        [
+            *((2, m, "off") for m in ("kde-hpd", "secpr", "cqr", "dcp", "parametric")),
+            (2, "parametric", "on"),
+            *((n, m, s) for n in (3, 5) for m, s in
+              (("kde-hpd", "on"), ("cqr", "on"), ("cqr", "off"), ("dcp", "on"), ("dcp", "off"))),
+            (11, "cqr", "on"),
+            (11, "cqr", "off"),
+        ],
+    )
+    def test_too_few_training_rows_exit_2(self, sim_csvs, tmp_path, capsys, rows, method, scale):
+        _, train_path, test_path = sim_csvs
+        train = tmp_path / "train.csv"
+        train.write_text("".join(train_path.read_text().splitlines(True)[: rows + 1]))
+        out = tmp_path / "o"
+        code = run_cli(
+            "predict", "--train", str(train), "--test", str(test_path), "--target", "price",
+            "--method", method, "--scale-model", scale, "--outdir", str(out),
+        )
+        assert code == 2
+        assert "too few rows" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
 
     @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
     def test_alpha_outside_unit_interval_rejected(self, sim_csvs, tmp_path, capsys, alpha):

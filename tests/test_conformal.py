@@ -207,6 +207,28 @@ def rank_hits(scores, alpha):
     return sum(int(np.sort(np.delete(scores, j))[k - 1] >= scores[j]) for j in range(n + 1))
 
 
+def secpr_hits(data, idx_train, pool, alpha1, alpha2):
+    """Times each pooled row is covered by SECPR calibrated on the other rows, and the pool's signed errors.
+
+    Each count is checked against the two order statistics of the other rows'
+    errors that bound the row's own error, ties included.
+    """
+    held = data.subset(pool)
+    hits, errors = 0, None
+    for j in range(pool.size):
+        model = fit_secpr(data, SplitPlan(idx_train, [], np.delete(pool, j)), alpha1, alpha2)
+        errors = held.y - predict_mean(model.gh, held.x) if errors is None else errors
+        hit = region_contains(predict_regions(model, held.x[j : j + 1])[0], held.y[j])
+        others = np.sort(np.delete(errors, j))
+        k_r = snapped_ceil(alpha1 * pool.size - 1.0)
+        k_q = snapped_ceil((1.0 - alpha2) * pool.size)
+        lower = others[k_r - 1] if k_r >= 1 else -np.inf
+        upper = others[k_q - 1] if k_q <= others.size else np.inf
+        assert hit == (lower <= errors[j] <= upper)
+        hits += hit
+    return hits, errors
+
+
 class TestRankCoverage:
     """The score is fixed by the training fold, so coverage is a rank count.
 
@@ -279,6 +301,31 @@ class TestRankCoverage:
         tag, scale_on = method
         hits, scores = leave_one_out_hits(data, idx[:60], idx[60:], alpha, tag, scale_on)
         assert hits == rank_hits(scores, alpha)
+
+    @pytest.mark.parametrize(
+        "method", [("kde-hpd", False), ("kde-hpd", True), ("secpr", False), ("cqr", False), ("dcp", False)]
+    )
+    @pytest.mark.parametrize("offset, noise", [(3.0, 0.0), (1e9, 1e-6)])
+    def test_rank_count_with_tied_responses(self, method, offset, noise):
+        """Constant responses, and responses at 1e9 whose noise is a few ulps: the scores tie.
+
+        A row whose score ties with the cutoff lies in its own region, so every
+        tie counts by rank_hits; with constant responses that is every row.
+        """
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-5.0, 5.0, (60, 1))
+        data = Dataset(x, offset + noise * rng.standard_normal(60))
+        idx = np.arange(60)
+        tag, scale_on = method
+        if tag == "secpr":
+            hits, scores = secpr_hits(data, idx[:30], idx[30:], 0.05, 0.05)
+        else:
+            hits, scores = leave_one_out_hits(data, idx[:30], idx[30:], 0.1, tag, scale_on)
+            assert hits == rank_hits(scores, 0.1)
+        if noise == 0.0:
+            assert hits == 30
+        else:  # premise: some scores tie
+            assert np.unique(scores).size < scores.size
 
     @given(
         alpha=st.floats(0.001, 0.99),

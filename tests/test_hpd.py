@@ -45,12 +45,11 @@ def kde_cutoff(model, alpha):
 
 
 def kept_mass(model, lam):
-    """Exact mass of the non-sliver superlevel intervals at ``lam``."""
+    """Exact mass of every superlevel interval at ``lam``."""
     intervals = superlevel_intervals(
         lambda z: kde_eval(model, z), model.grid, model.grid_density, lam
     )
-    masses = 1.0 - quantile_pairs(model, intervals).sum(axis=1)
-    return masses[masses >= hpd.MIN_COMPONENT_MASS].sum()
+    return (1.0 - quantile_pairs(model, intervals).sum(axis=1)).sum()
 
 
 @pytest.fixture(scope="module")
@@ -260,11 +259,25 @@ class TestInterpolatedLevelSet:
                 assert grid[b] <= hi <= grid[b + 1]
                 assert np.interp(hi, grid, values) == pytest.approx(level, rel=1e-9)
 
+    @given(case=interpolant_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_inner_ends_are_the_outermost_floats_at_the_level(self, case):
+        grid, values, level = case
+        ivals = interpolated_level_set(grid, values, level)
+        ends = ivals.ravel()
+        inner = (ends != grid[0]) & (ends != grid[-1])
+        outward = np.where(np.arange(ends.size) % 2 == 0, -np.inf, np.inf)[inner]
+        f = lambda s: np.interp(s, grid, values, 0.0, 0.0)  # noqa: E731
+        assert (f(ends[inner]) >= level).all()
+        assert (f(np.nextafter(ends[inner], outward)) < level).all()
+
     def test_runs_touching_the_grid_ends_stay_on_them(self):
         grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         values = np.array([2.0, 1.0, 0.0, 1.0, 2.0])
+        # np.interp gives 1.5 one ulp past 0.5 too, so the run ends there
         np.testing.assert_array_equal(
-            interpolated_level_set(grid, values, 1.5), [[0.0, 0.5], [3.5, 4.0]]
+            interpolated_level_set(grid, values, 1.5),
+            [[0.0, np.nextafter(0.5, 1.0)], [3.5, 4.0]],
         )
 
     @pytest.mark.parametrize("level", [0.0, -0.5, -math.inf])
@@ -340,8 +353,8 @@ class TestSmallestMassRegion:
         assert gamma == pytest.approx(hi, abs=0.12)
 
     def test_sliver_suppression(self):
-        # one dominant mode plus three stray points: the stray component
-        # above the cutoff must be dropped from the pair list
+        # one dominant mode plus three stray points far out: their density
+        # stays below the cutoff, so the region keeps away from them
         rng = np.random.default_rng(99)
         pts = np.concatenate([rng.standard_normal(2000), [40.0, 40.01, 40.02]])
         model = KdeModel(pts, 0.15)

@@ -11,7 +11,7 @@ from scipy.stats import norm, spearmanr
 
 from conformal_hpd import regress, sim
 from conformal_hpd.conformal import DCP_LADDER_LEVELS
-from conformal_hpd.core import Dataset
+from conformal_hpd.core import ConfigError, Dataset
 from conformal_hpd.regress import (
     KNN_BLOCK,
     QUANTILE_MAX_STEPS,
@@ -63,6 +63,17 @@ class TestFitMean:
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="too few rows"):
             fit_mean(Dataset(np.ones((1, 1)), np.ones(1)))
+
+    def test_fewer_rows_than_coefficients_is_a_config_error_naming_both(self):
+        design = np.hstack([np.ones((2, 1)), np.arange(4.0).reshape(2, 2)])
+        with pytest.raises(ConfigError, match="too few rows.*2 rows for 3 coefficients"):
+            _ols(design, np.ones(2))
+
+    def test_rank_deficient_design_with_enough_rows_is_not_a_config_error(self):
+        x = np.ones((10, 2))  # rows to spare, but two identical constant columns
+        with pytest.raises(ValueError, match="singular design matrix") as err:
+            fit_mean(Dataset(x, np.arange(10.0)))
+        assert not isinstance(err.value, ConfigError)
 
     def test_residuals_sum_to_zero_with_intercept(self):
         rng = np.random.default_rng(3)
