@@ -19,7 +19,6 @@ from conformal_hpd.conformal import (
 )
 from conformal_hpd.core import (
     Dataset,
-    ScoreVector,
     SplitPlan,
     conformal_q,
     conformal_r,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "ScoreVector",
     "SplitPlan",
     "conformal_q",
     "conformal_r",

@@ -43,10 +43,6 @@ CSV_CHUNK_ROWS = 4096
 _READ_CHUNK = 1 << 16
 
 
-class UsageError(Exception):
-    """Invalid flags or input files; maps to exit code 2, as the library's ConfigError does."""
-
-
 def _json_safe(node):
     if isinstance(node, float) and not math.isfinite(node):
         return repr(node)  # inf, -inf or nan
@@ -86,13 +82,13 @@ def _write_csv(path, header, columns):
 def _parse_cell(path, header, row_idx, col_idx, cell):
     text = cell.strip()
     if text == "":
-        raise UsageError(
+        raise ConfigError(
             f"{path}: missing value at row {row_idx}, column {header[col_idx]!r}"
         )
     try:
         return float(text)
     except ValueError:
-        raise UsageError(
+        raise ConfigError(
             f"{path}: non-numeric value {cell!r} at row {row_idx},"
             f" column {header[col_idx]!r}"
         ) from None
@@ -144,14 +140,14 @@ def _read_table(path, text=""):
             reader = csv.reader(chain([head], fh) if first else ())
             header = next(reader, None)
             if header is None:
-                raise UsageError(f"{path}: empty file, header row required")
+                raise ConfigError(f"{path}: empty file, header row required")
             if text and text not in header:
-                raise UsageError(f"{path}: column {text!r} not found")
+                raise ConfigError(f"{path}: column {text!r} not found")
             g = header.index(text) if text else -1
             cells, labels, i = array("d"), [], 0
             for i, row in enumerate(reader, start=1):
                 if len(row) != len(header):
-                    raise UsageError(
+                    raise ConfigError(
                         f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
                     )
                 for j, cell in enumerate(row):
@@ -159,9 +155,9 @@ def _read_table(path, text=""):
                 if text:
                     labels.append(row[g].strip())
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     data = np.frombuffer(cells, dtype=np.float64).reshape(i, len(header))
     return header, data, (labels if text else None)
 
@@ -170,7 +166,7 @@ def _reject_where(path, header, bad, what):
     """Raise naming the first flagged cell of ``bad`` (rows x columns of ``header``)."""
     rows, cols = np.nonzero(bad)
     if rows.size:
-        raise UsageError(f"{path}: {what} value at row {rows[0] + 1}, column {header[cols[0]]!r}")
+        raise ConfigError(f"{path}: {what} value at row {rows[0] + 1}, column {header[cols[0]]!r}")
 
 
 def _require_finite(path, header, data, cols):
@@ -182,11 +178,11 @@ def _require_finite(path, header, data, cols):
 def _dataset_from_csv(path, target):
     header, data, _ = _read_table(path)
     if target not in header:
-        raise UsageError(f"{path}: target column {target!r} not found")
+        raise ConfigError(f"{path}: target column {target!r} not found")
     t = header.index(target)
     covariates = [j for j in range(len(header)) if j != t]
     if not covariates:
-        raise UsageError(f"{path}: no covariate columns besides the target")
+        raise ConfigError(f"{path}: no covariate columns besides the target")
     _require_finite(path, header, data, [t, *covariates])
     names = [header[j] for j in covariates]
     return names, Dataset(data[:, covariates], data[:, t])
@@ -196,7 +192,7 @@ def _covariates_from_csv(path, names):
     header, data, _ = _read_table(path)
     missing = [n for n in names if n not in header]
     if missing:
-        raise UsageError(f"{path}: missing covariate columns {missing}")
+        raise ConfigError(f"{path}: missing covariate columns {missing}")
     cols = [header.index(n) for n in names]
     _require_finite(path, header, data, cols)
     return data[:, cols]
@@ -210,7 +206,7 @@ def _scenario_from_args(args, n_test: int) -> tuple:
     """The scenario and the scale switch given by the flags simulate and regions share."""
     n_obs = args.n
     if n_obs < 4:
-        raise UsageError("--n must be at least 4")
+        raise ConfigError("--n must be at least 4")
     scn = Scenario(
         tag=args.scenario,
         n_train=n_obs // 2,
@@ -279,7 +275,7 @@ def cmd_predict(args) -> int:
         except ValueError:
             parts = []
         if len(parts) != 3 or not all(p >= 0 for p in parts) or not abs(sum(parts) - 1) <= 1e-9:
-            raise UsageError("--split must be three non-negative fractions summing to 1")
+            raise ConfigError("--split must be three non-negative fractions summing to 1")
         fractions = tuple(parts)
     plan = _sequential_plan(
         train.n, fractions, shuffle_seed=args.seed if args.shuffle else None
@@ -300,9 +296,9 @@ def _read_predictions(path):
     header, data, _ = _read_table(path)
     expected = ["row", "interval_index", "lo", "hi"]
     if header != expected:
-        raise UsageError(f"{path}: expected header {expected}, found {header}")
+        raise ConfigError(f"{path}: expected header {expected}, found {header}")
     if data.shape[0] == 0:
-        raise UsageError(f"{path}: no prediction rows")
+        raise ConfigError(f"{path}: no prediction rows")
     # +-inf endpoints are valid (clamped order statistics); NaN never is
     _reject_where(path, header, np.isnan(data), "NaN")
     row_id, _, lo, hi = data.T
@@ -310,17 +306,17 @@ def _read_predictions(path):
     _reject_where(path, header, not_id[:, None], "non-integer or negative")
     inverted = np.flatnonzero(lo > hi)
     if inverted.size:
-        raise UsageError(f"{path}: interval with lo > hi at row {inverted[0] + 1}")
+        raise ConfigError(f"{path}: interval with lo > hi at row {inverted[0] + 1}")
     return row_id, lo, hi
 
 
 def cmd_evaluate(args) -> int:
     row_id, lo, hi = _read_predictions(args.predictions)
     if args.group_by and args.group_by == args.target:
-        raise UsageError("--group-by must name a column other than --target")
+        raise ConfigError("--group-by must name a column other than --target")
     header, data, groups = _read_table(args.truth, args.group_by)
     if args.target not in header:
-        raise UsageError(f"{args.truth}: target column {args.target!r} not found")
+        raise ConfigError(f"{args.truth}: target column {args.target!r} not found")
     t = header.index(args.target)
     # every column but the group labels is numeric; the target is checked first
     numeric = [t] + [j for j, name in enumerate(header) if j != t and name != args.group_by]
@@ -328,7 +324,7 @@ def cmd_evaluate(args) -> int:
     y = data[:, t]
     keys = np.unique(row_id)
     if keys.size != y.size or (keys != np.arange(y.size)).any():
-        raise UsageError(
+        raise ConfigError(
             f"row keys mismatch: predictions cover {keys.size} rows,"
             f" truth has {len(y)}"
         )
@@ -356,7 +352,7 @@ def cmd_regions(args) -> int:
     scn, scale_on = _scenario_from_args(args, n_test=1)  # the test fold is never read
     check_methods([args.method])
     if args.grid_points < 1:
-        raise UsageError(f"--grid-points must be >= 1, got {args.grid_points}")
+        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     grid = np.linspace(-5.0, 5.0, args.grid_points)
     observed, _, oracle = generate(scn)
     plan = build_plan(observed.n, scn.n_train, scale_on)
@@ -442,7 +438,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failure boundary

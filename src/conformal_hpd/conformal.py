@@ -19,7 +19,6 @@ from conformal_hpd.core import (  # noqa: F401
     ConfigError,
     Dataset,
     RegionBatch,
-    ScoreVector,
     SplitPlan,
     check_alpha,
     coalesce,
@@ -58,7 +57,6 @@ __all__ = [
     "fit_dcp",
     "fit_parametric_normal",
     "predict_regions",
-    "secpr_corrections",
     "optimal_lower_level",
 ]
 
@@ -86,8 +84,7 @@ def _folds(data: Dataset, plan: SplitPlan, joint: bool = True) -> tuple:
 
 def _calibrated(model, cal: Dataset, alpha: float):
     """``model`` with its cutoff at the conformal 1 - alpha quantile of its scores on ``cal``."""
-    scores = ScoreVector(model.score(cal.x, cal.y))
-    return replace(model, cutoff=conformal_q(scores, 1.0 - alpha))
+    return replace(model, cutoff=conformal_q(model.score(cal.x, cal.y), 1.0 - alpha))
 
 
 @dataclass(frozen=True)
@@ -171,11 +168,6 @@ def fit_kde_hpd(
 # Signed-error conformal region (SECPR)
 
 
-def secpr_corrections(scores: ScoreVector, alpha1: float, alpha2: float) -> tuple:
-    """Signed-error interval offsets: lower R order statistic, upper Q."""
-    return conformal_r(scores, alpha1), conformal_q(scores, 1.0 - alpha2)
-
-
 @dataclass(frozen=True)
 class SecprModel:
     """Signed-error conformal interval around a fitted mean."""
@@ -191,21 +183,13 @@ class SecprModel:
         return RegionBatch(g + self.lower, g + self.upper)
 
 
-def fit_secpr(
-    data: Dataset,
-    plan: SplitPlan,
-    alpha1: float,
-    alpha2: float,
-) -> SecprModel:
-    """Signed-error region with split tail budgets ``alpha1 + alpha2``.
-
-    Each budget must be non-negative and their sum must lie in (0, 1).
-    """
-    check_alpha(alpha1 + alpha2 if alpha1 >= 0.0 and alpha2 >= 0.0 else math.nan)
+def fit_secpr(data: Dataset, plan: SplitPlan, alpha: float) -> SecprModel:
+    """Signed-error interval: the errors' conformal R statistic at alpha/2, Q at 1 - alpha/2."""
+    check_alpha(alpha)
     train, cal = _folds(data, plan)
     gh = fit_mean(train)
-    scores = ScoreVector(cal.y - predict_mean(gh, cal.x))
-    lower, upper = secpr_corrections(scores, alpha1, alpha2)
+    errors = cal.y - predict_mean(gh, cal.x)
+    lower, upper = conformal_r(errors, alpha / 2), conformal_q(errors, 1 - alpha / 2)
     return SecprModel(gh=gh, lower=lower, upper=upper)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "SplitPlan",
     "PredictionRegion",
     "RegionBatch",
-    "ScoreVector",
     "conformal_q",
     "conformal_r",
     "coalesce",
@@ -33,7 +32,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """An argument outside its domain: a level, a tag, a fold size or an empty fold."""
+    """An argument outside its domain (a level, a tag, a fold, a flag, an input file): exit 2."""
 
 
 def check_alpha(alpha: float) -> None:
@@ -42,9 +41,9 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError("alpha must lie in (0, 1)")
 
 
-def _as_readonly(a, dtype=np.float64, ndim=None):
-    out = np.array(a, dtype=dtype, copy=True)
-    if ndim is not None and out.ndim != ndim:
+def _as_readonly(a, ndim: int):
+    out = np.array(a, dtype=np.float64, copy=True)
+    if out.ndim != ndim:
         raise ValueError(f"expected {ndim}-dimensional array, got {out.ndim}")
     out.flags.writeable = False
     return out
@@ -66,8 +65,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        x = _as_readonly(self.x, ndim=2)
-        y = _as_readonly(self.y, ndim=1)
+        x = _as_readonly(self.x, 2)
+        y = _as_readonly(self.y, 1)
         if x.shape[0] != y.shape[0]:
             raise ValueError(
                 f"row mismatch: x has {x.shape[0]} rows, y has {y.shape[0]}"
@@ -213,39 +212,6 @@ class RegionBatch(Sequence):
         return rows, index, self.lo[self._present()], self.hi[self._present()]
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Calibration nonconformity scores with a cached sorted copy."""
-
-    v: np.ndarray
-    sorted_v: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        v = _as_readonly(self.v, ndim=1)
-        if v.size and not np.isfinite(v).all():
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "v", v)
-        srt = np.sort(v, kind="stable")
-        srt.flags.writeable = False
-        object.__setattr__(self, "sorted_v", srt)
-
-    @property
-    def n(self) -> int:
-        return self.v.shape[0]
-
-
-def _order_stat(scores: ScoreVector, k: int) -> float:
-    """k-th smallest score (1-indexed), with +/-inf clamping outside 1..n; raises if n is 0."""
-    n = scores.n
-    if n == 0:
-        raise ValueError("no calibration scores")
-    if k < 1:
-        return -math.inf
-    if k > n:
-        return math.inf
-    return float(scores.sorted_v[k - 1])
-
-
 def _ceil_index(x: float) -> int:
     # Snap products like 0.95 * (n + 1) that land within one ulp of an
     # integer before applying ceil, so the index matches exact rationals.
@@ -255,20 +221,38 @@ def _ceil_index(x: float) -> int:
     return int(math.ceil(x))
 
 
-def conformal_q(scores: ScoreVector, delta: float) -> float:
-    """Upper conformal order statistic: the ceil(delta*(n+1))-th smallest score.
+def _order_stat(scores, delta: float, offset: float) -> float:
+    """The ceil(delta*(n+1) - offset)-th smallest of n scores, with +/-inf clamping outside 1..n.
+
+    Raises ValueError unless ``scores`` is a non-empty 1-D array of finite values.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ValueError(f"expected 1-dimensional array, got {scores.ndim}")
+    if scores.size == 0:
+        raise ValueError("no calibration scores")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    k = _ceil_index(delta * (scores.size + 1) - offset)
+    if k < 1:
+        return -math.inf
+    if k > scores.size:
+        return math.inf
+    return float(np.partition(scores, k - 1)[k - 1])
+
+
+def conformal_q(scores, delta: float) -> float:
+    """Upper conformal order statistic of 1-D scores: the ceil(delta*(n+1))-th smallest.
 
     Indices above ``n`` clamp to ``+inf`` and indices below 1 clamp to
     ``-inf``, preserving the coverage guarantee at extreme levels.
     """
-    k = _ceil_index(delta * (scores.n + 1))
-    return _order_stat(scores, k)
+    return _order_stat(scores, delta, 0.0)
 
 
-def conformal_r(scores: ScoreVector, delta: float) -> float:
-    """Lower conformal order statistic: the ceil(delta*(n+1) - 1)-th smallest score."""
-    k = _ceil_index(delta * (scores.n + 1) - 1.0)
-    return _order_stat(scores, k)
+def conformal_r(scores, delta: float) -> float:
+    """Lower conformal order statistic of 1-D scores: the ceil(delta*(n+1) - 1)-th smallest."""
+    return _order_stat(scores, delta, 1.0)
 
 
 def first_float(below, above, holds) -> np.ndarray:

@@ -56,9 +56,6 @@ __all__ = [
     "check_methods",
 ]
 
-_timer = time.perf_counter  # replaceable hook so tests can freeze wall time
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One benchmark configuration: data law, fold sizes, level, seed."""
@@ -289,7 +286,7 @@ _FITS = {
         data, plan, alpha,
         KdeHpdConfig(ScaleConfig("knn-quantile-absres", level=0.9) if scale_on else ScaleConfig()),
     ),
-    "secpr": lambda data, plan, alpha, scale_on: fit_secpr(data, plan, alpha / 2.0, alpha / 2.0),
+    "secpr": lambda data, plan, alpha, scale_on: fit_secpr(data, plan, alpha),
     "cqr": lambda data, plan, alpha, scale_on: fit_cqr(data, plan, alpha),
     "dcp": lambda data, plan, alpha, scale_on: fit_dcp(data, plan, alpha),
     "parametric": lambda data, plan, alpha, scale_on: fit_parametric_normal(data, alpha),
@@ -299,10 +296,14 @@ METHOD_TAGS = (*FIT_TAGS, "oracle")
 
 
 def check_methods(tags, valid=METHOD_TAGS) -> None:
-    """Raise ConfigError naming the first of ``tags`` not in ``valid``, and listing ``valid``."""
-    unknown = [t for t in tags if t not in valid]
-    if unknown:
-        raise ConfigError(f"unknown method {unknown[0]!r}; valid tags: {', '.join(valid)}")
+    """Raise ConfigError on no ``tags``, or naming the first one not in ``valid`` or repeated."""
+    if not tags:
+        raise ConfigError("no methods given")
+    for i, tag in enumerate(tags):
+        if tag not in valid:
+            raise ConfigError(f"unknown method {tag!r}; valid tags: {', '.join(valid)}")
+        if tag in tags[:i]:
+            raise ConfigError(f"method {tag!r} given more than once")
 
 
 def fit_method(tag, observed, plan, alpha, scale_on):
@@ -318,7 +319,7 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
     x_test = tuple(map(float, test.x[:, 0]))  # one copy shared by every method's report
     reports = []
     for tag in methods:
-        t0 = _timer()
+        t0 = time.perf_counter()
         try:
             model = oracle if tag == "oracle" else fit_method(
                 tag, observed, plan, scn.alpha, scale_on
@@ -336,7 +337,7 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
             )
         except Exception as exc:  # noqa: BLE001 - recorded, not silenced
             outcome = dict(error=f"{type(exc).__name__}: {exc}")
-        reports.append(RepReport(tag, rep, seed_rep, wall_time=_timer() - t0, **outcome))
+        reports.append(RepReport(tag, rep, seed_rep, wall_time=time.perf_counter() - t0, **outcome))
     return reports
 
 

@@ -6,7 +6,7 @@ n_test=50, alpha=0.1) is computed once and shared by criteria 1-5.
 
 import math
 import time
-from unittest import mock
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,14 +15,13 @@ from scipy.stats import norm
 import conformal_hpd.sim as sim
 from conformal_hpd.core import (
     PredictionRegion,
-    ScoreVector,
     coalesce,
     conformal_q,
     conformal_r,
     region_contains,
     region_length,
 )
-from conformal_hpd.conformal import fit_kde_hpd, predict_regions, secpr_corrections
+from conformal_hpd.conformal import fit_kde_hpd, predict_regions
 from conformal_hpd.core import Dataset, SplitPlan
 from conformal_hpd.hpd import extract_intervals, find_cutoff
 from conformal_hpd.kde import fit_kde, kde_cdf, kde_eval
@@ -163,8 +162,8 @@ class TestCriterion7ExchangeabilityOracle:
         rng = np.random.default_rng(999)
         hits, total = 0, 0
         for _ in range(4000):
-            scores = ScoreVector(rng.standard_normal(n_cal))
-            lo, hi = secpr_corrections(scores, a1, a2)
+            scores = rng.standard_normal(n_cal)
+            lo, hi = conformal_r(scores, a1), conformal_q(scores, 1.0 - a2)
             v_new = rng.standard_normal()
             hits += lo <= v_new <= hi
             total += 1
@@ -188,7 +187,7 @@ class TestCriterion8HausdorffConvergence:
 
 class TestCriterion9PropertySuites:
     def test_order_statistics_monotone_and_clamped(self):
-        v = ScoreVector(np.arange(1.0, 10.0))
+        v = np.arange(1.0, 10.0)
         grid = np.linspace(0, 1, 41)
         qs = [conformal_q(v, d) for d in grid]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
@@ -230,7 +229,7 @@ class TestCriterion9PropertySuites:
         plan = SplitPlan(idx_train1=idx[:500], idx_train2=[], idx_cal=idx[500:])
         pipe = fit_kde_hpd(data, plan, 0.1)
         cal = data.subset(plan.idx_cal)
-        assert pipe.cutoff == conformal_q(ScoreVector(pipe.score(cal.x, cal.y)), 0.9)
+        assert pipe.cutoff == conformal_q(pipe.score(cal.x, cal.y), 0.9)
         x0 = np.array([[0.0]])
         region, g = predict_regions(pipe, x0)[0], predict_mean(pipe.gh, x0)[0]
         np.testing.assert_array_equal(region.intervals, g + pipe.intervals)
@@ -251,10 +250,11 @@ class TestCriterion9PropertySuites:
 
     def test_determinism_across_thread_counts(self):
         scn = Scenario(tag="bimodal", n_train=120, n_cal=120, n_test=10, seed=3)
-        with mock.patch.object(sim, "_timer", lambda: 0.0):
-            serial = run_replications(scn, ("kde-hpd", "secpr"), reps=6, threads=1)
-            threaded = run_replications(scn, ("kde-hpd", "secpr"), reps=6, threads=2)
-        assert serial == threaded
+        def untimed(threads):  # every field but the wall time, which the clock sets
+            reports = run_replications(scn, ("kde-hpd", "secpr"), reps=6, threads=threads)
+            return [replace(r, wall_time=0.0) for r in reports]
+
+        assert untimed(1) == untimed(2)
         report(9, True, "reports bit-identical for threads in {1, 2}")
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import conformal_hpd.sim as sim
 from conformal_hpd import cli
 from conformal_hpd.cli import main
+from conformal_hpd.core import ConfigError
 from conformal_hpd.sim import Scenario, generate
 
 
@@ -24,6 +26,15 @@ def run_cli(*argv):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def untimed_reports(outdir):
+    """report.csv and report.json as bytes, the wall-time fields (set by the clock) zeroed."""
+    lines = [line.split(b",") for line in (outdir / "report.csv").read_bytes().split(b"\n")]
+    t = lines[0].index(b"mean_runtime_s")
+    table = b"\n".join(b",".join(cells[:t] + cells[t + 1 :]) for cells in lines)
+    payload = (outdir / "report.json").read_bytes()
+    return table, re.sub(rb'("(?:wall_time_s|mean_runtime_s)": )[^,\n]*', rb"\g<1>0", payload)
 
 
 def write_csv(path, header, rows):
@@ -73,8 +84,7 @@ class TestSimulate:
         assert payload["scenario"]["tag"] == "unimodal-symmetric"
         assert len(payload["replications"]) == 6
 
-    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sim, "_timer", lambda: 0.0)
+    def test_byte_identical_reruns(self, tmp_path):
         args = [
             "simulate",
             "--scenario", "bimodal",
@@ -86,11 +96,9 @@ class TestSimulate:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(*args, "--outdir", str(out1)) == 0
         assert run_cli(*args, "--outdir", str(out2)) == 0
-        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        assert untimed_reports(out1) == untimed_reports(out2)
 
-    def test_thread_count_does_not_change_reports(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sim, "_timer", lambda: 0.0)
+    def test_thread_count_does_not_change_reports(self, tmp_path):
         args = [
             "simulate", "--scenario", "unimodal-symmetric", "--methods",
             "secpr,kde-hpd", "--reps", "4", "--n", "200", "--seed", "3",
@@ -98,8 +106,7 @@ class TestSimulate:
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
         assert run_cli(*args, "--threads", "1", "--outdir", str(out1)) == 0
         assert run_cli(*args, "--threads", "2", "--outdir", str(out2)) == 0
-        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        assert untimed_reports(out1) == untimed_reports(out2)
 
     def test_unknown_scenario_exits_2_listing_tags(self, tmp_path, capsys):
         code = run_cli("simulate", "--scenario", "nope", "--outdir", str(tmp_path))
@@ -113,6 +120,20 @@ class TestSimulate:
             "--outdir", str(tmp_path),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [("secpr,secpr", "method 'secpr' given more than once"),
+         ("", "no methods given"), (" , ", "no methods given")],
+    )
+    def test_repeated_or_no_method_exits_2(self, tmp_path, capsys, methods, message):
+        code = run_cli(
+            "simulate", "--scenario", "bimodal", "--methods", methods, "--reps", "3",
+            "--n", "40", "--outdir", str(tmp_path),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_newlines_and_no_bom(self, tmp_path):
         run_cli(
@@ -826,7 +847,7 @@ FILE_CASES = [
 def read_both(path, monkeypatch):
     """``_read_table`` with numpy's parser allowed and on the csv path alone.
 
-    Returns the two results (a UsageError becomes its message) and whether
+    Returns the two results (a ConfigError becomes its message) and whether
     the first one came from numpy's parser.
     """
     results, used_numpy = [], []
@@ -842,7 +863,7 @@ def read_both(path, monkeypatch):
             patch.setattr(cli, "_numpy_cells", fallback)
             try:
                 results.append(cli._read_table(path))
-            except cli.UsageError as exc:
+            except ConfigError as exc:
                 results.append(str(exc))
     return results, any(used_numpy)
 
@@ -860,7 +881,7 @@ class TestNumericReader:
         path = tmp_path / "t.csv"
         path.write_bytes(("a,b\n" + body).encode("utf-8"))
         if isinstance(expected, str):
-            with pytest.raises(cli.UsageError, match=expected):
+            with pytest.raises(ConfigError, match=expected):
                 cli._read_table(path)
             return
         header, data, _ = cli._read_table(path)
@@ -979,7 +1000,7 @@ class TestNumericReader:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"")
-        with pytest.raises(cli.UsageError, match="header row required"):
+        with pytest.raises(ConfigError, match="header row required"):
             cli._read_table(path)
 
 

@@ -22,12 +22,10 @@ from conformal_hpd.conformal import (
     fit_secpr,
     optimal_lower_level,
     predict_regions,
-    secpr_corrections,
 )
 from conformal_hpd.core import (
     Dataset,
     RegionBatch,
-    ScoreVector,
     SplitPlan,
     conformal_q,
     conformal_r,
@@ -104,7 +102,7 @@ class TestKdeHpdPipeline:
         plan = half_split(600)
         pipe = fit_kde_hpd(data, plan, alpha=0.1)
         cal = data.subset(plan.idx_cal)
-        assert pipe.cutoff == conformal_q(ScoreVector(pipe.score(cal.x, cal.y)), 0.9)
+        assert pipe.cutoff == conformal_q(pipe.score(cal.x, cal.y), 0.9)
         x = np.array([[1.5]])
         g = predict_mean(pipe.gh, x)[0]
         region = predict_regions(pipe, x)[0]
@@ -117,7 +115,7 @@ class TestKdeHpdPipeline:
         data = make_line_data(rng, 1000, lambda n: rng.standard_normal(n))
         plan = SplitPlan.sequential(np.arange(1000), 300, 200)
         pipe = fit_kde_hpd(data, plan, 0.1)
-        secpr = fit_secpr(data, plan, 0.05, 0.05)
+        secpr = fit_secpr(data, plan, 0.1)
         np.testing.assert_array_equal(pipe.gh.coef, secpr.gh.coef)
         train = data.subset(np.arange(500))
         grid, density = binned_kde(train.y - predict_mean(secpr.gh, train.x))
@@ -207,7 +205,7 @@ def rank_hits(scores, alpha):
     return sum(int(np.sort(np.delete(scores, j))[k - 1] >= scores[j]) for j in range(n + 1))
 
 
-def secpr_hits(data, idx_train, pool, alpha1, alpha2):
+def secpr_hits(data, idx_train, pool, alpha):
     """Times each pooled row is covered by SECPR calibrated on the other rows, and the pool's signed errors.
 
     Each count is checked against the two order statistics of the other rows'
@@ -216,12 +214,12 @@ def secpr_hits(data, idx_train, pool, alpha1, alpha2):
     held = data.subset(pool)
     hits, errors = 0, None
     for j in range(pool.size):
-        model = fit_secpr(data, SplitPlan(idx_train, [], np.delete(pool, j)), alpha1, alpha2)
+        model = fit_secpr(data, SplitPlan(idx_train, [], np.delete(pool, j)), alpha)
         errors = held.y - predict_mean(model.gh, held.x) if errors is None else errors
         hit = region_contains(predict_regions(model, held.x[j : j + 1])[0], held.y[j])
         others = np.sort(np.delete(errors, j))
-        k_r = snapped_ceil(alpha1 * pool.size - 1.0)
-        k_q = snapped_ceil((1.0 - alpha2) * pool.size)
+        k_r = snapped_ceil(alpha / 2 * pool.size - 1.0)
+        k_q = snapped_ceil((1 - alpha / 2) * pool.size)
         lower = others[k_r - 1] if k_r >= 1 else -np.inf
         upper = others[k_q - 1] if k_q <= others.size else np.inf
         assert hit == (lower <= errors[j] <= upper)
@@ -318,7 +316,7 @@ class TestRankCoverage:
         idx = np.arange(60)
         tag, scale_on = method
         if tag == "secpr":
-            hits, scores = secpr_hits(data, idx[:30], idx[30:], 0.05, 0.05)
+            hits, scores = secpr_hits(data, idx[:30], idx[30:], 0.1)
         else:
             hits, scores = leave_one_out_hits(data, idx[:30], idx[30:], 0.1, tag, scale_on)
             assert hits == rank_hits(scores, 0.1)
@@ -329,26 +327,23 @@ class TestRankCoverage:
 
     @given(
         alpha=st.floats(0.001, 0.99),
-        lower_share=st.floats(0.0, 1.0),
         n_cal=st.integers(1, 20),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_secpr_two_sided_rank_count(self, alpha, lower_share, n_cal, seed):
+    def test_secpr_two_sided_rank_count(self, alpha, n_cal, seed):
         """With distinct signed errors, SECPR covers the pooled ranks r with k_R < r <= k_Q."""
-        alpha1 = alpha * lower_share
-        alpha2 = alpha - alpha1
         rng = np.random.default_rng(seed)
         data = make_line_data(rng, 60 + n_cal + 1, lambda n: rng.standard_normal(n))
         idx = np.arange(data.n)
         pool = idx[60:]
         hits = 0
         for j in range(pool.size):
-            model = fit_secpr(data, SplitPlan(idx[:60], [], np.delete(pool, j)), alpha1, alpha2)
+            model = fit_secpr(data, SplitPlan(idx[:60], [], np.delete(pool, j)), alpha)
             row = data.subset(pool[j : j + 1])
             hits += region_contains(predict_regions(model, row.x)[0], row.y[0])
-        k_r = snapped_ceil(alpha1 * (n_cal + 1) - 1.0)
-        k_q = snapped_ceil((1.0 - alpha2) * (n_cal + 1))
+        k_r = snapped_ceil(alpha / 2 * (n_cal + 1) - 1.0)
+        k_q = snapped_ceil((1 - alpha / 2) * (n_cal + 1))
         assert hits == sum(k_r < r <= k_q for r in range(1, n_cal + 2))
 
 
@@ -404,13 +399,13 @@ class TestPredictRegion:
 
 class TestSecpr:
     def test_order_statistic_interval(self):
-        scores = ScoreVector(np.arange(1.0, 100.0))
-        lower, upper = secpr_corrections(scores, 0.05, 0.05)
+        scores = np.arange(1.0, 100.0)
+        lower, upper = conformal_r(scores, 0.05), conformal_q(scores, 1.0 - 0.05)
         assert (lower, upper) == (4.0, 95.0)
 
     def test_zero_lower_budget_clamps(self):
-        scores = ScoreVector(np.arange(1.0, 100.0))
-        lower, upper = secpr_corrections(scores, 0.0, 0.1)
+        scores = np.arange(1.0, 100.0)
+        lower, upper = conformal_r(scores, 0.0), conformal_q(scores, 1.0 - 0.1)
         assert lower == -math.inf
         assert upper == 90.0
 
@@ -424,9 +419,8 @@ class TestSecpr:
         hits = 0
         total = 0
         for _ in range(reps):
-            v = rng.standard_normal(n_cal)
-            scores = ScoreVector(v)
-            lo, hi = secpr_corrections(scores, a1, a2)
+            scores = rng.standard_normal(n_cal)
+            lo, hi = conformal_r(scores, a1), conformal_q(scores, 1.0 - a2)
             fresh = rng.standard_normal(5)
             hits += int(((fresh >= lo) & (fresh <= hi)).sum())
             total += 5
@@ -447,16 +441,16 @@ class TestSecpr:
             return -float(flipped_sorted[m - 1])
 
         rng = np.random.default_rng(88)
-        for alpha1, alpha2 in [(0.05, 0.05), (0.02, 0.08), (0.0, 0.1), (0.3, 0.0)]:
+        for alpha in [0.1, 0.04, 0.2, 0.6]:
             data = make_line_data(rng, 300, lambda n: rng.standard_normal(n))
             plan = half_split(300)
-            direct = fit_secpr(data, plan, alpha1, alpha2)
+            direct = fit_secpr(data, plan, alpha)
             cal = data.subset(plan.idx_cal)
             scores = cal.y - predict_mean(direct.gh, cal.x)  # the signed calibration errors
             flipped = np.sort(-scores)
             n = scores.size
-            k_lower = math.ceil(round(alpha1 * (n + 1) - 1.0, 9))
-            k_upper = math.ceil(round((1.0 - alpha2) * (n + 1), 9))
+            k_lower = math.ceil(round(alpha / 2 * (n + 1) - 1.0, 9))
+            k_upper = math.ceil(round((1 - alpha / 2) * (n + 1), 9))
             assert direct.lower == mirrored_order_stat(flipped, k_lower)
             assert direct.upper == mirrored_order_stat(flipped, k_upper)
 
@@ -466,7 +460,7 @@ class TestCqr:
         rng = np.random.default_rng(50)
         y = rng.standard_normal(5000)
         qlo, qhi = norm.ppf(0.05), norm.ppf(0.95)
-        scores = ScoreVector(np.maximum(qlo - y, y - qhi))
+        scores = np.maximum(qlo - y, y - qhi)
         correction = conformal_q(scores, 0.9)
         assert abs(correction) < 0.05
 
@@ -768,7 +762,7 @@ def fit_by_method(method, ds, plan):
     if method == "kde-hpd":
         return fit_kde_hpd(ds, plan, 0.1)
     if method == "secpr":
-        return fit_secpr(ds, plan, 0.05, 0.05)
+        return fit_secpr(ds, plan, 0.1)
     if method == "cqr":
         return fit_cqr(ds, plan, 0.1)
     if method == "dcp":
@@ -872,13 +866,6 @@ class TestAlphaValidation:
 
         for name in ("fit_mean", "fit_quantile_ladder", "_ols"):
             monkeypatch.setattr(conformal, name, no_fitting)
-        # secpr gets alpha / 2 on each side, as the benchmark splits it
+        # secpr gives alpha / 2 to each tail
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             fit_method(method, data, half_split(200), alpha, False)
-
-    @pytest.mark.parametrize("alpha1, alpha2", [(-0.05, 0.5), (0.5, -0.05), (0.6, 0.4)])
-    def test_secpr_checks_each_tail_budget(self, alpha1, alpha2):
-        rng = np.random.default_rng(93)
-        data = make_line_data(rng, 100, lambda n: rng.standard_normal(n))
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-            fit_secpr(data, half_split(100), alpha1, alpha2)

@@ -9,7 +9,6 @@ from conformal_hpd.core import (
     Dataset,
     PredictionRegion,
     RegionBatch,
-    ScoreVector,
     SplitPlan,
     coalesce,
     conformal_q,
@@ -20,8 +19,8 @@ from conformal_hpd.core import (
     score_intervals,
 )
 
-V9 = ScoreVector(np.arange(1.0, 10.0))
-V99 = ScoreVector(np.arange(1.0, 100.0))
+V9 = np.arange(1.0, 10.0)
+V99 = np.arange(1.0, 100.0)
 
 
 class TestOrderStatistics:
@@ -36,14 +35,28 @@ class TestOrderStatistics:
         assert conformal_r(V9, 0.05) == -math.inf
 
     def test_empty_scores_raise(self):
-        empty = ScoreVector(np.array([]))
+        empty = np.array([])
         with pytest.raises(ValueError, match="no calibration scores"):
             conformal_q(empty, 0.5)
         with pytest.raises(ValueError, match="no calibration scores"):
             conformal_r(empty, 0.5)
 
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            (np.float64(1.0), "expected 1-dimensional array, got 0"),
+            (np.ones((3, 2)), "expected 1-dimensional array, got 2"),
+            (np.array([1.0, math.nan, 2.0]), "scores must be finite"),
+            (np.array([1.0, math.inf]), "scores must be finite"),
+        ],
+    )
+    def test_scores_not_finite_and_1d_raise(self, scores, message):
+        for order_stat in (conformal_q, conformal_r):
+            with pytest.raises(ValueError, match=message):
+                order_stat(scores, 0.5)
+
     def test_unsorted_input_uses_order_statistics(self):
-        v = ScoreVector(np.array([5.0, 1.0, 3.0, 2.0, 4.0]))
+        v = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
         assert conformal_q(v, 0.5) == 3.0
 
     @given(
@@ -53,7 +66,7 @@ class TestOrderStatistics:
     )
     @settings(max_examples=200, deadline=None)
     def test_q_monotone_and_r_below_q(self, vals, d1, d2):
-        v = ScoreVector(np.array(vals))
+        v = np.array(vals)
         lo, hi = min(d1, d2), max(d1, d2)
         assert conformal_q(v, lo) <= conformal_q(v, hi)
         assert conformal_r(v, d1) <= conformal_q(v, d1)
@@ -62,7 +75,7 @@ class TestOrderStatistics:
         # 0.05 * 100 and friends must hit the exact rational index even
         # when the float product drifts by an ulp.
         for n, delta, expect in [(99, 0.95, 95.0), (19, 0.95, 19.0)]:
-            v = ScoreVector(np.arange(1.0, n + 1.0))
+            v = np.arange(1.0, n + 1.0)
             assert conformal_q(v, delta) == expect
 
 

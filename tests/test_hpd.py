@@ -10,7 +10,6 @@ from conformal_hpd import hpd
 from conformal_hpd.conformal import fit_kde_hpd
 from conformal_hpd.core import (
     Dataset,
-    ScoreVector,
     SplitPlan,
     conformal_q,
     conformal_r,
@@ -345,7 +344,7 @@ class TestSmallestMassRegion:
 
     def test_reconstruction_links_to_order_statistics(self, normal_model):
         res = smallest_mass_region(normal_model, 0.10)
-        scores = ScoreVector(normal_model.points)
+        scores = normal_model.points
         (lo, hi), (a1, b1) = res.intervals[0], res.pairs[0]
         eta = conformal_r(scores, a1)
         gamma = conformal_q(scores, 1.0 - b1)

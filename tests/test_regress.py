@@ -365,6 +365,22 @@ class TestSmoothedQuantileLadder:
         assert qe.iterations <= QUANTILE_MAX_STEPS
         assert np.isfinite(qe.coef).all()
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="open defect (CHANGES.md FOUND): Cauchy folds can need more than "
+        "QUANTILE_MAX_STEPS Newton steps at level 0.01; drop this marker once they converge",
+    )
+    @pytest.mark.parametrize("seed", [549, 885, 1401])  # n 245 d 1, n 168 d 2, n 503 d 2
+    def test_converges_on_seeded_cauchy_folds(self, seed):
+        # the only seeds in 0-1499 whose fold of this recipe hits the step cap
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(20, 600)), int(rng.integers(1, 3))
+        x = rng.uniform(-5, 5, (n, d))
+        y = 1 + x.sum(axis=1) + rng.standard_cauchy(n)
+        qe = fit_quantile_ladder(Dataset(x, y), DCP_LADDER_LEVELS, LINEAR)
+        assert qe.iterations <= QUANTILE_MAX_STEPS
+
     @given(
         ladder_folds(max_n=1000, offsets=(0.0,)),
         st.floats(1e-3, 1e3),

@@ -9,7 +9,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 import conformal_hpd.sim as sim
-from conformal_hpd.core import PredictionRegion, region_length
+from conformal_hpd.core import ConfigError, PredictionRegion, region_length
 from conformal_hpd.sim import (
     METHOD_TAGS,
     MethodSummary,
@@ -216,21 +216,24 @@ class TestSummarize:
 
 
 class TestRunReplications:
-    def test_determinism_across_thread_counts(self, monkeypatch):
-        monkeypatch.setattr(sim, "_timer", lambda: 0.0)
+    @staticmethod
+    def untimed(reports):
+        """The reports with the wall time, which the clock sets, zeroed."""
+        return [replace(r, wall_time=0.0) for r in reports]
+
+    def test_determinism_across_thread_counts(self):
         scn = Scenario(tag="unimodal-symmetric", n_train=100, n_cal=100, n_test=10, seed=9)
         serial = run_replications(scn, ["kde-hpd", "secpr"], reps=6, threads=1)
         parallel = run_replications(scn, ["kde-hpd", "secpr"], reps=6, threads=2)
-        assert serial == parallel
+        assert self.untimed(serial) == self.untimed(parallel)
 
-    def test_reports_pinned_for_every_method(self, monkeypatch):
+    def test_reports_pinned_for_every_method(self):
         # every method, oracle and parametric included (the benchmark runs
         # neither), as the per-region scoring loops reported them
-        monkeypatch.setattr(sim, "_timer", lambda: 0.0)
         h = hashlib.sha256()
         for tag in sim.SCENARIO_TAGS:
             scn = Scenario(tag, n_train=60, n_cal=60, n_test=8, seed=11)
-            h.update(repr(run_replications(scn, METHOD_TAGS, reps=2)).encode())
+            h.update(repr(self.untimed(run_replications(scn, METHOD_TAGS, reps=2))).encode())
         assert h.hexdigest() == (
             "c9713cb2297d164be65a73bd16dbc54cd76dc1659bda7b09e73e58df6ac070bc"
         )
@@ -257,6 +260,15 @@ class TestRunReplications:
         scn = Scenario(tag="bimodal")
         with pytest.raises(ValueError, match="unknown method"):
             run_replications(scn, ["magic"], reps=1)
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [([], "no methods given"), (["secpr", "secpr"], "method 'secpr' given more than once")],
+    )
+    def test_empty_or_repeated_methods_rejected(self, methods, message):
+        # a repeated tag would count its reports twice in the method's summary
+        with pytest.raises(ConfigError, match=message):
+            run_replications(Scenario(tag="bimodal"), methods, reps=1)
 
     def test_dcp_bimodal_size_matches_reference_tables(self):
         scn = Scenario(tag="bimodal", seed=7)
