@@ -25,8 +25,8 @@ from conformal_hpd.sim import (
     FIT_TAGS,
     RepReport,
     Scenario,
-    build_plan,
     check_methods,
+    fit_draw,
     fit_method,
     generate,
     run_replications,
@@ -299,8 +299,11 @@ def _read_predictions(path):
         raise ConfigError(f"{path}: expected header {expected}, found {header}")
     if data.shape[0] == 0:
         raise ConfigError(f"{path}: no prediction rows")
-    # +-inf endpoints are valid (clamped order statistics); NaN never is
-    _reject_where(path, header, np.isnan(data), "NaN")
+    # +-inf endpoints are valid (clamped order statistics); NaN is only valid in
+    # both lo and hi, the entry of a row with no interval
+    nan = np.isnan(data)
+    nan[:, 2:] &= ~nan[:, 2:].all(axis=1, keepdims=True)
+    _reject_where(path, header, nan, "NaN")
     row_id, _, lo, hi = data.T
     not_id = ~np.isfinite(row_id) | (row_id < 0) | (np.floor(row_id) != row_id)
     _reject_where(path, header, not_id[:, None], "non-integer or negative")
@@ -354,11 +357,7 @@ def cmd_regions(args) -> int:
     if args.grid_points < 1:
         raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     grid = np.linspace(-5.0, 5.0, args.grid_points)
-    observed, _, oracle = generate(scn)
-    plan = build_plan(observed.n, scn.n_train, scale_on)
-    model = oracle if args.method == "oracle" else fit_method(
-        args.method, observed, plan, scn.alpha, scale_on
-    )
+    model = fit_draw(scn, args.method, generate(scn), scale_on)
     rows, index, lo, hi = model.predict_regions(grid.reshape(-1, 1)).flat()
     os.makedirs(args.outdir, exist_ok=True)
     _write_csv(

@@ -71,11 +71,13 @@ DCP_SEARCH_STEP = 0.005
 def _folds(data: Dataset, plan: SplitPlan, joint: bool = True) -> tuple:
     """Training rows (train1 + train2, or train1 alone unless ``joint``) and the calibration fold.
 
-    Raises ConfigError on an index outside ``data`` or an empty fold, before any estimator is fitted.
+    Unless ``joint``, train2 is the scale fold. Raises ConfigError on an index outside ``data``
+    or an empty fold, before any estimator is fitted.
     """
     plan.check_against(data.n)
     idx_train = np.concatenate([plan.idx_train1, plan.idx_train2]) if joint else plan.idx_train1
-    for fold, idx in (("training", idx_train), ("calibration", plan.idx_cal)):
+    scale = () if joint else (("scale", plan.idx_train2),)
+    for fold, idx in (("training", idx_train), ("calibration", plan.idx_cal), *scale):
         if idx.size == 0:
             rows = "/".join(str(a.size) for a in (plan.idx_train1, plan.idx_train2, plan.idx_cal))
             raise ConfigError(f"{fold} fold is empty: split of {rows} rows to train1/train2/cal")

@@ -108,10 +108,11 @@ class SplitPlan:
                 raise ValueError(f"{name} must be a flat index list")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        all_idx = np.concatenate([self.idx_train1, self.idx_train2, self.idx_cal])
-        if all_idx.size and (all_idx < 0).any():
+        # sorted, equal neighbours are repeats: np.sort takes a tenth of np.unique's time
+        all_idx = np.sort(np.concatenate([self.idx_train1, self.idx_train2, self.idx_cal]))
+        if all_idx.size and all_idx[0] < 0:
             raise ValueError("negative fold index")
-        if np.unique(all_idx).size != all_idx.size:
+        if (all_idx[1:] == all_idx[:-1]).any():
             raise ValueError("fold index lists must be pairwise disjoint")
 
     def check_against(self, n: int) -> None:
@@ -158,7 +159,7 @@ class RegionBatch(Sequence):
     """Prediction regions of n covariate rows as (n, J) ``lo``/``hi`` arrays.
 
     Row ``i`` is the union of ``[lo[i, j], hi[i, j]]`` for ``j < counts[i]``
-    (all ``J`` by default); later entries are padding, and a row may be
+    (all ``J`` by default); later entries are NaN padding, and a row may be
     empty. The constructor coalesces every row as :func:`coalesce` does,
     so stored rows are sorted with ``hi[i, j] < lo[i, j + 1]``. Indexing
     and iteration give :class:`PredictionRegion` views of the rows.
@@ -188,7 +189,8 @@ class RegionBatch(Sequence):
         end = present.copy()
         end[:, :-1] &= start[:, 1:] | ~present[:, 1:]
         self.counts = start.sum(axis=1)
-        self.lo = np.full((n, self.counts.max(initial=0)), np.nan)
+        # at least one column: an empty row's first entry is NaN padding
+        self.lo = np.full((n, self.counts.max(initial=1)), np.nan)
         self.hi = self.lo.copy()
         self.lo[self._present()] = lo[start]
         self.hi[self._present()] = top[end]
@@ -207,9 +209,13 @@ class RegionBatch(Sequence):
         return PredictionRegion(tuple(zip(self.lo[i, :c].tolist(), self.hi[i, :c].tolist())))
 
     def flat(self):
-        """Row index, interval index, lo and hi of every interval, row by row."""
-        rows, index = np.nonzero(self._present())
-        return rows, index, self.lo[self._present()], self.hi[self._present()]
+        """Row index, interval index, lo and hi of every interval, row by row.
+
+        A row with no interval gives one ``(row, 0, nan, nan)`` entry.
+        """
+        keep = np.arange(self.lo.shape[1]) < np.maximum(self.counts, 1)[:, None]
+        rows, index = np.nonzero(keep)
+        return rows, index, self.lo[keep], self.hi[keep]
 
 
 def _ceil_index(x: float) -> int:
@@ -295,15 +301,16 @@ def score_intervals(rows, lo, hi, y):
     Row ``i`` is scored against ``y[i]``: ``covered[i]`` is membership in
     any of its intervals, ``sizes[i]`` the sum of their raw ``hi - lo`` in
     the given order, without coalescing (0 for a row with no interval).
-    An interval whose endpoints are equal adds 0, at an infinity too.
+    An interval whose endpoints are equal adds 0, at an infinity too, and
+    an entry with both endpoints NaN, an empty row's, covers nothing and adds 0.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lo, hi, y = (np.asarray(a, dtype=np.float64) for a in (lo, hi, y))
     y_row = y[rows]
     hit = (lo <= y_row) & (y_row <= hi)
     covered = np.bincount(rows[hit], minlength=y.size) > 0
-    # inf - inf would be NaN: equal endpoints are skipped, leaving their 0
-    length = np.subtract(hi, lo, out=np.zeros_like(lo), where=lo != hi)
+    # inf - inf would be NaN: equal and NaN endpoints are skipped, leaving their 0
+    length = np.subtract(hi, lo, out=np.zeros_like(lo), where=lo < hi)
     # bincount of no entries returns integers, whatever the weights
     sizes = np.bincount(rows, weights=length, minlength=y.size).astype(np.float64)
     return covered, sizes

@@ -214,8 +214,6 @@ def fit_scale(
         raise ConfigError(f"unknown scale estimator kind: {config.kind!r}")
     if config.kind == "constant-one":
         return ScaleEstimator(kind="constant-one", d=data.d)
-    if data.n == 0:
-        raise ConfigError("scale fold is empty")
     absres = np.abs(data.y - predict_mean(gh, data.x))
     k = max(10, round(math.sqrt(data.n)))
     return ScaleEstimator(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -47,7 +47,7 @@ __all__ = [
     "MethodSummary",
     "generate",
     "use_scale",
-    "build_plan",
+    "fit_draw",
     "run_replications",
     "summarize",
     "conditional_coverage",
@@ -125,22 +125,28 @@ def _mixture_hpd(alpha: float):
 
 
 class _NormalLaw:
-    def sample(self, rng, x):
-        return rng.standard_normal(x.shape[0])
-
-    def hpd_intervals(self, alpha, x):
-        z = ndtri(1.0 - alpha / 2.0)
-        return np.broadcast_to(((-z, z),), (x.size, 1, 2))
-
-
-class _SkewedGammaLaw:
-    shape = 7.5
+    def __init__(self, sd):
+        self.sd = sd
 
     def sample(self, rng, x):
-        return rng.gamma(self.shape, 1.0, x.shape[0])
+        return rng.normal(0.0, self.sd(x))
 
     def hpd_intervals(self, alpha, x):
-        return np.broadcast_to(_gamma_hpd(self.shape, 1.0, alpha), (x.size, 1, 2))
+        z = ndtri(1.0 - alpha / 2.0) * self.sd(x)
+        return np.stack([-z, z], axis=-1)[:, None]
+
+
+class _GammaLaw:
+    def __init__(self, shape, rate):
+        self.shape, self.rate = shape, rate
+
+    def sample(self, rng, x):
+        return rng.gamma(self.shape(x), 1.0 / self.rate(x))
+
+    def hpd_intervals(self, alpha, x):
+        # Python's round keys the cache, one lookup per x
+        shapes, rates = ([round(v, 12) for v in f(x).tolist()] for f in (self.shape, self.rate))
+        return np.reshape([_gamma_hpd(s, r, alpha) for s, r in zip(shapes, rates)], (-1, 1, 2))
 
 
 class _BimodalLaw:
@@ -153,34 +159,17 @@ class _BimodalLaw:
         return np.broadcast_to(ivals, (x.size, len(ivals), 2))
 
 
-class _HeteroGammaLaw:
-    """Gamma(1 + 2|x|, 1 + 2|x|): unit mean at every x, variance shrinking in |x|."""
-
-    def sample(self, rng, x):
-        shape = 1.0 + 2.0 * np.abs(x)
-        return rng.gamma(shape, 1.0 / shape)
-
-    def hpd_intervals(self, alpha, x):
-        # Python's round keys the cache, one lookup per x
-        shapes = [round(s, 12) for s in (1.0 + 2.0 * np.abs(x)).tolist()]
-        return np.reshape([_gamma_hpd(s, s, alpha) for s in shapes], (-1, 1, 2))
+def _hetero_shape(x):  # as shape and rate: unit mean at every x, variance shrinking in |x|
+    return 1.0 + 2.0 * np.abs(x)
 
 
-class _BowtieLaw:
-    def sample(self, rng, x):
-        return rng.normal(0.0, np.abs(x))
-
-    def hpd_intervals(self, alpha, x):
-        z = ndtri(1.0 - alpha / 2.0) * np.abs(x)
-        return np.stack([-z, z], axis=-1)[:, None]
-
-
+# each scenario's residual law: a normal or gamma family with parameters in x, or the mixture
 _LAWS = {
-    "unimodal-symmetric": _NormalLaw,
-    "unimodal-skewed": _SkewedGammaLaw,
-    "bimodal": _BimodalLaw,
-    "heteroscedastic": _HeteroGammaLaw,
-    "bowtie": _BowtieLaw,
+    "unimodal-symmetric": _NormalLaw(np.ones_like),
+    "unimodal-skewed": _GammaLaw(partial(np.full_like, fill_value=7.5), np.ones_like),
+    "bimodal": _BimodalLaw(),
+    "heteroscedastic": _GammaLaw(_hetero_shape, _hetero_shape),
+    "bowtie": _NormalLaw(np.abs),
 }
 SCENARIO_TAGS = tuple(_LAWS)
 
@@ -221,7 +210,7 @@ def generate(scn: Scenario):
     Covariates are uniform on (-5, 5); the observed and test folds come
     from separate substreams of the scenario's counter-based stream.
     """
-    law = _LAWS[scn.tag]()
+    law = _LAWS[scn.tag]
     obs_rng, test_rng = _streams(scn.seed)
 
     def draw(rng, n):
@@ -269,14 +258,8 @@ class MethodSummary:
 
 
 def use_scale(scale_model: bool | None, tag: str) -> bool:
-    """Whether to fit the conditional scale; ``None`` (auto) means exactly for bowtie."""
-    return _LAWS.get(tag) is _BowtieLaw if scale_model is None else bool(scale_model)
-
-
-def build_plan(n_obs: int, n_train: int, scale_on: bool) -> SplitPlan:
-    """Sequential folds: ``n_train`` training rows, halved when the scale is on."""
-    n1 = n_train // 2 if scale_on else n_train
-    return SplitPlan.sequential(np.arange(n_obs), n1, n_train - n1)
+    """Whether to fit the conditional scale; ``None`` (auto): exactly for bowtie's sd-|x| law."""
+    return getattr(_LAWS.get(tag), "sd", None) is np.abs if scale_model is None else bool(scale_model)
 
 
 # Each fit with the benchmark's default estimators. The fit functions are looked
@@ -312,18 +295,29 @@ def fit_method(tag, observed, plan, alpha, scale_on):
     return _FITS[tag](observed, plan, alpha, scale_on)
 
 
+def fit_draw(scn: Scenario, tag: str, draw, scale_on: bool):
+    """``tag`` fitted on the observed fold of ``draw = generate(scn)``, or the draw's oracle.
+
+    The first ``scn.n_train`` rows train (halved into train1 and train2 with the scale on).
+    """
+    observed, _, oracle = draw
+    if tag == "oracle":
+        return oracle
+    n1 = scn.n_train // 2 if scale_on else scn.n_train
+    plan = SplitPlan.sequential(np.arange(observed.n), n1, scn.n_train - n1)
+    return fit_method(tag, observed, plan, scn.alpha, scale_on)
+
+
 def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
-    seed_rep = scn.seed + rep
-    observed, test, oracle = generate(replace(scn, seed=seed_rep))
-    plan = build_plan(observed.n, scn.n_train, scale_on)
+    scn = replace(scn, seed=scn.seed + rep)
+    draw = generate(scn)
+    test = draw[1]
     x_test = tuple(map(float, test.x[:, 0]))  # one copy shared by every method's report
     reports = []
     for tag in methods:
         t0 = time.perf_counter()
         try:
-            model = oracle if tag == "oracle" else fit_method(
-                tag, observed, plan, scn.alpha, scale_on
-            )
+            model = fit_draw(scn, tag, draw, scale_on)
             rows, _, lo, hi = model.predict_regions(test.x).flat()
             covered, sizes = (a.tolist() for a in score_intervals(rows, lo, hi, test.y))
             shared = {v: v for v in sizes}  # equal sizes share one float: runs keep many reports
@@ -337,7 +331,7 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
             )
         except Exception as exc:  # noqa: BLE001 - recorded, not silenced
             outcome = dict(error=f"{type(exc).__name__}: {exc}")
-        reports.append(RepReport(tag, rep, seed_rep, wall_time=time.perf_counter() - t0, **outcome))
+        reports.append(RepReport(tag, rep, scn.seed, wall_time=time.perf_counter() - t0, **outcome))
     return reports
 
 
@@ -367,11 +361,10 @@ def run_replications(
 
         ctx = mp.get_context("fork")
         with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-            chunks = pool.map(
+            nested = list(pool.map(
                 _replicate_one, repeat(scn), repeat(methods), range(reps), repeat(scale_on),
                 chunksize=max(1, reps // (4 * threads)),
-            )
-            nested = list(chunks)
+            ))
     else:
         nested = [_replicate_one(scn, methods, rep, scale_on) for rep in range(reps)]
     return [report for chunk in nested for report in chunk]
@@ -431,18 +424,13 @@ def hausdorff_diagnostic(scn: Scenario, method: str, ns, reps: int) -> list[tupl
     """
     grid = np.linspace(-4.0, 4.0, 5).reshape(-1, 1)
     scale_on = use_scale(None, scn.tag)
-    oracle = OracleHandle(_LAWS[scn.tag](), scn.alpha)
-    target = oracle.predict_regions(grid)
+    target = OracleHandle(_LAWS[scn.tag], scn.alpha).predict_regions(grid)
     rows = []
     for n in ns:
-        scn_n = replace(scn, n_train=n // 2, n_cal=n - n // 2, n_test=1)
         dists = []
         for rep in range(reps):
-            observed, _, _ = generate(replace(scn_n, seed=scn_n.seed + rep))
-            plan = build_plan(observed.n, scn_n.n_train, scale_on)
-            model = oracle if method == "oracle" else fit_method(
-                method, observed, plan, scn.alpha, scale_on
-            )
+            scn_r = replace(scn, n_train=n // 2, n_cal=n - n // 2, n_test=1, seed=scn.seed + rep)
+            model = fit_draw(scn_r, method, generate(scn_r), scale_on)
             dists.extend(hausdorff(model.predict_regions(grid), target).tolist())
         rows.append((int(n), float(np.median(dists))))
     return rows

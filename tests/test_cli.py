@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import conformal_hpd.sim as sim
 from conformal_hpd import cli
 from conformal_hpd.cli import main
-from conformal_hpd.core import ConfigError
+from conformal_hpd.core import ConfigError, score_intervals
 from conformal_hpd.sim import Scenario, generate
 
 
@@ -322,7 +322,8 @@ class TestPredict:
         assert run_cli(
             *args, "--scale-model", "on", "--split", "0.5,0,0.5", "--outdir", str(out)
         ) == 2
-        assert "scale fold is empty" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "scale fold is empty: split of 500/0/500 rows to train1/train2/cal" in err
         assert not (out / "predictions.csv").exists()
         # parametric fits every row, whatever the split
         assert run_cli(*args, "--method", "parametric", "--split", "0,0,1", "--outdir", str(out)) == 0
@@ -455,6 +456,24 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "predictions.csv" in err and "row 2" in err and "'row'" in err
         assert not (tmp_path / "m" / "metrics.csv").exists()
+
+    def test_nan_in_both_ends_is_an_empty_row(self, tmp_path, capsys):
+        header = ["row", "interval_index", "lo", "hi"]
+        preds = tmp_path / "predictions.csv"
+        write_csv(preds, header, [["0", "0", "nan", "nan"], ["1", "0", "0.0", "10.0"]])
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, ["y"], [["3.0"], ["4.0"]])
+        args = ("evaluate", "--predictions", str(preds), "--truth", str(truth), "--target", "y")
+        assert run_cli(*args, "--outdir", str(tmp_path / "m")) == 0
+        rows = {(r[0], r[1]): r[2] for r in read_csv(tmp_path / "m" / "metrics.csv")[1:]}
+        assert (rows[("coverage", "ALL")], rows[("mean_size", "ALL")]) == ("0.5", "5.0")
+        # the empty row's id and interval index must still be numbers
+        for column in ("row", "interval_index"):
+            cells = ["0", "0", "nan", "nan"]
+            cells[header.index(column)] = "nan"
+            write_csv(preds, header, [cells, ["1", "0", "0.0", "10.0"]])
+            assert run_cli(*args, "--outdir", str(tmp_path / column)) == 2
+            assert f"row 1, column {column!r}" in capsys.readouterr().err
 
     def test_inverted_interval_exits_2(self, tmp_path, capsys):
         preds = tmp_path / "predictions.csv"
@@ -716,6 +735,63 @@ class TestRoundTrip:
         rows = {(r[0], r[1]): r[2] for r in read_csv(ev_out / "metrics.csv")[1:]}
         assert float(rows[("coverage", "ALL")]) == sim_cov
 
+    @staticmethod
+    def predict_then_evaluate(monkeypatch, tmp_path, train, test, target, *flags):
+        """Run predict, then evaluate: the fitted model's own scores, evaluate's metrics, the prediction lines."""
+        models = []
+
+        def fit(*args):
+            models.append(sim.fit_method(*args))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "fit_method", fit)
+        out = tmp_path / "out"
+        assert run_cli(
+            "predict", "--train", str(train), "--test", str(test), "--target", target,
+            *flags, "--outdir", str(out),
+        ) == 0
+        assert run_cli(
+            "evaluate", "--predictions", str(out / "predictions.csv"), "--truth", str(test),
+            "--target", target, "--outdir", str(out),
+        ) == 0
+        header, *cells = read_csv(test)
+        data = np.array(cells, dtype=float)
+        x, y = data[:, [header.index(h) for h in header if h != target]], data[:, header.index(target)]
+        rows, _, lo, hi = models[0].predict_regions(x).flat()
+        metrics = {(r[0], r[1]): float(r[2]) for r in read_csv(out / "metrics.csv")[1:]}
+        return score_intervals(rows, lo, hi, y), metrics, read_csv(out / "predictions.csv")[1:]
+
+    @pytest.mark.parametrize("scale", ["on", "off"])
+    @pytest.mark.parametrize("method", sim.FIT_TAGS)
+    def test_evaluate_scores_what_predict_wrote(self, sim_csvs, tmp_path, monkeypatch, method, scale):
+        _, train_path, test_path = sim_csvs
+        (covered, sizes), metrics, _ = self.predict_then_evaluate(
+            monkeypatch, tmp_path, train_path, test_path, "price",
+            "--method", method, "--scale-model", scale,
+        )
+        assert metrics[("coverage", "ALL")] == covered.mean()
+        assert metrics[("mean_size", "ALL")] == sizes.mean()
+
+    def test_cqr_rows_with_an_empty_region_are_written_and_scored(self, tmp_path, monkeypatch):
+        # a sd growing as x^2 makes CQR's cutoff negative: its band shrinks past empty at some rows
+        rng = np.random.default_rng(11)
+        n = rng.integers(30, 400)
+        x = rng.uniform(-5, 5, n)
+        y = 5 + 2 * x + rng.normal(0, np.abs(x) ** 2 + 1e-3)
+        write_csv(tmp_path / "train.csv", ["x", "y"], zip(map(repr, x.tolist()), map(repr, y.tolist())))
+        xt = np.linspace(-5, 5, 400)
+        yt = 5 + 2 * xt
+        write_csv(tmp_path / "test.csv", ["x", "y"], zip(map(repr, xt.tolist()), map(repr, yt.tolist())))
+        (covered, sizes), metrics, lines = self.predict_then_evaluate(
+            monkeypatch, tmp_path, tmp_path / "train.csv", tmp_path / "test.csv", "y",
+            "--method", "cqr", "--alpha", "0.3",
+        )
+        empty = [line for line in lines if line[2:] == ["nan", "nan"]]
+        assert 0 < len(empty) < 400 and all(line[1] == "0" for line in empty)
+        assert sorted({int(line[0]) for line in lines}) == list(range(400))
+        assert metrics[("coverage", "ALL")] == covered.mean()
+        assert metrics[("mean_size", "ALL")] == sizes.mean()
+
 
 class TestRegions:
     def test_oracle_trace_matches_the_oracle_model(self, tmp_path):
@@ -740,16 +816,14 @@ class TestRegions:
     @pytest.mark.parametrize("n, scale_model", [("998", "auto"), ("999", "off")])
     def test_fits_on_the_simulate_plan(self, tmp_path, monkeypatch, n, scale_model):
         # n // 2 odd: a fraction split of n rounds differently from simulate's folds
-        plans = {}
+        plans = []
+        fit = sim.fit_method
 
-        def recorder(name, fit):
-            def wrapped(tag, observed, plan, alpha, scale_on):
-                plans[name] = tuple(a.tolist() for a in (plan.idx_train1, plan.idx_train2, plan.idx_cal))
-                return fit(tag, observed, plan, alpha, scale_on)
-            return wrapped
+        def recorder(tag, observed, plan, alpha, scale_on):
+            plans.append(tuple(a.tolist() for a in (plan.idx_train1, plan.idx_train2, plan.idx_cal)))
+            return fit(tag, observed, plan, alpha, scale_on)
 
-        monkeypatch.setattr(cli, "fit_method", recorder("regions", sim.fit_method))
-        monkeypatch.setattr(sim, "fit_method", recorder("simulate", sim.fit_method))
+        monkeypatch.setattr(sim, "fit_method", recorder)
         common = ["--scenario", "bowtie", "--n", n, "--scale-model", scale_model]
         assert run_cli(
             "regions", *common, "--method", "secpr", "--grid-points", "3",
@@ -759,8 +833,8 @@ class TestRegions:
             "simulate", *common, "--methods", "secpr", "--reps", "1", "--n-test", "1",
             "--threads", "1", "--outdir", str(tmp_path / "s"),
         ) == 0
-        assert plans["regions"] == plans["simulate"]
-        folds = tuple(map(len, plans["regions"]))
+        assert len(plans) == 2 and plans[0] == plans[1]  # regions, then simulate
+        folds = tuple(map(len, plans[0]))
         assert folds == ((249, 250, 499) if n == "998" else (499, 0, 500))
 
     @pytest.mark.parametrize("points", ["0", "-1"])

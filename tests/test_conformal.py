@@ -150,7 +150,7 @@ class TestKdeHpdPipeline:
                 SplitPlan(idx_train1=np.arange(10), idx_train2=[], idx_cal=[]),
                 0.1,
             )
-        with pytest.raises(ValueError, match="scale fold is empty"):
+        with pytest.raises(ValueError, match="scale fold is empty: split of 10/0/10 rows to train1/train2/cal"):
             fit_kde_hpd(
                 data,
                 half_split(20),

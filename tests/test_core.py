@@ -192,8 +192,16 @@ class TestRegionBatch:
         with pytest.raises(IndexError):
             batch[2]
         rows, index, lo, hi = batch.flat()
-        assert rows.tolist() == [0, 0] and index.tolist() == [0, 1]
-        assert (lo.tolist(), hi.tolist()) == ([0.0, 5.0], [1.0, 6.0])
+        assert rows.tolist() == [0, 0, 1] and index.tolist() == [0, 1, 0]
+        assert repr((lo.tolist(), hi.tolist())) == repr(([0.0, 5.0, math.nan], [1.0, 6.0, math.nan]))
+
+    def test_flat_gives_an_empty_row_one_nan_entry(self):
+        # no row with an interval: the batch still has a column of padding
+        batch = RegionBatch(np.zeros((3, 0)), np.zeros((3, 0)))
+        rows, index, lo, hi = batch.flat()
+        assert rows.tolist() == [0, 1, 2] and index.tolist() == [0, 0, 0]
+        assert np.isnan(lo).all() and np.isnan(hi).all()
+        assert [len(r) for r in batch] == [0, 0, 0]
 
     @pytest.mark.parametrize(
         "lo, hi, match", [(2.0, 1.0, "lo > hi"), (math.nan, 1.0, "NaN"), (0.0, math.nan, "NaN")]
@@ -245,6 +253,11 @@ class TestScoreIntervals:
             assert covered[i].item() is contains_reference(own, y)
             assert repr(region_length(region)) == repr(length_reference(own))
             assert region_contains(region, y) is contains_reference(own, y)
+
+    def test_an_entry_with_nan_ends_covers_nothing_and_adds_zero(self):
+        rows, lo, hi = np.array([0, 1, 1]), np.array([math.nan, 0.0, math.nan]), np.array([math.nan, 2.0, math.nan])
+        covered, sizes = score_intervals(rows, lo, hi, np.array([math.nan, 1.0]))
+        assert covered.tolist() == [False, True] and sizes.tolist() == [0.0, 2.0]
 
 
 def hausdorff_grid(a: PredictionRegion, b: PredictionRegion, step=1e-4) -> float:

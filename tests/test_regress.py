@@ -141,12 +141,6 @@ class TestFitScale:
         vals = predict_scale(sh, rng.uniform(-20, 20, 200).reshape(-1, 1))
         assert (vals >= 1e-6).all()
 
-    def test_empty_fold_rejected(self):
-        gh = fit_mean(line_dataset())
-        with pytest.raises(ValueError, match="empty"):
-            no_rows = Dataset(np.zeros((0, 1)), np.zeros(0))
-            fit_scale(no_rows, gh, ScaleConfig(kind="knn-quantile-absres"))
-
 
 class TestFitQuantile:
     def test_knn_quantile_matches_normal_tail(self):

@@ -161,26 +161,21 @@ class TestOracleClosedForms:
     @staticmethod
     def reference(law, alpha, x):
         # tests-only copy of every oracle, built on scipy.stats' distributions
-        if isinstance(law, (sim._NormalLaw, sim._BowtieLaw)):
-            z = norm.ppf(1.0 - alpha / 2.0)
-            if isinstance(law, sim._BowtieLaw):
-                z = z * abs(float(x))
+        if isinstance(law, sim._NormalLaw):
+            z = norm.ppf(1.0 - alpha / 2.0) * law.sd(np.array([x]))[0]
             return ((-z, z),)
         if isinstance(law, sim._BimodalLaw):
             pdf = lambda z: 0.5 * norm.pdf(z + 6.0) + 0.5 * norm.pdf(z - 6.0)
             cdf = lambda z: 0.5 * norm.cdf(z + 6.0) + 0.5 * norm.cdf(z - 6.0)
             return sim._level_set(pdf, cdf, -14.0, 14.0, alpha)
-        if isinstance(law, sim._SkewedGammaLaw):
-            shape, rate = law.shape, 1.0
-        else:
-            shape = rate = round(1.0 + 2.0 * abs(float(x)), 12)
+        shape, rate = (round(float(f(np.array([x]))[0]), 12) for f in (law.shape, law.rate))
         ref = gamma_dist(shape, scale=1.0 / rate)
         return sim._level_set(ref.pdf, ref.cdf, 0.0, float(ref.ppf(1.0 - 1e-12)), alpha)
 
     @pytest.mark.parametrize("tag", sim.SCENARIO_TAGS)
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
     def test_intervals_bitwise_equal_to_scipy_stats(self, tag, alpha):
-        law = sim._LAWS[tag]()
+        law = sim._LAWS[tag]
         xs = (-4.7, -1.0, 0.0, 0.3, 2.5)
         for x, got in zip(xs, law.hpd_intervals(alpha, np.array(xs))):
             ref = np.array(self.reference(law, alpha, x))
