@@ -267,15 +267,17 @@ def _ladder_quantile(qmat: np.ndarray, levels: np.ndarray, tau: np.ndarray) -> n
 
     ``tau`` is an (n, G) array of levels per row, or a (1, G) grid shared by every row.
     """
-    rows = np.arange(qmat.shape[0])[:, None]
     j = np.clip(np.searchsorted(levels, tau), 1, levels.size - 1)
     # levels beyond the ladder take the clamp branch below; clipping keeps w finite
     w = (np.clip(tau, levels[0], levels[-1]) - levels[j - 1]) / (levels[j] - levels[j - 1])
-    below, above = qmat[rows, j - 1], qmat[rows, j]
+    if tau.shape[0] == 1:  # a shared grid: whole columns, no (n, G) index arrays
+        below, above = qmat[:, j[0] - 1], qmat[:, j[0]]
+    else:
+        rows = np.arange(qmat.shape[0])[:, None]
+        below, above = qmat[rows, j - 1], qmat[rows, j]
     # a flat segment (from the running max) interpolates to exactly its value
     out = np.where((levels[j] == tau) | (below == above), above, (1.0 - w) * below + w * above)
-    first, last = qmat[rows, 0], qmat[rows, -1]
-    return np.where(tau <= levels[0], first, np.where(tau >= levels[-1], last, out))
+    return np.where(tau <= levels[0], qmat[:, :1], np.where(tau >= levels[-1], qmat[:, -1:], out))
 
 
 def _dcp_scores(qmat: np.ndarray, center: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -325,7 +327,9 @@ def optimal_lower_level(qmat: np.ndarray, levels: np.ndarray, alpha: float) -> n
 
 def _dcp_window(ladder, alpha: float, xs) -> tuple:
     """The monotonized ladder at rows ``xs`` and each row's window centre."""
-    qmat = np.maximum.accumulate(predict_quantile(ladder, xs), axis=1)
+    qmat = predict_quantile(ladder, xs)
+    crossed = ~(qmat[:, 1:] >= qmat[:, :-1]).all(axis=1)  # the rows the running max changes
+    qmat[crossed] = np.maximum.accumulate(qmat[crossed], axis=1)
     b_hat = optimal_lower_level(qmat, DCP_LADDER_LEVELS, alpha)
     return qmat, b_hat + 0.5 * (1.0 - alpha)
 

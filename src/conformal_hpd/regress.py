@@ -70,9 +70,10 @@ def _ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     rows, coefs = design.shape
     if rows < max(2, coefs):
         raise ConfigError(f"too few rows to fit a regression: {rows} rows for {coefs} coefficients")
-    if np.linalg.matrix_rank(design) < coefs:
+    # lstsq counts singular values above matrix_rank's tolerance, eps max(M, N) S_max
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < coefs:
         raise ValueError("singular design matrix")
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return coef
 
 
@@ -247,6 +248,9 @@ def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
     at the optimum; steps that fail the Armijo test are halved. A level stops
     once its largest gradient entry (free of the scale of y) is at most
     ``QUANTILE_TOL``. Returns the (p, L) coefficients and the steps taken.
+    A trial's z is one product, ``([1, -b] / s) @ [resid; X']``; mean(z), the
+    gradient ``(1/2 - tau) mean(X) - u X / n`` and the Hessian weights
+    ``mean(X X') / 4 - u^2 (X X') / n`` need no (L, n) difference either.
     Four (L, n) work arrays, made per call, hold u, a trial's u and scratch.
     """
     n, p = design.shape
@@ -257,19 +261,21 @@ def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
     s = h * math.sqrt(3) / math.pi
     outer = (design[:, :, None] * design[:, None, :]).reshape(n, p * p)
     gram = (design.T @ design / (n * c)).ravel()  # laid out like the rows of outer
+    aug_t = np.vstack([resid, design.T])
+    aug_mean, mean_outer = aug_t.mean(axis=1), outer.mean(axis=0)
+    by_n = np.full(n, 1.0 / n)  # a row mean as a matrix-vector product
     u, trial_u, z, e = np.empty((4, levels.size, n))
 
     def evaluate(b, at, out):
         """The loss at offsets ``b``, one row per level index in ``at``; u goes to ``out``."""
         zk, ek, uk = z[: at.size], e[: at.size], out[: at.size]
-        np.subtract(resid, np.matmul(b, design.T, out=zk), out=zk)
-        zk /= s[at, None]
-        mean_z, mean_neg = zk.mean(axis=1), np.copysign(zk, -1.0, out=ek).mean(axis=1)
-        np.log1p(np.exp(ek, out=ek), out=uk)
+        coefs = np.hstack([np.ones((at.size, 1)), -b]) / s[at, None]
+        np.matmul(coefs, aug_t, out=zk)
+        mean_neg = np.negative(np.abs(zk, out=ek), out=ek) @ by_n  # mean(-|z|)
+        np.add(np.exp(ek, out=ek), 1.0, out=ek)
         # mean(min(z, 0)) = (mean(z) + mean(-|z|)) / 2
-        loss = (levels[at] - 0.5) * mean_z - 0.5 * mean_neg + uk.mean(axis=1)
-        np.divide(1.0, np.add(ek, 1.0, out=ek), out=uk)
-        np.copysign(np.subtract(uk, 0.5, out=uk), zk, out=uk)
+        loss = (levels[at] - 0.5) * (coefs @ aug_mean) - 0.5 * mean_neg + np.log(ek, out=uk) @ by_n
+        np.copysign(np.subtract(np.reciprocal(ek, out=uk), 0.5, out=uk), zk, out=uk)
         return s[at] * loss
 
     b = np.zeros((levels.size, p))  # offsets from the OLS fit, one row per level
@@ -278,8 +284,8 @@ def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
     loss = evaluate(b, active, u)
     for step in range(QUANTILE_MAX_STEPS + 1):
         k = active.size
-        grad = np.subtract((0.5 - levels[active])[:, None], u[:k], out=z[:k]) @ design / n
-        curv = np.subtract(0.25, np.square(u[:k], out=e[:k]), out=e[:k]) @ outer / n
+        grad = (0.5 - levels[active])[:, None] * aug_mean[1:] - u[:k] @ design / n
+        curv = 0.25 * mean_outer - np.square(u[:k], out=e[:k]) @ outer / n
         keep = np.abs(grad).max(axis=1) > QUANTILE_TOL
         active, loss, grad, curv = (a[keep] for a in (active, loss, grad, curv))
         if active.size == 0:

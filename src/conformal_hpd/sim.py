@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import repeat
@@ -236,9 +237,9 @@ class RepReport:
     seed: int
     coverage: float = math.nan
     mean_size: float = math.nan
-    sizes: tuple = ()
-    covered: tuple = ()
-    x_test: tuple = ()
+    sizes: array | tuple = ()  # per test point, as covered (0 or 1) and x_test: flat arrays
+    covered: array | tuple = ()
+    x_test: array | tuple = ()
     wall_time: float = 0.0
     n_intervals: int = 0
     warnings: int = 0
@@ -312,20 +313,19 @@ def _replicate_one(scn: Scenario, methods, rep: int, scale_on: bool):
     scn = replace(scn, seed=scn.seed + rep)
     draw = generate(scn)
     test = draw[1]
-    x_test = tuple(map(float, test.x[:, 0]))  # one copy shared by every method's report
+    x_test = array("d", test.x[:, 0].tobytes())  # one copy shared by every method's report
     reports = []
     for tag in methods:
         t0 = time.perf_counter()
         try:
             model = fit_draw(scn, tag, draw, scale_on)
             rows, _, lo, hi = model.predict_regions(test.x).flat()
-            covered, sizes = (a.tolist() for a in score_intervals(rows, lo, hi, test.y))
-            shared = {v: v for v in sizes}  # equal sizes share one float: runs keep many reports
+            covered, sizes = score_intervals(rows, lo, hi, test.y)
             outcome = dict(
                 coverage=float(np.mean(covered)),
                 mean_size=float(np.mean(sizes)),
-                sizes=tuple(map(shared.get, sizes)),
-                covered=tuple(covered),
+                sizes=array("d", sizes.tobytes()),
+                covered=array("b", covered.tobytes()),
                 x_test=x_test,
                 n_intervals=getattr(model, "n_intervals", 1),
             )

@@ -121,19 +121,32 @@ def test_workload_runs_one_smoke_operation(name, tmp_path):
 # as they are; a change that alters outputs on purpose updates them and
 # says so in CHANGES.md.
 SMOKE_DIGESTS = {
-    "replication-table": "1477e378902bcf363dd5c73511149752cebb0fc0c9aeca5c81e27f6268502649",
+    "replication-table": "ee09b76c3af7002932da8a9a9a1ce6006501eea98ceba5a0ca686ae7543b430f",
     "kde-hpd-fit": "5ef6d605fe40bc6492e896faca1dd34cced177bdc3ee16279ef0f299a385fe6e",
     "batch-predict": "55dee4117cef0bebf090ee0ee86b0df1007ee2fa3cc4e8991aba9567d909673e",
 }
 
 
-@pytest.mark.parametrize("name", sorted(SMOKE_DIGESTS))
-def test_smoke_run_reproduces_the_output_digest(name):
+def smoke_run(name, *extra):
+    """The output lines of ``bench/run.py --workload name --seed 1 --seconds 0 --smoke``, plus ``extra``."""
     run = subprocess.run(
         [sys.executable, str(RUN_PATH), "--workload", name, "--seed", "1",
-         "--seconds", "0", "--smoke"],
+         "--seconds", "0", "--smoke", *extra],
         capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    digests = [line for line in run.stdout.splitlines() if line.startswith("# digest ")]
+    return run.stdout.splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_DIGESTS))
+def test_smoke_run_reproduces_the_output_digest(name):
+    digests = [line for line in smoke_run(name) if line.startswith("# digest ")]
     assert digests == [f"# digest {SMOKE_DIGESTS[name]}"]
+
+
+@pytest.mark.parametrize("name", ["replication-table", "batch-predict"])
+def test_traced_smoke_run_reproduces_the_untraced_digest(name):
+    # the gated workloads: a traced run's per-layer numbers come from the same outputs
+    lines = smoke_run(name, "--trace", "1")
+    assert "# check traced output digest equals untraced: ok" in lines
+    assert f"# digest {SMOKE_DIGESTS[name]}" in lines

@@ -551,6 +551,56 @@ class TestDcp:
             assert len(predict_regions(model, np.array([[x]]))[0]) == 1
 
 
+class TestDcpWindow:
+    """The window's shortcuts against the plain computations they replace, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["parallel", "random", "dip"]),
+        rows=st.integers(1, 40),
+        alpha=st.floats(0.01, 0.99),
+    )
+    def test_running_max_on_crossing_rows_only_equals_it_on_every_row(self, seed, kind, rows, alpha):
+        # "parallel" ladders never cross, "dip" ladders cross at every row,
+        # and "random" ones cross at some rows, depending on x
+        rng = np.random.default_rng(seed)
+        n_levels = DCP_LADDER_LEVELS.size
+        coef = np.vstack([
+            np.cumsum(rng.exponential(0.05, n_levels)),
+            np.full(n_levels, rng.normal()),
+            np.full(n_levels, rng.normal(0.0, 0.1)),
+        ])
+        if kind == "random":
+            coef[1:] = np.cumsum(rng.normal(0.0, 0.05, (2, n_levels)), axis=1)
+        elif kind == "dip":
+            coef[0, rng.integers(1, n_levels) :] -= 10.0
+        ladder = QuantileEstimator(
+            kind="linear-quantile", d=1, levels=DCP_LADDER_LEVELS, coef=coef,
+            scale_mu=np.zeros(3), scale_sd=np.ones(3),
+        )
+        x = rng.uniform(-2.0, 2.0, (rows, 1))
+        raw = predict_quantile(ladder, x)
+        crossed = (np.diff(raw, axis=1) < 0).any(axis=1)
+        if kind == "parallel":
+            assert not crossed.any()
+        if kind == "dip":
+            assert crossed.all()
+        expected = np.maximum.accumulate(raw, axis=1)
+        qmat, center = conformal._dcp_window(ladder, alpha, x)
+        assert qmat.tobytes() == expected.tobytes()
+        lower = optimal_lower_level(expected, DCP_LADDER_LEVELS, alpha)
+        assert center.tobytes() == (lower + 0.5 * (1.0 - alpha)).tobytes()
+
+        # a grid shared by every row reads the same bits as that grid given per row
+        grid = np.concatenate([
+            rng.uniform(-0.1, 1.1, 30), DCP_LADDER_LEVELS[[0, 1, 50, -1]], [0.0, 1.0, 0.005, 0.995],
+        ])[None, :]
+        shared = _ladder_quantile(qmat, DCP_LADDER_LEVELS, grid)
+        per_row = _ladder_quantile(qmat, DCP_LADDER_LEVELS, np.repeat(grid, rows, axis=0))
+        assert shared.tobytes() == per_row.tobytes()
+
+
 @st.composite
 def dcp_cases(draw):
     """A DCP model over a random, often crossing, linear ladder, 20 covariate rows,

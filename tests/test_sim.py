@@ -230,7 +230,7 @@ class TestRunReplications:
             scn = Scenario(tag, n_train=60, n_cal=60, n_test=8, seed=11)
             h.update(repr(self.untimed(run_replications(scn, METHOD_TAGS, reps=2))).encode())
         assert h.hexdigest() == (
-            "c9713cb2297d164be65a73bd16dbc54cd76dc1659bda7b09e73e58df6ac070bc"
+            "ae548423cf02d153c73d2f4a1c1b3a67fc103247742e314f16c383fd4db69bae"
         )
 
     def test_determinism_across_calls(self):
