@@ -41,6 +41,8 @@ __all__ = ["main"]
 # counts lines: the text held at once stays a few hundred KB at any size.
 CSV_CHUNK_ROWS = 4096
 _READ_CHUNK = 1 << 16
+# names that np.loadtxt would decompress rather than read as text
+_ARCHIVE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _json_safe(node):
@@ -94,13 +96,18 @@ def _parse_cell(path, header, row_idx, col_idx, cell):
         ) from None
 
 
-def _numpy_cells(fh, n_cols):
+def _numpy_cells(fh, path, n_cols):
     """The cells after the header line through numpy's parser, or None where the csv path must decide.
 
-    A pass over ``fh`` counts the lines and leaves a ``\\r`` or a blank line (numpy skips
-    it) to the csv path, as numpy's rejections: quoted cells, ``1_000``, non-ASCII digits
-    and whitespace-only lines. numpy then reads ``fh`` itself from its start, as text.
+    A file named like an archive, which numpy would decompress, is left to the csv path.
+    Otherwise a pass over ``fh`` counts the lines and leaves a ``\\r`` or a blank line
+    (numpy skips it) to the csv path, as numpy's rejections: quoted cells, ``1_000``,
+    non-ASCII digits and whitespace-only lines. numpy then reads the file by its absolute
+    path, in blocks (from a handle it makes one str per line); an absolute path never
+    parses as a URL, which numpy would fetch.
     """
+    if os.path.splitext(path)[1] in _ARCHIVE_SUFFIXES:
+        return None
     try:
         rows, last = 0, "\n"
         while chunk := fh.read(_READ_CHUNK):
@@ -110,8 +117,8 @@ def _numpy_cells(fh, n_cols):
         rows += last != "\n"
         if not rows:
             return None
-        fh.seek(0)
-        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=1, max_rows=rows)
+        data = np.loadtxt(os.path.abspath(path), delimiter=",", comments=None, ndmin=2,
+                          skiprows=1, max_rows=rows, encoding="utf-8")
     except ValueError:  # a UnicodeDecodeError too: the csv path reports it
         return None
     return data if data.shape == (rows, n_cols) else None
@@ -132,7 +139,7 @@ def _read_table(path, text=""):
             # reads the file a second time, which a pipe cannot give
             plain = head.endswith("\n") and head[-2:] not in ("\r\n", "\n") and '"' not in head
             if plain and fh.seekable() and not text:
-                data = _numpy_cells(fh, head.count(",") + 1)
+                data = _numpy_cells(fh, path, head.count(",") + 1)
                 if data is not None:
                     return head[:-1].split(","), data, None
                 fh.seek(0)

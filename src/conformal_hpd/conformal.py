@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 # coalesce, fit_kde and smallest_mass_region stay patchable here for tracing
 from conformal_hpd.core import (  # noqa: F401
@@ -399,6 +398,8 @@ class ParametricNormalModel:
     d: int
 
     def predict_regions(self, xs) -> RegionBatch:
+        from scipy.special import ndtri
+
         design = _design(_as_matrix(xs, self.d))
         center = design @ self.coef
         leverage = np.einsum("ij,jk,ik->i", design, self.xtx_inv, design)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = ["KdeModel", "bandwidth", "binned_kde", "fit_kde", "kde_eval", "kde_cdf"]
 
@@ -135,4 +134,6 @@ def kde_eval(model: KdeModel, z) -> np.ndarray:
 
 def kde_cdf(model: KdeModel, z) -> np.ndarray:
     """Exact smoothed CDF at the 1-D array ``z``: the average kernel CDF over the points."""
+    from scipy.special import ndtr
+
     return _blocked(model, z, ndtr)

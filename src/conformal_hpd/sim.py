@@ -15,7 +15,6 @@ from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln, ndtr, ndtri, xlogy
 
 from conformal_hpd.conformal import (
     KdeHpdConfig,
@@ -95,8 +94,9 @@ def _level_set(pdf, cdf, lo: float, hi: float, alpha: float):
 
 
 # The laws' closed forms, written as scipy's distribution objects evaluate
-# them: the oracle regions keep their bits without importing scipy's stats
-# module, which alone takes about 1 s.
+# them, so the oracle regions keep their bits without scipy.stats (about
+# 1 s to import). Each function that computes one imports scipy.special
+# itself (about 0.2 s and 25 MB), so runs without the oracle never load it.
 
 
 def _norm_pdf(z):
@@ -105,6 +105,8 @@ def _norm_pdf(z):
 
 @lru_cache(maxsize=4096)
 def _gamma_hpd(shape: float, rate: float, alpha: float):
+    from scipy.special import gammainc, gammaincinv, gammaln, xlogy
+
     # The level-set search only evaluates z in [0, end], inside the support,
     # so the formulas need no mask for z < 0.
     scale = 1.0 / rate
@@ -120,6 +122,8 @@ def _gamma_hpd(shape: float, rate: float, alpha: float):
 
 @lru_cache(maxsize=64)
 def _mixture_hpd(alpha: float):
+    from scipy.special import ndtr
+
     pdf = lambda z: 0.5 * _norm_pdf(z + 6.0) + 0.5 * _norm_pdf(z - 6.0)
     cdf = lambda z: 0.5 * ndtr(z + 6.0) + 0.5 * ndtr(z - 6.0)
     return _level_set(pdf, cdf, -14.0, 14.0, alpha)
@@ -133,6 +137,8 @@ class _NormalLaw:
         return rng.normal(0.0, self.sd(x))
 
     def hpd_intervals(self, alpha, x):
+        from scipy.special import ndtri
+
         z = ndtri(1.0 - alpha / 2.0) * self.sd(x)
         return np.stack([-z, z], axis=-1)[:, None]
 

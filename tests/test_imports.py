@@ -1,10 +1,12 @@
-"""The package and its CLI load scipy.special only, never scipy.stats.
+"""The CLI loads scipy.special only for an analytic closed form, and never scipy.stats.
 
-scipy.stats takes about a second to import, which every CLI call and
-every fresh interpreter would pay. The binned KDE convolves with
-``numpy.fft``, which scipy.special already loads, and never with
-``scipy.fft`` or ``scipy.signal``. The check runs in a fresh interpreter
-so that modules the test suite itself imports do not mask a regression.
+scipy.stats takes about a second to import and scipy.special about a
+fifth of one, which every CLI call and every fresh interpreter would
+pay. The conformal methods need neither: the binned KDE convolves with
+``numpy.fft``, never with ``scipy.fft`` or ``scipy.signal``. Only the
+scenario oracles and the parametric baseline import scipy.special, on
+their first call. The check runs in a fresh interpreter so that modules
+the test suite itself imports do not mask a regression.
 """
 
 import os
@@ -31,28 +33,37 @@ SCRIPT = textwrap.dedent(
         rows = "".join(f"{a!r},{b!r}\\n" for a, b in zip(x.tolist(), y.tolist()))
         with open(name, "w", encoding="utf-8") as fh:
             fh.write("x,y\\n" + rows)
-    calls = [
+    conformal_only = [
         ["predict", "--train", "train.csv", "--test", "test.csv", "--target", "y",
-         "--method", "kde-hpd", "--outdir", "p"],
+         "--method", "kde-hpd", "--scale-model", "on", "--outdir", "p"],
         ["evaluate", "--predictions", "p/predictions.csv", "--truth", "test.csv",
          "--target", "y", "--outdir", "e"],
-        ["regions", "--scenario", "bimodal", "--method", "oracle",
-         "--grid-points", "3", "--outdir", "r"],
-        ["simulate", "--scenario", "unimodal-skewed", "--methods", "secpr,parametric,oracle",
+        ["simulate", "--scenario", "unimodal-skewed", "--methods", "kde-hpd,secpr,cqr,dcp",
          "--n", "60", "--n-test", "4", "--reps", "2", "--outdir", "s"],
+        ["regions", "--scenario", "bimodal", "--method", "dcp",
+         "--n", "60", "--grid-points", "3", "--outdir", "r"],
     ]
-    for argv in calls:
-        assert cli.main(argv) == 0, argv
-    print(*("scipy." + m in sys.modules for m in ("stats", "fft", "signal", "special")))
+    closed_forms = [
+        ["regions", "--scenario", "bimodal", "--method", "oracle",
+         "--grid-points", "3", "--outdir", "ro"],
+        ["simulate", "--scenario", "unimodal-skewed", "--methods", "parametric,oracle",
+         "--n", "60", "--n-test", "4", "--reps", "2", "--outdir", "so"],
+    ]
+    for calls in (conformal_only, closed_forms):
+        for argv in calls:
+            assert cli.main(argv) == 0, argv
+        print(*("scipy." + m in sys.modules for m in ("stats", "fft", "signal", "special")))
     """
 )
 
 
-def test_cli_commands_never_import_scipy_stats(tmp_path):
+def test_cli_loads_scipy_special_only_for_closed_forms(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run(
         [sys.executable, "-c", SCRIPT],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout.split() == ["False", "False", "False", "True"]
+    conformal_only, closed_forms = run.stdout.splitlines()
+    assert conformal_only.split() == ["False", "False", "False", "False"]
+    assert closed_forms.split() == ["False", "False", "False", "True"]
