@@ -128,13 +128,22 @@ class SplitPlan:
         return cls(order[:n1], order[n1 : n1 + n2], order[n1 + n2 :])
 
 
+def _check_interval(lo: float, hi: float, at: str = "") -> None:
+    """Raise ValueError, placed by ``at``, unless ``[lo, hi]`` has no NaN end and ``lo <= hi``."""
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError(f"interval endpoints must not be NaN{at}")
+    if lo > hi:
+        raise ValueError(f"interval has lo > hi{at}: ({lo}, {hi})")
+
+
 @dataclass(frozen=True)
 class PredictionRegion:
     """Finite union of closed intervals on the response axis.
 
-    Intervals are ``(lo, hi)`` pairs with ``lo <= hi``; endpoints may be
-    ``-inf`` / ``+inf`` (clamped order statistics). Construct, then
-    :func:`coalesce` before measuring length or membership.
+    Intervals are ``(lo, hi)`` pairs with ``lo <= hi``, in any order;
+    endpoints may be ``-inf`` / ``+inf`` (clamped order statistics).
+    :func:`region_length` adds their lengths: the union's measure when no
+    two overlap, as in a :class:`RegionBatch` row or a :func:`coalesce` result.
     """
 
     intervals: tuple = ()
@@ -142,10 +151,7 @@ class PredictionRegion:
     def __post_init__(self):
         ivals = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
         for lo, hi in ivals:
-            if math.isnan(lo) or math.isnan(hi):
-                raise ValueError("interval endpoints must not be NaN")
-            if lo > hi:
-                raise ValueError(f"interval has lo > hi: ({lo}, {hi})")
+            _check_interval(lo, hi)
         object.__setattr__(self, "intervals", ivals)
 
     def __len__(self) -> int:
@@ -160,45 +166,35 @@ class RegionBatch(Sequence):
 
     Row ``i`` is the union of ``[lo[i, j], hi[i, j]]`` for ``j < counts[i]``
     (all ``J`` by default); later entries are NaN padding, and a row may be
-    empty. The constructor coalesces every row as :func:`coalesce` does,
-    so stored rows are sorted with ``hi[i, j] < lo[i, j + 1]``. Indexing
-    and iteration give :class:`PredictionRegion` views of the rows.
+    empty. Producers build rows in order and the constructor checks it: no
+    NaN end, ``lo <= hi`` and ``hi[i, j] <= lo[i, j + 1]``, else ValueError
+    naming the row and the column. Touching ends are kept, not merged:
+    rounding in ``g + s * x`` (``s > 0``) never reverses two ends but may
+    make them equal, as ``1e17 + 1.0 == 1e17 + 1.1``, and membership and
+    :func:`score_intervals` sizes are the same either way. Indexing and
+    iteration give :class:`PredictionRegion` views of the rows.
     """
 
     def __init__(self, lo, hi, counts=None):
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
+        lo, hi = (np.asarray(a, dtype=np.float64) for a in (lo, hi))
         if lo.ndim != 2 or lo.shape != hi.shape:
             raise ValueError("lo and hi must be (n, J) arrays of the same shape")
         n, width = lo.shape
-        counts = np.full(n, width) if counts is None else np.asarray(counts)
-        present = np.arange(width) < counts[:, None]
-        bad = present & (np.isnan(lo) | np.isnan(hi) | (lo > hi))
+        self.counts = np.array(np.full(n, width) if counts is None else counts, dtype=np.intp)
+        # at least one column: an empty row's first entry is NaN padding
+        if width == 0:
+            lo = hi = np.full((n, 1), np.nan)
+        present = np.arange(lo.shape[1]) < self.counts[:, None]
+        bad = present & ~(lo <= hi)  # a NaN end too
+        bad[:, 1:] |= present[:, 1:] & ~(hi[:, :-1] <= lo[:, 1:])
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            PredictionRegion(((lo[i, j], hi[i, j]),))  # raises as one region does
-        # sort each row by (lo, hi), padding last; lexsort is stable, as sorted() is
-        order = np.lexsort((hi, lo, ~present), axis=1)
-        lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
-        # a merged interval starts where lo exceeds the running max of hi,
-        # which keeps its value on ties, as max() does
-        start, top = present.copy(), hi.copy()
-        for j in range(1, width):
-            start[:, j] &= lo[:, j] > top[:, j - 1]
-            top[:, j] = np.where(hi[:, j] > top[:, j - 1], hi[:, j], top[:, j - 1])
-        end = present.copy()
-        end[:, :-1] &= start[:, 1:] | ~present[:, 1:]
-        self.counts = start.sum(axis=1)
-        # at least one column: an empty row's first entry is NaN padding
-        self.lo = np.full((n, self.counts.max(initial=1)), np.nan)
-        self.hi = self.lo.copy()
-        self.lo[self._present()] = lo[start]
-        self.hi[self._present()] = top[end]
+            at = f" at row {i}, column {j}"
+            _check_interval(lo[i, j], hi[i, j], at)
+            raise ValueError(f"interval starts before the previous one ends{at}")
+        self.lo, self.hi = (np.where(present, a, np.nan) for a in (lo, hi))
         for a in (self.lo, self.hi, self.counts):
             a.flags.writeable = False
-
-    def _present(self) -> np.ndarray:
-        return np.arange(self.lo.shape[1]) < self.counts[:, None]
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -280,19 +276,19 @@ def first_float(below, above, holds) -> np.ndarray:
     return key(b).view(np.float64)
 
 
-def _intervals(region: PredictionRegion):
-    """The ``lo`` and ``hi`` endpoints of a region's intervals, in its order."""
-    return np.reshape(region.intervals, (-1, 2)).T
-
-
 def coalesce(region: PredictionRegion) -> PredictionRegion:
     """Sort and merge intervals into a disjoint union with identical membership.
 
     Closed intervals that overlap or touch are merged, so the output
-    satisfies ``hi_j < lo_{j+1}`` strictly.
+    satisfies ``hi_j < lo_{j+1}`` strictly. Equal ends keep their first value (signed zeros).
     """
-    lo, hi = _intervals(region)
-    return RegionBatch(lo[None], hi[None])[0]
+    merged = []
+    for lo, hi in sorted(region.intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return PredictionRegion(tuple(map(tuple, merged)))
 
 
 def score_intervals(rows, lo, hi, y):
@@ -318,13 +314,13 @@ def score_intervals(rows, lo, hi, y):
 
 def region_length(region: PredictionRegion) -> float:
     """Total Lebesgue measure; ``+inf`` if any interval is unbounded."""
-    lo, hi = _intervals(region)
+    lo, hi = np.reshape(region.intervals, (-1, 2)).T
     return float(score_intervals(np.zeros(lo.size), lo, hi, np.zeros(1))[1][0])
 
 
 def region_contains(region: PredictionRegion, y: float) -> bool:
     """Closed-interval membership test."""
-    lo, hi = _intervals(region)
+    lo, hi = np.reshape(region.intervals, (-1, 2)).T
     return bool(score_intervals(np.zeros(lo.size), lo, hi, [y])[0][0])
 
 
@@ -345,10 +341,11 @@ def _directed_sup(a_lo, a_hi, a_in, b_lo, b_hi, b_in) -> np.ndarray:
 def hausdorff(a: RegionBatch, b: RegionBatch) -> np.ndarray:
     """Exact Hausdorff distance between the regions of two batches, row by row.
 
-    Evaluates the point-to-set distance at interval endpoints and gap
-    midpoints only; no grid. The distance is undefined, and returned as
-    ``inf``, for a row where either region is empty or has an infinite
-    endpoint.
+    Evaluates the point-to-set distance at interval endpoints and at the
+    midpoints between neighbours in a row, which are ordered as
+    :class:`RegionBatch` checks; no grid. Touching intervals give the distance
+    of their merged form. The distance is undefined, and returned as ``inf``,
+    for a row where either region is empty or has an infinite endpoint.
     """
     if len(a) != len(b):
         raise ValueError(f"batch length mismatch: {len(a)} and {len(b)} rows")
@@ -356,9 +353,8 @@ def hausdorff(a: RegionBatch, b: RegionBatch) -> np.ndarray:
     ends = []
     for r in (a, b):
         # infinite intervals and padding become absent zeros: no inf or NaN enters the arithmetic
-        present = r._present()
-        keep = present & np.isfinite(r.lo) & np.isfinite(r.hi)
-        ok &= keep.any(axis=1) & (keep == present).all(axis=1)
+        keep = np.isfinite(r.lo) & np.isfinite(r.hi)
+        ok &= keep.any(axis=1) & (keep | np.isnan(r.lo)).all(axis=1)  # NaN only in the padding
         ends.append((np.where(keep, r.lo, 0.0), np.where(keep, r.hi, 0.0), keep))
     dist = np.maximum(_directed_sup(*ends[0], *ends[1]), _directed_sup(*ends[1], *ends[0]))
     return np.where(ok, dist, np.inf)

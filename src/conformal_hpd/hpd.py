@@ -100,12 +100,13 @@ def interpolated_level_set(grid, values, level: float) -> np.ndarray:
 
     ``values`` are non-negative on the increasing ``grid``, and the function
     is 0 off it. Each run of grid points at or above ``level`` is one
-    interval. An end on the first or last grid point stays there; every
-    other end is the first float of its cell where ``np.interp`` reaches
-    ``level`` (the last, for an upper end), found by bisection within a few
-    roundings of the closed-form linear crossing, or within the whole cell
-    where that bracket misses. ``level <= 0`` gives the whole line; a level
-    above every value gives no interval.
+    interval, in grid order; a grid point below ``level`` parts two runs, so
+    ``hi_j < lo_{j+1}``. An end on the first or last grid point stays there;
+    every other end is the first float of its cell where ``np.interp``
+    reaches ``level`` (the last, for an upper end), found by bisection within
+    a few roundings of the closed-form linear crossing, or within the whole
+    cell where that bracket misses. ``level <= 0`` gives the whole line; a
+    level above every value gives no interval.
     """
     if level <= 0:
         return np.array([[-np.inf, np.inf]])

@@ -95,8 +95,8 @@ def _level_set(pdf, cdf, lo: float, hi: float, alpha: float):
 
 # The laws' closed forms, written as scipy's distribution objects evaluate
 # them, so the oracle regions keep their bits without scipy.stats (about
-# 1 s to import). Each function that computes one imports scipy.special
-# itself (about 0.2 s and 25 MB), so runs without the oracle never load it.
+# 1 s to import). scipy.special (about 0.2 s and 25 MB) is imported where one is
+# computed, and by run_replications before its pool forks: other runs never load it.
 
 
 def _norm_pdf(z):
@@ -185,10 +185,10 @@ SCENARIO_TAGS = tuple(_LAWS)
 class OracleHandle:
     """The exact smallest 1-alpha regions of a scenario's law, as a model.
 
-    ``law`` is one of the residual laws in ``_LAWS``. Its
-    ``hpd_intervals(alpha, x)`` gives the smallest 1-alpha set at every
-    entry of a 1-D ``x`` as an (n, J, 2) array, with the same J at every x,
-    so the regions of a covariate batch stack into one :class:`RegionBatch`.
+    ``law`` is one of the residual laws in ``_LAWS``. Its ``hpd_intervals(alpha, x)``
+    gives the smallest 1-alpha set at every entry of a 1-D ``x`` as an (n, J, 2)
+    array: the same J at every x, each set's intervals in increasing order. So the
+    regions of a covariate batch stack into one :class:`RegionBatch` as it checks them.
     """
 
     law: object
@@ -365,6 +365,8 @@ def run_replications(
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
+        if {"oracle", "parametric"} & set(methods):
+            import scipy.special  # noqa: F401 - once here, not once in each forked worker
         ctx = mp.get_context("fork")
         with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
             nested = list(pool.map(

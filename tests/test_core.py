@@ -138,7 +138,7 @@ class TestRegions:
 
 
 def coalesce_reference(region: PredictionRegion) -> PredictionRegion:
-    """The per-row merge loop that ``RegionBatch`` vectorises."""
+    """The merge loop, written out: ``coalesce`` keeps its bits."""
     if not region.intervals:
         return region
     ivals = sorted(region.intervals)
@@ -172,18 +172,38 @@ def interval_rows(draw):
 class TestRegionBatch:
     @given(interval_rows())
     @settings(max_examples=400, deadline=None)
-    def test_rows_equal_the_per_row_merge(self, drawn):
+    def test_coalesce_equals_the_merge_loop(self, drawn):
         width, rows = drawn
+        merged = [coalesce(PredictionRegion(tuple(row))) for row in rows]
         lo = np.full((len(rows), width), 7.0)  # padding past each count
         hi = np.full((len(rows), width), -7.0)
-        for i, row in enumerate(rows):
-            for j, (a, b) in enumerate(row):
+        for i, region in enumerate(merged):
+            for j, (a, b) in enumerate(region):
                 lo[i, j], hi[i, j] = a, b
-        batch = RegionBatch(lo, hi, [len(row) for row in rows])
+        batch = RegionBatch(lo, hi, [len(region) for region in merged])
         assert len(batch) == len(rows)
-        for region, row in zip(batch, rows):
+        for stored, region, row in zip(batch, merged, rows):
             expected = coalesce_reference(PredictionRegion(tuple(row)))
             assert repr(region.intervals) == repr(expected.intervals)
+            assert repr(stored.intervals) == repr(expected.intervals)
+
+    def test_touching_ends_are_stored_as_given(self):
+        batch = RegionBatch([[0.0, 1.0], [-1.0, -0.0]], [[1.0, 2.0], [0.0, 1.0]])
+        assert repr(batch[0].intervals) == repr(((0.0, 1.0), (1.0, 2.0)))
+        assert repr(batch[1].intervals) == repr(((-1.0, 0.0), (-0.0, 1.0)))
+        # runs apart in standardized units meet once shifted by a huge mean
+        g = 1e17
+        assert g + 1.0 == g + 1.1
+        shifted = RegionBatch([[g - 64.0, g + 1.1]], [[g + 1.0, g + 64.0]])
+        assert shifted[0].intervals == ((g - 64.0, g), (g, g + 64.0))
+
+    @pytest.mark.parametrize("lo, hi", [([0.5, 0.0], [2.0, 1.0]), ([0.0, 0.5], [1.0, 2.0])])
+    def test_unsorted_or_overlapping_row_raises_naming_it(self, lo, hi):
+        rows_lo, rows_hi = [[0.0, 3.0], lo], [[1.0, 4.0], hi]
+        with pytest.raises(ValueError, match="starts before the previous one ends at row 1, column 1"):
+            RegionBatch(rows_lo, rows_hi)
+        # entries past a row's count are padding and never checked
+        assert RegionBatch(rows_lo, rows_hi, [2, 1])[1].intervals == ((lo[0], hi[0]),)
 
     def test_sequence_views(self):
         batch = RegionBatch([[0.0, 5.0], [2.0, 0.0]], [[1.0, 6.0], [3.0, 1.0]], [2, 0])
@@ -207,7 +227,7 @@ class TestRegionBatch:
         "lo, hi, match", [(2.0, 1.0, "lo > hi"), (math.nan, 1.0, "NaN"), (0.0, math.nan, "NaN")]
     )
     def test_invalid_interval_rejected_like_a_single_region(self, lo, hi, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"{match} at row 0, column 1"):
             RegionBatch([[0.0, lo]], [[1.0, hi]])
         # entries past a row's count are padding and never checked
         assert RegionBatch([[0.0, lo]], [[1.0, hi]], [1])[0].intervals == ((0.0, 1.0),)
@@ -281,7 +301,8 @@ def hausdorff_grid(a: PredictionRegion, b: PredictionRegion, step=1e-4) -> float
 
 
 def batch(*regions: PredictionRegion) -> RegionBatch:
-    """The regions as the rows of one batch, padded to the widest."""
+    """The regions, each coalesced, as the rows of one batch, padded to the widest."""
+    regions = [coalesce(r) for r in regions]
     width = max((len(r) for r in regions), default=0)
     lo, hi = np.zeros((len(regions), width)), np.zeros((len(regions), width))
     for i, region in enumerate(regions):
@@ -346,6 +367,19 @@ class TestHausdorff:
         assert (dab >= 0.0).all()
         assert (hausdorff(a, c) <= dab + hausdorff(b, c) + 1e-12).all()
         assert hausdorff(a, a).tolist() == [0.0] * 4
+
+    def test_touching_intervals_give_the_merged_distance(self):
+        touching = RegionBatch(np.tile([0.0, 1.0], (3, 1)), np.tile([1.0, 3.0], (3, 1)))
+        merged = batch(*touching)
+        assert [r.intervals for r in merged] == [((0.0, 3.0),)] * 3
+        others = batch(
+            PredictionRegion(((2.5, 5),)),
+            PredictionRegion(((0.9, 1.1),)),
+            PredictionRegion(((-1, 0), (4, 6))),
+        )
+        assert hausdorff(touching, others).tolist() == hausdorff(merged, others).tolist()
+        assert hausdorff(others, touching).tolist() == hausdorff(others, merged).tolist()
+        assert hausdorff(touching, merged).tolist() == [0.0] * 3
 
     def test_zero_iff_equal(self):
         a = coalesce(PredictionRegion(((0, 1), (2, 3))))

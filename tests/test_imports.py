@@ -40,19 +40,24 @@ SCRIPT = textwrap.dedent(
          "--target", "y", "--outdir", "e"],
         ["simulate", "--scenario", "unimodal-skewed", "--methods", "kde-hpd,secpr,cqr,dcp",
          "--n", "60", "--n-test", "4", "--reps", "2", "--outdir", "s"],
+        ["simulate", "--scenario", "bimodal", "--methods", "kde-hpd,dcp", "--threads", "2",
+         "--n", "60", "--n-test", "4", "--reps", "2", "--outdir", "st"],
         ["regions", "--scenario", "bimodal", "--method", "dcp",
          "--n", "60", "--grid-points", "3", "--outdir", "r"],
     ]
+    # the pooled run first: its parent, not only its workers, loads scipy.special
     closed_forms = [
+        ["simulate", "--scenario", "bimodal", "--methods", "parametric,oracle", "--threads", "2",
+         "--n", "60", "--n-test", "4", "--reps", "2", "--outdir", "sto"],
         ["regions", "--scenario", "bimodal", "--method", "oracle",
          "--grid-points", "3", "--outdir", "ro"],
         ["simulate", "--scenario", "unimodal-skewed", "--methods", "parametric,oracle",
          "--n", "60", "--n-test", "4", "--reps", "2", "--outdir", "so"],
     ]
-    for calls in (conformal_only, closed_forms):
+    for label, calls in (("conformal", conformal_only), ("closed", closed_forms)):
         for argv in calls:
             assert cli.main(argv) == 0, argv
-        print(*("scipy." + m in sys.modules for m in ("stats", "fft", "signal", "special")))
+            print(label, *("scipy." + m in sys.modules for m in ("stats", "fft", "signal", "special")))
     """
 )
 
@@ -64,6 +69,9 @@ def test_cli_loads_scipy_special_only_for_closed_forms(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    conformal_only, closed_forms = run.stdout.splitlines()
-    assert conformal_only.split() == ["False", "False", "False", "False"]
-    assert closed_forms.split() == ["False", "False", "False", "True"]
+    loaded = {"conformal": ["False"] * 4, "closed": ["False", "False", "False", "True"]}
+    lines = run.stdout.splitlines()
+    assert len(lines) == 8
+    for line in lines:  # after each call
+        label, *modules = line.split()
+        assert modules == loaded[label], line

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -153,6 +155,24 @@ class TestOracle:
         _, _, oracle = generate(Scenario(tag=tag))
         with pytest.raises(ValueError, match=match):
             oracle.predict_regions(xs)
+
+
+class TestRegionRows:
+    """Every producer builds its rows in the order ``RegionBatch`` checks."""
+
+    @pytest.mark.parametrize("scale_on", [False, True])
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(40, 300))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_rows_ordered_on_a_covariate_grid(self, tag, scale_on, seed, n):
+        xs = np.linspace(-6.0, 6.0, 97).reshape(-1, 1)
+        for scenario in sim.SCENARIO_TAGS:
+            scn = Scenario(scenario, n_train=n, n_cal=n, seed=seed)
+            batch = sim.fit_draw(scn, tag, generate(scn), scale_on).predict_regions(xs)
+            present = np.arange(batch.lo.shape[1]) < batch.counts[:, None]
+            assert (batch.lo <= batch.hi)[present].all()
+            assert (batch.hi[:, :-1] <= batch.lo[:, 1:])[present[:, 1:]].all()
+            assert np.isnan(batch.lo[~present]).all() and np.isnan(batch.hi[~present]).all()
 
 
 class TestOracleClosedForms:
