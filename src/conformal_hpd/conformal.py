@@ -28,10 +28,10 @@ from conformal_hpd.core import (  # noqa: F401
 from conformal_hpd.hpd import interpolated_level_set, smallest_mass_region  # noqa: F401
 from conformal_hpd.kde import binned_kde, fit_kde  # noqa: F401
 from conformal_hpd.regress import (
+    KnnQuantiles,
     MeanEstimator,
     QuantileConfig,
     ScaleConfig,
-    ScaleEstimator,
     _as_matrix,
     _design,
     _ols,
@@ -109,7 +109,7 @@ class KdeHpdPipeline:
     dropped_pairs = 0  # the level-set region drops nothing; bench/spans.py still reads it
 
     gh: MeanEstimator
-    sh: ScaleEstimator
+    sh: KnnQuantiles | None  # None: the constant-one scale
     grid: np.ndarray
     density: np.ndarray
     cutoff: float
@@ -253,7 +253,7 @@ def fit_cqr(
     """CQR with equal-tailed kNN quantile bands at alpha/2 and 1 - alpha/2."""
     check_alpha(alpha)
     train, cal = _folds(data, plan)
-    ladder = fit_quantile_ladder(train, [alpha / 2, 1 - alpha / 2], QuantileConfig())
+    ladder = fit_quantile_ladder(train, np.array([alpha / 2, 1 - alpha / 2]), QuantileConfig())
     return _calibrated(CqrModel(ladder=ladder, cutoff=math.nan), cal, alpha)
 
 

@@ -2,7 +2,9 @@
 
 Estimators are plain fitted-state dataclasses; ``fit_*`` builds them from
 a training fold and ``predict_*`` evaluates them at new covariates. All
-are immutable after fitting and reentrant.
+are immutable after fitting and reentrant. Quantiles are ``KnnQuantiles``
+(CQR's band and the scale fold) or DCP's ``LinearQuantiles``; the
+constant-one scale is None.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ __all__ = [
     "ScaleConfig",
     "QuantileConfig",
     "MeanEstimator",
-    "ScaleEstimator",
-    "QuantileEstimator",
+    "KnnQuantiles",
+    "LinearQuantiles",
     "fit_mean",
     "fit_scale",
     "fit_quantile_ladder",
@@ -27,9 +29,6 @@ __all__ = [
     "predict_scale",
     "predict_quantile",
 ]
-
-SCALE_KINDS = ("constant-one", "knn-quantile-absres")
-QUANTILE_KINDS = ("knn-quantile", "linear-quantile")
 
 # Lower clamp on predicted scales, so standardized scores stay finite.
 SCALE_FLOOR = 1e-6
@@ -77,29 +76,30 @@ def _ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _as_matrix(x, d: int) -> np.ndarray:
-    """Covariate rows as an (n, d) float array; raises on any other shape or a non-finite entry."""
+def _as_matrix(x, d: int | None = None) -> np.ndarray:
+    """Covariate rows as an (n, d) float array, any d if None; raises on other shapes or NaN/inf."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != d:
-        raise ValueError(f"covariate dimension mismatch: expected (n, {d}) array")
+    if arr.ndim != 2 or d is not None and arr.shape[1] != d:
+        raise ValueError(f"covariate dimension mismatch: expected (n, {d or 'd'}) array")
     if not np.isfinite(arr).all():
         raise ValueError("covariates must be finite")
     return arr
 
 
 class _Knn:
-    """Shared nearest-neighbour lookup on sd-standardized covariates.
+    """Quantiles at ``levels`` of the k nearest fitted rows' targets, on sd-standardized covariates.
 
     With one covariate column the k nearest fitted rows are a contiguous
     window of the rows sorted by x, found by ``searchsorted`` and a
-    bisection on the window start; other widths compare every fitted row
-    in blocks of ``KNN_BLOCK`` query rows. Ties in the window: of the
-    windows whose rows are k nearest, the lowest-starting one is taken,
-    so when two fitted rows are equally far from a query the one at the
-    lower sorted position wins.
+    bisection on the window start; every window's quantiles are taken at
+    fit. Other widths compare every fitted row in blocks of ``KNN_BLOCK``
+    query rows. Ties in the window: of the windows whose rows are k nearest,
+    the lowest-starting one is taken, so when two fitted rows are equally
+    far from a query the one at the lower sorted position wins.
     """
 
-    def __init__(self, x: np.ndarray, targets: np.ndarray, k: int):
+    def __init__(self, x: np.ndarray, targets: np.ndarray, k: int, levels: np.ndarray):
+        self.levels = levels
         self.mu = x.mean(axis=0)
         sd = x.std(axis=0)
         sd[sd == 0] = 1.0
@@ -113,6 +113,8 @@ class _Knn:
             self.sorted_x = np.append(self.xs[order, 0], np.inf)
             # the targets of every window of k sorted rows, (n - k + 1, k)
             self.windows = np.lib.stride_tricks.sliding_window_view(targets[order], self.k)
+            # np.quantile is row-wise: row s has the bits of window s's quantile alone
+            self.table = np.quantile(self.windows, levels, axis=1).T
 
     def neighbor_targets(self, x: np.ndarray) -> np.ndarray:
         """Targets of the k nearest fitted rows, shape (m, k)."""
@@ -127,19 +129,11 @@ class _Knn:
             out[start : start + block.shape[0]] = self.targets[idx]
         return out
 
-    def quantile(self, x: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """``np.quantile(self.neighbor_targets(x), levels, axis=1).T`` for 1-D ``levels``: (m, L).
-
-        With one column, taken once per window some query uses, then indexed:
-        a row's quantile depends on its own values only, so the bits are the same.
-        """
-        if x.shape[1] != 1:
-            return np.quantile(self.neighbor_targets(x), levels, axis=1).T
-        start = self._window_starts(x)
-        used = np.zeros(self.windows.shape[0], dtype=bool)
-        used[start] = True
-        table = np.quantile(self.windows[used], levels, axis=1).T
-        return table[(np.cumsum(used) - 1)[start]]
+    def quantile(self, x: np.ndarray) -> np.ndarray:
+        """``np.quantile(self.neighbor_targets(x), self.levels, axis=1).T``: (m, L)."""
+        if x.shape[1] == 1:
+            return self.table[self._window_starts(x)]
+        return np.quantile(self.neighbor_targets(x), self.levels, axis=1).T
 
     def _window_starts(self, x: np.ndarray) -> np.ndarray:
         """The start of the window of k sorted fitted rows nearest each query row of ``x``.
@@ -171,23 +165,31 @@ class MeanEstimator:
 
 
 @dataclass(frozen=True)
-class ScaleEstimator:
-    kind: str
+class KnnQuantiles:
+    """Quantiles at ``levels`` of the nearest training rows' targets: CQR's band, the scale fold."""
+
     d: int
-    level: float = 0.9
-    knn: _Knn | None = None
+    levels: np.ndarray
+    knn: _Knn  # built at the same levels
+
+    def predict(self, x) -> np.ndarray:
+        return self.knn.quantile(_as_matrix(x, self.d))
 
 
 @dataclass(frozen=True)
-class QuantileEstimator:
-    kind: str
+class LinearQuantiles:
+    """DCP's smoothed linear quantiles at ``levels``, on the standardized quantile design."""
+
     d: int
     levels: np.ndarray
-    coef: np.ndarray | None = None  # (p, L) for the linear kind
-    knn: _Knn | None = None
-    scale_mu: np.ndarray | None = None
-    scale_sd: np.ndarray | None = None
-    iterations: int = 0  # Newton steps of the linear fit
+    coef: np.ndarray  # (p, L)
+    mu: np.ndarray  # the design columns' means and sds
+    sd: np.ndarray
+    iterations: int  # Newton steps of the fit
+
+    def predict(self, x) -> np.ndarray:
+        design = (_quantile_design(_as_matrix(x, self.d)) - self.mu) / self.sd
+        return design @ self.coef
 
 
 def fit_mean(data: Dataset) -> MeanEstimator:
@@ -202,32 +204,30 @@ def predict_mean(gh: MeanEstimator, x) -> np.ndarray:
 
 def fit_scale(
     data: Dataset, gh: MeanEstimator | None, config: ScaleConfig = ScaleConfig()
-) -> ScaleEstimator:
+) -> KnnQuantiles | None:
     """Train the scale model on absolute residuals from the mean fit.
 
-    ``constant-one`` uses only the covariate dimension of ``data`` (its
-    rows may be empty). ``knn-quantile-absres`` takes the ``config.level``
-    quantile of |y - mean(x)| over the max(10, round(sqrt(n))) nearest
-    rows; sqrt-n neighbourhoods keep the scale curve local (n/10 visibly
-    over-smooths a steep sigma).
+    ``constant-one`` is None and reads neither ``data`` nor ``gh``.
+    ``knn-quantile-absres`` takes the ``config.level`` quantile of
+    |y - mean(x)| over the max(10, round(sqrt(n))) nearest rows; sqrt-n
+    neighbourhoods keep the scale curve local (n/10 visibly over-smooths a
+    steep sigma).
     """
-    if config.kind not in SCALE_KINDS:
+    if config.kind not in ("constant-one", "knn-quantile-absres"):
         raise ConfigError(f"unknown scale estimator kind: {config.kind!r}")
     if config.kind == "constant-one":
-        return ScaleEstimator(kind="constant-one", d=data.d)
+        return None
     absres = np.abs(data.y - predict_mean(gh, data.x))
     k = max(10, round(math.sqrt(data.n)))
-    return ScaleEstimator(
-        kind=config.kind, d=data.d, level=config.level, knn=_Knn(data.x, absres, k)
-    )
+    levels = np.array([config.level])
+    return KnnQuantiles(d=data.d, levels=levels, knn=_Knn(data.x, absres, k, levels))
 
 
-def predict_scale(sh: ScaleEstimator, x) -> np.ndarray:
+def predict_scale(sh: KnnQuantiles | None, x) -> np.ndarray:
     """Evaluate the scale model at rows ``x`` of shape (n, d); clamped at ``SCALE_FLOOR``."""
-    xm = _as_matrix(x, sh.d)
-    if sh.kind == "constant-one":
-        return np.ones(xm.shape[0])
-    return np.maximum(sh.knn.quantile(xm, [sh.level])[:, 0], SCALE_FLOOR)
+    if sh is None:  # the constant one; predict_mean, which every caller runs first, checks d
+        return np.ones(_as_matrix(x).shape[0])
+    return np.maximum(sh.predict(x)[:, 0], SCALE_FLOOR)
 
 
 def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
@@ -315,20 +315,18 @@ def _smoothed_quantiles(design: np.ndarray, y: np.ndarray, levels: np.ndarray):
 
 def fit_quantile_ladder(
     data: Dataset, levels, config: QuantileConfig = QuantileConfig()
-) -> QuantileEstimator:
-    """Fit conditional quantiles at several levels jointly."""
-    if config.kind not in QUANTILE_KINDS:
+) -> KnnQuantiles | LinearQuantiles:
+    """Fit conditional quantiles at a 1-D array of levels jointly."""
+    if config.kind not in ("knn-quantile", "linear-quantile"):
         raise ConfigError(f"unknown quantile estimator kind: {config.kind!r}")
-    levels = np.atleast_1d(np.asarray(levels, dtype=np.float64))
-    if ((levels <= 0) | (levels >= 1)).any():
-        raise ConfigError("quantile levels must lie in (0, 1)")
+    levels = np.asarray(levels, dtype=np.float64)
+    if levels.ndim != 1 or ((levels <= 0) | (levels >= 1)).any():
+        raise ConfigError("quantile levels must be a 1-D array in (0, 1)")
     if config.kind == "knn-quantile":
         k = max(10, data.n // 10)
         if data.n < k:
             raise ConfigError(f"too few rows to fit a regression: {data.n} rows for {k} neighbours")
-        return QuantileEstimator(
-            kind="knn-quantile", d=data.d, levels=levels, knn=_Knn(data.x, data.y, k)
-        )
+        return KnnQuantiles(d=data.d, levels=levels, knn=_Knn(data.x, data.y, k, levels))
     # linear-quantile: standardized columns keep the Newton system well scaled
     design = _quantile_design(data.x)
     mu = design.mean(axis=0)
@@ -336,21 +334,9 @@ def fit_quantile_ladder(
     mu[0], sd[0] = 0.0, 1.0  # leave the intercept column alone
     sd[sd == 0] = 1.0
     coef, steps = _smoothed_quantiles((design - mu) / sd, data.y, levels)
-    return QuantileEstimator(
-        kind="linear-quantile",
-        d=data.d,
-        levels=levels,
-        coef=coef,
-        iterations=steps,
-        scale_mu=mu,
-        scale_sd=sd,
-    )
+    return LinearQuantiles(d=data.d, levels=levels, coef=coef, mu=mu, sd=sd, iterations=steps)
 
 
-def predict_quantile(qe: QuantileEstimator, x):
+def predict_quantile(qe: KnnQuantiles | LinearQuantiles, x) -> np.ndarray:
     """The fitted quantile ladder at covariate rows ``x`` of shape (n, d), shape (n, L)."""
-    xm = _as_matrix(x, qe.d)
-    if qe.kind == "knn-quantile":
-        return qe.knn.quantile(xm, qe.levels)
-    design = (_quantile_design(xm) - qe.scale_mu) / qe.scale_sd
-    return design @ qe.coef
+    return qe.predict(x)

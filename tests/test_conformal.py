@@ -35,10 +35,10 @@ from conformal_hpd.core import (
 from conformal_hpd.kde import binned_kde
 from conformal_hpd.sim import fit_method
 from conformal_hpd.regress import (
+    KnnQuantiles,
+    LinearQuantiles,
     MeanEstimator,
-    QuantileEstimator,
     ScaleConfig,
-    ScaleEstimator,
     _Knn,
     predict_mean,
     predict_quantile,
@@ -353,8 +353,8 @@ def stub_pipeline(center, scale_coef, intervals, cutoff=-1.0):
     gh = MeanEstimator(d=1, coef=np.array([center, 0.0]))
     # every neighbour's target is scale_coef, so the scale is scale_coef everywhere
     x_fit = np.linspace(-5, 5, 20).reshape(-1, 1)
-    knn = _Knn(x_fit, np.full(20, scale_coef), 10)
-    sh = ScaleEstimator(kind="knn-quantile-absres", d=1, knn=knn)
+    levels = np.array([0.9])
+    sh = KnnQuantiles(d=1, levels=levels, knn=_Knn(x_fit, np.full(20, scale_coef), 10, levels))
     grid = np.ravel([(a - 0.25, a, b, b + 0.25) for a, b in intervals])
     density = np.tile([0.0, 1.0, 1.0, 0.0], len(intervals))
     return KdeHpdPipeline(gh=gh, sh=sh, grid=grid, density=density, cutoff=cutoff)
@@ -575,9 +575,8 @@ class TestDcpWindow:
             coef[1:] = np.cumsum(rng.normal(0.0, 0.05, (2, n_levels)), axis=1)
         elif kind == "dip":
             coef[0, rng.integers(1, n_levels) :] -= 10.0
-        ladder = QuantileEstimator(
-            kind="linear-quantile", d=1, levels=DCP_LADDER_LEVELS, coef=coef,
-            scale_mu=np.zeros(3), scale_sd=np.ones(3),
+        ladder = LinearQuantiles(
+            d=1, levels=DCP_LADDER_LEVELS, coef=coef, mu=np.zeros(3), sd=np.ones(3), iterations=0
         )
         x = rng.uniform(-2.0, 2.0, (rows, 1))
         raw = predict_quantile(ladder, x)
@@ -619,9 +618,8 @@ def dcp_cases(draw):
     ])
     if draw(st.booleans()):
         coef = np.round(coef, 1)
-    ladder = QuantileEstimator(
-        kind="linear-quantile", d=1, levels=DCP_LADDER_LEVELS, coef=coef,
-        scale_mu=np.zeros(3), scale_sd=np.ones(3),
+    ladder = LinearQuantiles(
+        d=1, levels=DCP_LADDER_LEVELS, coef=coef, mu=np.zeros(3), sd=np.ones(3), iterations=0
     )
     alpha = draw(st.floats(0.01, 0.99))
     cutoff = draw(st.one_of(
@@ -657,10 +655,10 @@ def cqr_cases(draw):
     that row to about one point.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ladder = QuantileEstimator(
-        kind="linear-quantile", d=1, levels=np.array([0.05, 0.95]),
-        coef=rng.normal(0.0, 1.0, (3, 2)) * 10.0 ** rng.integers(-3, 4), scale_mu=np.zeros(3),
-        scale_sd=np.ones(3),
+    ladder = LinearQuantiles(
+        d=1, levels=np.array([0.05, 0.95]),
+        coef=rng.normal(0.0, 1.0, (3, 2)) * 10.0 ** rng.integers(-3, 4), mu=np.zeros(3),
+        sd=np.ones(3), iterations=0,
     )
     x = rng.uniform(-2.0, 2.0, (20, 1))
     band = predict_quantile(ladder, x)
@@ -708,7 +706,7 @@ def kde_hpd_cases(draw):
     center = draw(st.integers(-80, 80)) / 8.0
     model = KdeHpdPipeline(
         gh=MeanEstimator(d=1, coef=np.array([center, 0.0])),
-        sh=ScaleEstimator(kind="constant-one", d=1),
+        sh=None,
         grid=grid, density=density, cutoff=cutoff,
     )
     x = rng.uniform(-2.0, 2.0, (20, 1))

@@ -16,6 +16,8 @@ from conformal_hpd.regress import (
     KNN_BLOCK,
     QUANTILE_MAX_STEPS,
     QUANTILE_TOL,
+    KnnQuantiles,
+    LinearQuantiles,
     QuantileConfig,
     ScaleConfig,
     fit_mean,
@@ -91,13 +93,13 @@ class TestFitMean:
     def test_scalar_and_one_dimensional_input_rejected(self, x):
         data = line_dataset(100)
         gh = fit_mean(data)
+        sh = fit_scale(data, gh, ScaleConfig(kind="knn-quantile-absres"))
         estimators = [
             lambda: predict_mean(gh, x),
             lambda: predict_quantile(fit_quantile_ladder(data, [0.5], QuantileConfig()), x),
+            lambda: predict_scale(sh, x),
+            lambda: predict_scale(None, x),  # the constant one
         ]
-        for kind in ("constant-one", "knn-quantile-absres"):
-            sh = fit_scale(data, gh, ScaleConfig(kind=kind))
-            estimators.append(lambda sh=sh: predict_scale(sh, x))
         for predict in estimators:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 predict()
@@ -107,8 +109,11 @@ class TestFitScale:
     def test_constant_one(self):
         no_rows = Dataset(np.zeros((0, 2)), np.zeros(0))
         sh = fit_scale(no_rows, None, ScaleConfig(kind="constant-one"))
+        assert sh is None
         assert predict_scale(sh, [[0.7, 0.7]])[0] == 1.0
         assert np.all(predict_scale(sh, np.zeros((5, 2))) == 1.0)
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            predict_scale(sh, [[0.7, np.inf]])
 
     def test_bowtie_scale_increases_with_abs_x(self):
         rng = np.random.default_rng(17)
@@ -194,6 +199,8 @@ class TestFitQuantile:
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="levels"):
             fit_quantile_ladder(line_dataset(), [1.5])
+        with pytest.raises(ConfigError, match="1-D array"):
+            fit_quantile_ladder(line_dataset(), 0.5)  # no scalar guessing: a ladder is 1-D
 
 
 LINEAR = QuantileConfig(kind="linear-quantile")
@@ -375,6 +382,25 @@ class TestSmoothedQuantileLadder:
         qe = fit_quantile_ladder(Dataset(x, y), DCP_LADDER_LEVELS, LINEAR)
         assert qe.iterations <= QUANTILE_MAX_STEPS
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="open defect (CHANGES.md FOUND): on a tied Cauchy fold the fit on 3 y misses "
+        "3 times the fit on y at level 0.01 by 1.8 times the equivariance bound; drop this "
+        "marker once it holds",
+    )
+    def test_equivariant_on_a_seeded_tied_cauchy_fold(self):
+        # the only seed in 0-1499 of this recipe (n 623, d 1, rounded responses)
+        # whose fold breaks test_equivariant_under_affine_response_maps' bound
+        rng = np.random.default_rng(1190)
+        n = int(rng.integers(20, 1000))
+        x = rng.uniform(-5, 5, (n, 1))
+        y = np.round(1 + x[:, 0] + rng.standard_cauchy(n))
+        base = fit_quantile_ladder(Dataset(x, y), DCP_LADDER_LEVELS, LINEAR).coef
+        mapped = fit_quantile_ladder(Dataset(x, 3.0 * y), DCP_LADDER_LEVELS, LINEAR).coef
+        scale = 3.0 * np.abs(base).max(axis=0)  # per level, as in the property
+        assert (np.abs(mapped - 3.0 * base) <= 1e-8 * scale).all()
+
     @given(
         ladder_folds(max_n=1000, offsets=(0.0,)),
         st.floats(1e-3, 1e3),
@@ -447,10 +473,16 @@ class TestSmoothedQuantileLadder:
         with pytest.raises(RuntimeError, match=r"did not converge at levels \[0\.01"):
             fit_quantile_ladder(scenario_fold("bimodal", 500), DCP_LADDER_LEVELS, LINEAR)
 
-    def test_knn_kind_reports_no_iterations(self):
+    def test_each_kind_fits_its_own_type(self):
+        # only the linear ladder takes Newton steps
         data = scenario_fold("bimodal", 200)
-        qe = fit_quantile_ladder(data, [0.1, 0.9], QuantileConfig(kind="knn-quantile"))
-        assert qe.iterations == 0
+        knn = fit_quantile_ladder(data, [0.1, 0.9], QuantileConfig(kind="knn-quantile"))
+        linear = fit_quantile_ladder(data, [0.1, 0.9], LINEAR)
+        assert isinstance(knn, KnnQuantiles) and not hasattr(knn, "iterations")
+        assert isinstance(linear, LinearQuantiles) and 1 <= linear.iterations <= QUANTILE_MAX_STEPS
+
+
+MEDIAN = np.array([0.5])
 
 
 class TestKnnBlocks:
@@ -467,7 +499,7 @@ class TestKnnBlocks:
         rng = np.random.default_rng(m)
         # integer coordinates with repeated rows: many exact distance ties
         x = rng.integers(-3, 4, size=(60, 2)).astype(float)
-        knn = _Knn(x, rng.standard_normal(60), k=9)
+        knn = _Knn(x, rng.standard_normal(60), k=9, levels=MEDIAN)
         queries = rng.integers(-4, 5, size=(m, 2)).astype(float)
         np.testing.assert_array_equal(
             knn.neighbor_targets(queries), self.unblocked(knn, queries)
@@ -502,7 +534,7 @@ class TestKnnWindow:
     @settings(max_examples=60, deadline=None)
     def test_neighbour_targets_equal_the_unblocked_lookup(self, case):
         x, queries, k = case
-        knn = _Knn(x, np.random.default_rng(0).standard_normal(x.shape[0]), k)
+        knn = _Knn(x, np.random.default_rng(0).standard_normal(x.shape[0]), k, MEDIAN)
         got = knn.neighbor_targets(queries)
         assert got.shape == (queries.shape[0], knn.k)
         np.testing.assert_array_equal(
@@ -514,7 +546,7 @@ class TestKnnWindow:
     def test_ties_go_to_the_lower_sorted_position(self, case):
         x, queries, k = case
         n = x.shape[0]
-        knn = _Knn(x, np.arange(n), k)  # targets are the fitted row numbers
+        knn = _Knn(x, np.arange(n), k, MEDIAN)  # targets are the fitted row numbers
         rows = knn.neighbor_targets(queries)
         q = (queries - knn.mu) / knn.sd
         d2 = (q - knn.xs[:, 0]) ** 2  # (m, n), fitted rows in input order
@@ -542,23 +574,19 @@ class TestKnnWindow:
         assert not (nearest(start - 1) & (start[:, 0] > 0)).any()
 
 
-@st.composite
-def quantile_levels(draw):
-    """One level as a float, or a vector of 1-5 levels, 0 and 1 included."""
+def quantile_levels():
+    """A vector of 1-5 levels, 0 and 1 included."""
     level = st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0))
-    if draw(st.booleans()):
-        return draw(level)
-    return np.array(draw(st.lists(level, min_size=1, max_size=5)))
+    return st.lists(level, min_size=1, max_size=5).map(np.array)
 
 
 class TestKnnWindowQuantiles:
-    """With one column the quantiles are taken once per window, then indexed."""
+    """With one column every window's quantiles are taken at fit, then indexed."""
 
     @staticmethod
-    def assert_same_bits(knn, queries, levels):
-        levels = np.atleast_1d(levels)
-        got = knn.quantile(queries, levels)
-        want = np.quantile(knn.neighbor_targets(queries), levels, axis=1).T
+    def assert_same_bits(knn, queries):
+        got = knn.quantile(queries)
+        want = np.quantile(knn.neighbor_targets(queries), knn.levels, axis=1).T
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -566,12 +594,12 @@ class TestKnnWindowQuantiles:
     @settings(max_examples=80, deadline=None)
     def test_equals_the_quantile_of_the_gathered_neighbours(self, case, levels):
         x, queries, k = case
-        knn = _Knn(x, np.random.default_rng(1).standard_normal(x.shape[0]), k)
-        self.assert_same_bits(knn, queries, levels)
+        knn = _Knn(x, np.random.default_rng(1).standard_normal(x.shape[0]), k, levels)
+        self.assert_same_bits(knn, queries)
         # repeated queries share a window
-        self.assert_same_bits(knn, np.vstack([queries, queries[::-2]]), levels)
+        self.assert_same_bits(knn, np.vstack([queries, queries[::-2]]))
 
-    @pytest.mark.parametrize("levels", [0.9, np.array([0.1, 0.5, 0.9])])
+    @pytest.mark.parametrize("levels", [np.array([0.9]), np.array([0.1, 0.5, 0.9])])
     @pytest.mark.parametrize(
         "queries",
         [np.empty((0, 1)), np.array([[-1e6], [1e6], [0.0], [0.0], [-1e6]])],
@@ -581,13 +609,14 @@ class TestKnnWindowQuantiles:
     def test_edge_cases(self, k, queries, levels):
         rng = np.random.default_rng(k)
         x = rng.integers(-3, 4, (40, 1)).astype(float)  # tied x
-        self.assert_same_bits(_Knn(x, rng.standard_normal(40), k), queries, levels)
+        self.assert_same_bits(_Knn(x, rng.standard_normal(40), k, levels), queries)
 
     def test_two_columns_take_the_blocked_lookup(self):
         rng = np.random.default_rng(2)
-        knn = _Knn(rng.standard_normal((60, 2)), rng.standard_normal(60), k=9)
-        assert not hasattr(knn, "windows")
-        self.assert_same_bits(knn, rng.standard_normal((KNN_BLOCK + 5, 2)), np.array([0.2, 0.8]))
+        levels = np.array([0.2, 0.8])
+        knn = _Knn(rng.standard_normal((60, 2)), rng.standard_normal(60), k=9, levels=levels)
+        assert not hasattr(knn, "windows") and not hasattr(knn, "table")
+        self.assert_same_bits(knn, rng.standard_normal((KNN_BLOCK + 5, 2)))
 
     def test_estimators_predict_through_the_window_table(self):
         data = scenario_fold("heteroscedastic", 300)
@@ -595,7 +624,7 @@ class TestKnnWindowQuantiles:
         qe = fit_quantile_ladder(data, [0.05, 0.5, 0.95], QuantileConfig(kind="knn-quantile"))
         x = np.linspace(-6.0, 6.0, 1001).reshape(-1, 1)
         want_scale = np.maximum(
-            np.quantile(sh.knn.neighbor_targets(x), sh.level, axis=1), regress.SCALE_FLOOR
+            np.quantile(sh.knn.neighbor_targets(x), sh.levels, axis=1)[0], regress.SCALE_FLOOR
         )
         assert predict_scale(sh, x).tobytes() == want_scale.tobytes()
         want_ladder = np.quantile(qe.knn.neighbor_targets(x), qe.levels, axis=1).T
