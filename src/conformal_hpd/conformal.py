@@ -9,7 +9,8 @@ model whose ``predict_regions`` maps covariate rows of shape (n, d) to a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -100,9 +101,9 @@ class KdeHpdPipeline:
     The score of y at x is -f(s), with s = (y - gh(x)) / sh(x) and f the
     linear interpolation of the training-fold KDE ``density`` on ``grid``,
     0 off the grid. The region at x is gh(x) + sh(x) * ``intervals``, where
-    ``intervals`` is the s-space level set {f >= -cutoff}, computed when the
-    model is built. A cutoff of +inf, or any cutoff >= 0, gives the whole
-    line; a cutoff below -max(f) gives no interval.
+    ``intervals`` is the s-space level set {f >= -cutoff}, computed once,
+    when the region is first read. A cutoff of +inf, or any cutoff >= 0,
+    gives the whole line; a cutoff below -max(f) gives no interval.
     """
 
     method = "kde-hpd"
@@ -113,12 +114,10 @@ class KdeHpdPipeline:
     grid: np.ndarray
     density: np.ndarray
     cutoff: float
-    intervals: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        level = -self.cutoff  # NaN before calibration: no interval
-        ivals = interpolated_level_set(self.grid, self.density, level)
-        object.__setattr__(self, "intervals", ivals)
+    @cached_property
+    def intervals(self) -> np.ndarray:
+        return interpolated_level_set(self.grid, self.density, -self.cutoff)
 
     @property
     def n_intervals(self) -> int:
@@ -157,9 +156,8 @@ def fit_kde_hpd(
     joint = config.scale.kind == "constant-one"
     train, cal = _folds(data, plan, joint=joint)
     gh = fit_mean(train)
-    fold2 = data.subset(plan.idx_train2)
-    sh = fit_scale(fold2, gh, config.scale)
-    fit = train if joint else fold2
+    fit = train if joint else data.subset(plan.idx_train2)
+    sh = fit_scale(fit, gh, config.scale)  # the constant-one scale reads no rows
     grid, density = binned_kde((fit.y - predict_mean(gh, fit.x)) / predict_scale(sh, fit.x))
     model = KdeHpdPipeline(gh=gh, sh=sh, grid=grid, density=density, cutoff=math.nan)
     return _calibrated(model, cal, alpha)
@@ -261,11 +259,12 @@ def fit_cqr(
 # Distributional conformal prediction (DCP)
 
 
-def _ladder_quantile(qmat: np.ndarray, levels: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _ladder_quantile(qmat: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Row-wise linear interpolation of the ladder at levels ``tau``, shape (n, G).
 
     ``tau`` is an (n, G) array of levels per row, or a (1, G) grid shared by every row.
     """
+    levels = DCP_LADDER_LEVELS
     j = np.clip(np.searchsorted(levels, tau), 1, levels.size - 1)
     # levels beyond the ladder take the clamp branch below; clipping keeps w finite
     w = (np.clip(tau, levels[0], levels[-1]) - levels[j - 1]) / (levels[j] - levels[j - 1])
@@ -307,7 +306,7 @@ def _dcp_scores(qmat: np.ndarray, center: np.ndarray, y: np.ndarray) -> np.ndarr
     return np.where(beyond, 1.0, scores)
 
 
-def optimal_lower_level(qmat: np.ndarray, levels: np.ndarray, alpha: float) -> np.ndarray:
+def optimal_lower_level(qmat: np.ndarray, alpha: float) -> np.ndarray:
     """Per-row lower CDF level whose width-(1-alpha) interval is shortest.
 
     Grid search over [0, alpha] at step ``DCP_SEARCH_STEP``, intersected with the
@@ -316,11 +315,12 @@ def optimal_lower_level(qmat: np.ndarray, levels: np.ndarray, alpha: float) -> n
     otherwise always pick z = 0). Ties resolve to the smallest level.
     """
     z_grid = np.linspace(0.0, alpha, int(round(alpha / DCP_SEARCH_STEP)) + 1)
+    levels = DCP_LADDER_LEVELS
     feasible = (z_grid >= levels[0] - 1e-12) & (z_grid + 1.0 - alpha <= levels[-1] + 1e-12)
     if feasible.any():
         z_grid = z_grid[feasible]
     z = z_grid[None, :]
-    widths = _ladder_quantile(qmat, levels, z + 1.0 - alpha) - _ladder_quantile(qmat, levels, z)
+    widths = _ladder_quantile(qmat, z + 1.0 - alpha) - _ladder_quantile(qmat, z)
     return z_grid[widths.argmin(axis=1)]
 
 
@@ -329,7 +329,7 @@ def _dcp_window(ladder, alpha: float, xs) -> tuple:
     qmat = predict_quantile(ladder, xs)
     crossed = ~(qmat[:, 1:] >= qmat[:, :-1]).all(axis=1)  # the rows the running max changes
     qmat[crossed] = np.maximum.accumulate(qmat[crossed], axis=1)
-    b_hat = optimal_lower_level(qmat, DCP_LADDER_LEVELS, alpha)
+    b_hat = optimal_lower_level(qmat, alpha)
     return qmat, b_hat + 0.5 * (1.0 - alpha)
 
 
@@ -359,7 +359,7 @@ class DcpModel:
         # levels beyond the ladder clamp to the outer quantiles, as the
         # scores of responses beyond them exceed the cutoff
         tau = center[:, None] + [-self.cutoff, self.cutoff]
-        ends = _ladder_quantile(qmat, DCP_LADDER_LEVELS, tau)
+        ends = _ladder_quantile(qmat, tau)
         return RegionBatch(ends[:, :1], ends[:, 1:])
 
 

@@ -1,10 +1,10 @@
 """Conditional mean, scale, and quantile estimators.
 
-Estimators are plain fitted-state dataclasses; ``fit_*`` builds them from
-a training fold and ``predict_*`` evaluates them at new covariates. All
-are immutable after fitting and reentrant. Quantiles are ``KnnQuantiles``
-(CQR's band and the scale fold) or DCP's ``LinearQuantiles``; the
-constant-one scale is None.
+``fit_*`` builds an estimator from a training fold and ``predict_*``
+evaluates it at new covariates. The mean and DCP's ``LinearQuantiles`` are
+plain fitted-state dataclasses; ``KnnQuantiles`` (CQR's band and the scale
+fold) is a class whose constructor fits it. None changes after fitting,
+and all are reentrant. The constant-one scale is None.
 """
 
 from __future__ import annotations
@@ -86,20 +86,21 @@ def _as_matrix(x, d: int | None = None) -> np.ndarray:
     return arr
 
 
-class _Knn:
-    """Quantiles at ``levels`` of the k nearest fitted rows' targets, on sd-standardized covariates.
+class KnnQuantiles:
+    """Quantiles at ``levels`` of the k nearest fitted rows' targets: CQR's band, the scale fold.
 
-    With one covariate column the k nearest fitted rows are a contiguous
-    window of the rows sorted by x, found by ``searchsorted`` and a
-    bisection on the window start; every window's quantiles are taken at
-    fit. Other widths compare every fitted row in blocks of ``KNN_BLOCK``
-    query rows. Ties in the window: of the windows whose rows are k nearest,
-    the lowest-starting one is taken, so when two fitted rows are equally
-    far from a query the one at the lower sorted position wins.
+    Rows are compared on sd-standardized covariates. With one covariate
+    column the k nearest fitted rows are a contiguous window of the rows
+    sorted by x, found by ``searchsorted`` and a bisection on the window
+    start; every window's quantiles are taken at fit. Other widths compare
+    every fitted row in blocks of ``KNN_BLOCK`` query rows. Ties in the
+    window: of the windows whose rows are k nearest, the lowest-starting
+    one is taken, so when two fitted rows are equally far from a query the
+    one at the lower sorted position wins.
     """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, k: int, levels: np.ndarray):
-        self.levels = levels
+        self.d, self.levels = x.shape[1], levels
         self.mu = x.mean(axis=0)
         sd = x.std(axis=0)
         sd[sd == 0] = 1.0
@@ -129,8 +130,9 @@ class _Knn:
             out[start : start + block.shape[0]] = self.targets[idx]
         return out
 
-    def quantile(self, x: np.ndarray) -> np.ndarray:
+    def predict(self, x) -> np.ndarray:
         """``np.quantile(self.neighbor_targets(x), self.levels, axis=1).T``: (m, L)."""
+        x = _as_matrix(x, self.d)
         if x.shape[1] == 1:
             return self.table[self._window_starts(x)]
         return np.quantile(self.neighbor_targets(x), self.levels, axis=1).T
@@ -162,18 +164,6 @@ class _Knn:
 class MeanEstimator:
     d: int
     coef: np.ndarray
-
-
-@dataclass(frozen=True)
-class KnnQuantiles:
-    """Quantiles at ``levels`` of the nearest training rows' targets: CQR's band, the scale fold."""
-
-    d: int
-    levels: np.ndarray
-    knn: _Knn  # built at the same levels
-
-    def predict(self, x) -> np.ndarray:
-        return self.knn.quantile(_as_matrix(x, self.d))
 
 
 @dataclass(frozen=True)
@@ -219,8 +209,7 @@ def fit_scale(
         return None
     absres = np.abs(data.y - predict_mean(gh, data.x))
     k = max(10, round(math.sqrt(data.n)))
-    levels = np.array([config.level])
-    return KnnQuantiles(d=data.d, levels=levels, knn=_Knn(data.x, absres, k, levels))
+    return KnnQuantiles(data.x, absres, k, np.array([config.level]))
 
 
 def predict_scale(sh: KnnQuantiles | None, x) -> np.ndarray:
@@ -326,7 +315,7 @@ def fit_quantile_ladder(
         k = max(10, data.n // 10)
         if data.n < k:
             raise ConfigError(f"too few rows to fit a regression: {data.n} rows for {k} neighbours")
-        return KnnQuantiles(d=data.d, levels=levels, knn=_Knn(data.x, data.y, k, levels))
+        return KnnQuantiles(data.x, data.y, k, levels)
     # linear-quantile: standardized columns keep the Newton system well scaled
     design = _quantile_design(data.x)
     mu = design.mean(axis=0)

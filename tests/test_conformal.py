@@ -39,7 +39,6 @@ from conformal_hpd.regress import (
     LinearQuantiles,
     MeanEstimator,
     ScaleConfig,
-    _Knn,
     predict_mean,
     predict_quantile,
     predict_scale,
@@ -140,6 +139,21 @@ class TestKdeHpdPipeline:
         pipe = fit_kde_hpd(data, SplitPlan(idx[:100], [], idx[100:]), 0.1)
         assert pipe.cutoff == math.inf and pipe.n_intervals == 1
         assert predict_regions(pipe, np.array([[0.0]]))[0].intervals == ((-math.inf, math.inf),)
+
+    def test_level_set_built_once(self, monkeypatch):
+        # not at fit, where the cutoff is not yet known, and not again when
+        # the regions are read a second time
+        calls = []
+        level_set = conformal.interpolated_level_set
+        monkeypatch.setattr(
+            conformal, "interpolated_level_set", lambda *a: calls.append(a) or level_set(*a)
+        )
+        scn = sim.Scenario("bimodal", n_train=200, n_cal=200, seed=1)
+        draw = sim.generate(scn)
+        pipe = sim.fit_draw(scn, "kde-hpd", draw, False)
+        first, second = (predict_regions(pipe, draw[1].x) for _ in range(2))
+        assert len(calls) == 1 and calls[0][2] == -pipe.cutoff
+        assert pipe.n_intervals == 2 and first.lo.tobytes() == second.lo.tobytes()
 
     def test_empty_folds_rejected(self):
         rng = np.random.default_rng(43)
@@ -353,8 +367,7 @@ def stub_pipeline(center, scale_coef, intervals, cutoff=-1.0):
     gh = MeanEstimator(d=1, coef=np.array([center, 0.0]))
     # every neighbour's target is scale_coef, so the scale is scale_coef everywhere
     x_fit = np.linspace(-5, 5, 20).reshape(-1, 1)
-    levels = np.array([0.9])
-    sh = KnnQuantiles(d=1, levels=levels, knn=_Knn(x_fit, np.full(20, scale_coef), 10, levels))
+    sh = KnnQuantiles(x_fit, np.full(20, scale_coef), 10, np.array([0.9]))
     grid = np.ravel([(a - 0.25, a, b, b + 0.25) for a, b in intervals])
     density = np.tile([0.0, 1.0, 1.0, 0.0], len(intervals))
     return KdeHpdPipeline(gh=gh, sh=sh, grid=grid, density=density, cutoff=cutoff)
@@ -490,12 +503,12 @@ class TestCqr:
 class TestDcp:
     def test_symmetric_normal_centers_the_window(self):
         qmat = norm.ppf(DCP_LADDER_LEVELS).reshape(1, -1)
-        b_hat = optimal_lower_level(qmat, DCP_LADDER_LEVELS, 0.10)
+        b_hat = optimal_lower_level(qmat, 0.10)
         assert b_hat[0] == pytest.approx(0.05, abs=1e-12)
 
     def test_right_skew_shifts_window_left(self):
         qmat = gamma_dist.ppf(DCP_LADDER_LEVELS, a=7.5, scale=1.0).reshape(1, -1)
-        b_hat = optimal_lower_level(qmat, DCP_LADDER_LEVELS, 0.10)
+        b_hat = optimal_lower_level(qmat, 0.10)
         assert b_hat[0] < 0.05
         # oracle: direct grid minimization over the analytic quantiles;
         # ladder interpolation bias can move the argmin by one step
@@ -534,11 +547,11 @@ class TestDcp:
             ]
         )
         expected = [scalar(qmat[i : i + 1], DCP_LADDER_LEVELS, t)[0] for i, t in enumerate(tau)]
-        per_row = _ladder_quantile(qmat, DCP_LADDER_LEVELS, tau[:, None])[:, 0]
+        per_row = _ladder_quantile(qmat, tau[:, None])[:, 0]
         np.testing.assert_array_equal(per_row, expected)
         grid = tau[None, :]  # every level at every row, as the DCP window search asks
         expected = np.column_stack([scalar(qmat, DCP_LADDER_LEVELS, t) for t in tau])
-        np.testing.assert_array_equal(_ladder_quantile(qmat, DCP_LADDER_LEVELS, grid), expected)
+        np.testing.assert_array_equal(_ladder_quantile(qmat, grid), expected)
 
     def test_region_is_always_single_interval(self):
         rng = np.random.default_rng(61)
@@ -588,15 +601,15 @@ class TestDcpWindow:
         expected = np.maximum.accumulate(raw, axis=1)
         qmat, center = conformal._dcp_window(ladder, alpha, x)
         assert qmat.tobytes() == expected.tobytes()
-        lower = optimal_lower_level(expected, DCP_LADDER_LEVELS, alpha)
+        lower = optimal_lower_level(expected, alpha)
         assert center.tobytes() == (lower + 0.5 * (1.0 - alpha)).tobytes()
 
         # a grid shared by every row reads the same bits as that grid given per row
         grid = np.concatenate([
             rng.uniform(-0.1, 1.1, 30), DCP_LADDER_LEVELS[[0, 1, 50, -1]], [0.0, 1.0, 0.005, 0.995],
         ])[None, :]
-        shared = _ladder_quantile(qmat, DCP_LADDER_LEVELS, grid)
-        per_row = _ladder_quantile(qmat, DCP_LADDER_LEVELS, np.repeat(grid, rows, axis=0))
+        shared = _ladder_quantile(qmat, grid)
+        per_row = _ladder_quantile(qmat, np.repeat(grid, rows, axis=0))
         assert shared.tobytes() == per_row.tobytes()
 
 
@@ -627,7 +640,7 @@ def dcp_cases(draw):
     ))
     model, x = DcpModel(ladder=ladder, alpha=alpha, cutoff=cutoff), rng.uniform(-2.0, 2.0, (20, 1))
     qmat = np.maximum.accumulate(predict_quantile(model.ladder, x), axis=1)
-    center = optimal_lower_level(qmat, DCP_LADDER_LEVELS, model.alpha) + 0.5 * (1 - model.alpha)
+    center = optimal_lower_level(qmat, model.alpha) + 0.5 * (1 - model.alpha)
     first, last = qmat[:, :1], qmat[:, -1:]
     ys = np.hstack([
         qmat,  # every knot, flat runs included

@@ -26,7 +26,6 @@ from conformal_hpd.regress import (
     predict_mean,
     predict_quantile,
     predict_scale,
-    _Knn,
     _ols,
     _quantile_design,
 )
@@ -499,7 +498,7 @@ class TestKnnBlocks:
         rng = np.random.default_rng(m)
         # integer coordinates with repeated rows: many exact distance ties
         x = rng.integers(-3, 4, size=(60, 2)).astype(float)
-        knn = _Knn(x, rng.standard_normal(60), k=9, levels=MEDIAN)
+        knn = KnnQuantiles(x, rng.standard_normal(60), k=9, levels=MEDIAN)
         queries = rng.integers(-4, 5, size=(m, 2)).astype(float)
         np.testing.assert_array_equal(
             knn.neighbor_targets(queries), self.unblocked(knn, queries)
@@ -534,7 +533,7 @@ class TestKnnWindow:
     @settings(max_examples=60, deadline=None)
     def test_neighbour_targets_equal_the_unblocked_lookup(self, case):
         x, queries, k = case
-        knn = _Knn(x, np.random.default_rng(0).standard_normal(x.shape[0]), k, MEDIAN)
+        knn = KnnQuantiles(x, np.random.default_rng(0).standard_normal(x.shape[0]), k, MEDIAN)
         got = knn.neighbor_targets(queries)
         assert got.shape == (queries.shape[0], knn.k)
         np.testing.assert_array_equal(
@@ -546,7 +545,7 @@ class TestKnnWindow:
     def test_ties_go_to_the_lower_sorted_position(self, case):
         x, queries, k = case
         n = x.shape[0]
-        knn = _Knn(x, np.arange(n), k, MEDIAN)  # targets are the fitted row numbers
+        knn = KnnQuantiles(x, np.arange(n), k, MEDIAN)  # targets are the fitted row numbers
         rows = knn.neighbor_targets(queries)
         q = (queries - knn.mu) / knn.sd
         d2 = (q - knn.xs[:, 0]) ** 2  # (m, n), fitted rows in input order
@@ -585,7 +584,7 @@ class TestKnnWindowQuantiles:
 
     @staticmethod
     def assert_same_bits(knn, queries):
-        got = knn.quantile(queries)
+        got = knn.predict(queries)
         want = np.quantile(knn.neighbor_targets(queries), knn.levels, axis=1).T
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -594,7 +593,7 @@ class TestKnnWindowQuantiles:
     @settings(max_examples=80, deadline=None)
     def test_equals_the_quantile_of_the_gathered_neighbours(self, case, levels):
         x, queries, k = case
-        knn = _Knn(x, np.random.default_rng(1).standard_normal(x.shape[0]), k, levels)
+        knn = KnnQuantiles(x, np.random.default_rng(1).standard_normal(x.shape[0]), k, levels)
         self.assert_same_bits(knn, queries)
         # repeated queries share a window
         self.assert_same_bits(knn, np.vstack([queries, queries[::-2]]))
@@ -609,12 +608,13 @@ class TestKnnWindowQuantiles:
     def test_edge_cases(self, k, queries, levels):
         rng = np.random.default_rng(k)
         x = rng.integers(-3, 4, (40, 1)).astype(float)  # tied x
-        self.assert_same_bits(_Knn(x, rng.standard_normal(40), k, levels), queries)
+        self.assert_same_bits(KnnQuantiles(x, rng.standard_normal(40), k, levels), queries)
 
     def test_two_columns_take_the_blocked_lookup(self):
         rng = np.random.default_rng(2)
         levels = np.array([0.2, 0.8])
-        knn = _Knn(rng.standard_normal((60, 2)), rng.standard_normal(60), k=9, levels=levels)
+        x, targets = rng.standard_normal((60, 2)), rng.standard_normal(60)
+        knn = KnnQuantiles(x, targets, k=9, levels=levels)
         assert not hasattr(knn, "windows") and not hasattr(knn, "table")
         self.assert_same_bits(knn, rng.standard_normal((KNN_BLOCK + 5, 2)))
 
@@ -624,8 +624,8 @@ class TestKnnWindowQuantiles:
         qe = fit_quantile_ladder(data, [0.05, 0.5, 0.95], QuantileConfig(kind="knn-quantile"))
         x = np.linspace(-6.0, 6.0, 1001).reshape(-1, 1)
         want_scale = np.maximum(
-            np.quantile(sh.knn.neighbor_targets(x), sh.levels, axis=1)[0], regress.SCALE_FLOOR
+            np.quantile(sh.neighbor_targets(x), sh.levels, axis=1)[0], regress.SCALE_FLOOR
         )
         assert predict_scale(sh, x).tobytes() == want_scale.tobytes()
-        want_ladder = np.quantile(qe.knn.neighbor_targets(x), qe.levels, axis=1).T
+        want_ladder = np.quantile(qe.neighbor_targets(x), qe.levels, axis=1).T
         assert predict_quantile(qe, x).tobytes() == want_ladder.tobytes()

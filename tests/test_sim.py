@@ -137,7 +137,7 @@ class TestOracle:
             expected = tuple((g + lo, g + hi) for lo, hi in law_set)
             assert repr(region.intervals) == repr(PredictionRegion(expected).intervals)
             assert region.intervals == oracle.predict_regions([[x]])[0].intervals
-            assert len(region) == oracle.n_intervals
+            assert len(region) == len(law_set) == batch.counts.max()  # the same J at every x
         if tag == "bowtie":
             assert region_length(batch[2]) == 0.0
 
@@ -252,6 +252,24 @@ class TestRunReplications:
         assert h.hexdigest() == (
             "ae548423cf02d153c73d2f4a1c1b3a67fc103247742e314f16c383fd4db69bae"
         )
+
+    @pytest.mark.parametrize("scale_on", [False, True])
+    def test_interval_count_is_the_most_in_one_test_region(self, scale_on):
+        scn = Scenario("bimodal", n_train=100, n_cal=100, n_test=10, seed=5)
+        draw = generate(scn)  # replication 0 draws from the scenario's own seed
+        for r in run_replications(scn, METHOD_TAGS, reps=1, scale_model=scale_on):
+            batch = sim.fit_draw(scn, r.method, draw, scale_on).predict_regions(draw[1].x)
+            assert type(r.n_intervals) is int
+            assert r.n_intervals == max(len(region) for region in batch)
+
+    def test_empty_regions_count_no_interval(self, monkeypatch):
+        fit_cqr = sim.fit_cqr
+        # a cutoff far below every score shrinks each band past empty
+        monkeypatch.setattr(sim, "fit_cqr", lambda *a: replace(fit_cqr(*a), cutoff=-1e6))
+        scn = Scenario("bimodal", n_train=100, n_cal=100, n_test=10, seed=5)
+        (report,) = run_replications(scn, ["cqr"], reps=1)
+        assert report.error is None and report.n_intervals == 0
+        assert report.covered.tolist() == [0] * 10 and report.sizes.tolist() == [0.0] * 10
 
     def test_determinism_across_calls(self):
         scn = Scenario(tag="bimodal", n_train=150, n_cal=150, n_test=10, seed=2)
