@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -55,29 +54,16 @@ def _json_safe(node):
     return node
 
 
-def _csv_cell(text: str) -> str:
-    """One text cell, quoted as csv.writer quotes it (minimal quoting)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[:-2]
-
-
 def _write_csv(path, header, columns):
-    """Write ``header`` and ``columns`` (one per header name), ``CSV_CHUNK_ROWS`` rows per write.
+    """Write ``header`` and its number arrays ``columns``, ``CSV_CHUNK_ROWS`` rows per write.
 
-    Number cells, array cells through ``tolist()``, are spelled by ``repr``
-    (``inf``, ``-inf``, ``nan``); text cells are quoted as csv.writer does.
+    Cells are ``repr`` of the arrays' ``tolist()`` (``inf``, ``-inf``, ``nan``), as csv.writer
+    spells them.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(_csv_cell, header)) + "\n")
+        fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            cells = []
-            for col in columns:
-                part = col[start : start + CSV_CHUNK_ROWS]
-                if isinstance(part, np.ndarray):
-                    cells.append(map(repr, part.tolist()))
-                else:
-                    cells.append([_csv_cell(v) if isinstance(v, str) else repr(v) for v in part])
+            cells = [map(repr, col[start : start + CSV_CHUNK_ROWS].tolist()) for col in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -124,12 +110,21 @@ def _numpy_cells(fh, path, n_cols):
     return data if data.shape == (rows, n_cols) else None
 
 
+def _unique_names(path, header):
+    """``header``, or raise naming the first column name it repeats."""
+    if len(set(header)) < len(header):
+        name = next(name for j, name in enumerate(header) if name in header[:j])
+        raise ConfigError(f"{path}: column {name!r} appears more than once in the header")
+    return header
+
+
 def _read_table(path, text=""):
     """Header, numeric cells and ``text`` labels of a CSV file; one leading BOM is dropped.
 
     Every column but ``text`` holds numbers: numpy parses plain numeric files
     (see ``_numpy_cells``), csv.reader and ``_parse_cell`` all others, row by
     row as the file is read. The stripped ``text`` cells are the labels (or None).
+    A repeated column name is rejected: callers find columns by name.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -139,15 +134,17 @@ def _read_table(path, text=""):
             # reads the file a second time, which a pipe cannot give
             plain = head.endswith("\n") and head[-2:] not in ("\r\n", "\n") and '"' not in head
             if plain and fh.seekable() and not text:
-                data = _numpy_cells(fh, path, head.count(",") + 1)
+                header = _unique_names(path, head[:-1].split(","))
+                data = _numpy_cells(fh, path, len(header))
                 if data is not None:
-                    return head[:-1].split(","), data, None
+                    return header, data, None
                 fh.seek(0)
                 fh.readline()
             reader = csv.reader(chain([head], fh) if first else ())
             header = next(reader, None)
             if header is None:
                 raise ConfigError(f"{path}: empty file, header row required")
+            _unique_names(path, header)
             if text and text not in header:
                 raise ConfigError(f"{path}: column {text!r} not found")
             g = header.index(text) if text else -1
@@ -238,8 +235,9 @@ def cmd_simulate(args) -> int:
     if args.format in ("csv", "both"):
         header = ["method", "coverage", "coverage_se", "mean_size", "size_se",
                   "mean_runtime_s", "failures"]
-        columns = [[getattr(s, f) for s in summaries] for f in header]
-        _write_csv(os.path.join(args.outdir, "report.csv"), header, columns)
+        with open(os.path.join(args.outdir, "report.csv"), "w", newline="", encoding="utf-8") as fh:
+            rows = ([getattr(s, f) for f in header] for s in summaries)
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     if args.format in ("json", "both"):
         # one row per report: every field but the per-test-point tuples, wall time in seconds
         per_point = ("sizes", "covered", "x_test")
@@ -353,8 +351,8 @@ def cmd_evaluate(args) -> int:
         for label, h, n in zip(labels.tolist(), hits.tolist(), counts.tolist()):
             out_rows.append(("coverage", label, h / n))
     os.makedirs(args.outdir, exist_ok=True)
-    metrics_path = os.path.join(args.outdir, "metrics.csv")
-    _write_csv(metrics_path, ["metric", "group", "value"], list(zip(*out_rows)))
+    with open(os.path.join(args.outdir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([("metric", "group", "value"), *out_rows])
     return 0
 
 

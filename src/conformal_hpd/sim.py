@@ -349,7 +349,7 @@ def run_replications(
 
     ``scale_model=None`` enables the conditional-scale fold exactly for
     the bowtie scenario. Reports come back ordered by (rep, method) and
-    are identical for any ``threads`` value.
+    are identical for any ``threads`` value; at most one worker per replication.
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
@@ -358,17 +358,18 @@ def run_replications(
     methods = tuple(methods)
     check_methods(methods)
     scale_on = use_scale(scale_model, scn.tag)
-    if threads > 1:
+    workers = min(threads, reps)  # a fork pool starts every worker at once
+    if workers > 1:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
         if {"oracle", "parametric"} & set(methods):
             import scipy.special  # noqa: F401 - once here, not once in each forked worker
         ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             nested = list(pool.map(
                 _replicate_one, repeat(scn), repeat(methods), range(reps), repeat(scale_on),
-                chunksize=max(1, reps // (4 * threads)),
+                chunksize=max(1, reps // (4 * workers)),
             ))
     else:
         nested = [_replicate_one(scn, methods, rep, scale_on) for rep in range(reps)]

@@ -711,6 +711,31 @@ class TestEvaluate:
         rows = [tuple(r) for r in read_csv(out / "metrics.csv")[1:] if r[1] != "ALL"]
         assert rows == expected
 
+    def test_group_labels_that_need_quoting_read_back(self, tmp_path):
+        labels = ["a,b", 'say "hi"', "two\nlines", "#first", "", " pad "]
+        preds = tmp_path / "predictions.csv"
+        write_csv(
+            preds,
+            ["row", "interval_index", "lo", "hi"],
+            [[str(i), "0", "0.0", "1.0"] for i in range(len(labels))],
+        )
+        truth = tmp_path / "truth.csv"
+        y = [0.5, 2.0, 0.5, 0.5, 2.0, 0.5]
+        write_csv(truth, ["y", "g"], [[repr(v), g] for v, g in zip(y, labels)])
+        out = tmp_path / "m"
+        assert run_cli(
+            "evaluate", "--predictions", str(preds), "--truth", str(truth),
+            "--target", "y", "--group-by", "g", "--outdir", str(out),
+        ) == 0
+        per_label = sorted((g.strip(), repr(float(v <= 1.0))) for v, g in zip(y, labels))
+        assert read_csv(out / "metrics.csv") == [
+            ["metric", "group", "value"],
+            ["coverage", "ALL", repr(4 / 6)],
+            ["mean_size", "ALL", "1.0"],
+            ["median_size", "ALL", "1.0"],
+            *(["coverage", g, v] for g, v in per_label),
+        ]
+
 
 class TestRoundTrip:
     def test_predict_evaluate_reproduces_simulate_coverage(self, sim_csvs, tmp_path):
@@ -734,6 +759,38 @@ class TestRoundTrip:
         ) == 0
         rows = {(r[0], r[1]): r[2] for r in read_csv(ev_out / "metrics.csv")[1:]}
         assert float(rows[("coverage", "ALL")]) == sim_cov
+
+    # a plain header takes numpy's parser and a quoted one the csv path
+    @pytest.mark.parametrize("quote", ["", '"'])
+    @pytest.mark.parametrize("which", ["train", "test", "truth"])
+    def test_a_repeated_column_name_exits_2(self, tmp_path, capsys, which, quote):
+        # header.index would map both train columns x to the test file's first x
+        rng = np.random.default_rng(8)
+        paths = {}
+        for name, header in (("train", "x,z,y"), ("test", "x,z"), ("truth", "x,z,y")):
+            if name == which:
+                header = header.replace("z", "x")
+            paths[name] = tmp_path / f"{name}.csv"
+            rows = rng.normal(size=(40, header.count(",") + 1)).tolist()
+            lines = [quote + header.replace(",", quote + ",", 1)]
+            lines += [",".join(map(repr, r)) for r in rows]
+            paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        preds = tmp_path / "predictions.csv"
+        rows = [[str(i), "0", "-1", "1"] for i in range(40)]
+        write_csv(preds, ["row", "interval_index", "lo", "hi"], rows)
+        if which == "truth":
+            code = run_cli(
+                "evaluate", "--predictions", str(preds), "--truth", str(paths["truth"]),
+                "--target", "y", "--outdir", str(tmp_path / "out"),
+            )
+        else:
+            code = run_cli(
+                "predict", "--train", str(paths["train"]), "--test", str(paths["test"]),
+                "--target", "y", "--method", "secpr", "--outdir", str(tmp_path / "out"),
+            )
+        assert code == 2
+        assert f"{which}.csv: column 'x' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def predict_then_evaluate(monkeypatch, tmp_path, train, test, target, *flags):
@@ -915,6 +972,8 @@ FILE_CASES = [
     (" a , b\n1,2\n", [" a ", " b"], [[1.0, 2.0]]),
     ("\n1,2\n", [], "row 1 has 2 fields, expected 0"),
     ("\ufeff\n", [], []),
+    ("a,b,a\n1,2,3\n", [], "column 'a' appears more than once in the header"),
+    ('"a",a\n1,2\n', [], "column 'a' appears more than once in the header"),
 ]
 
 
@@ -1099,22 +1158,8 @@ def write_csv_reference(path, header, rows):
 
 
 class TestCsvWriter:
-    def test_bytes_equal_the_csv_writer_path(self, tmp_path):
-        header = ["metric", "group, quoted \"g\"", "i", "value"]
-        labels = ["plain", "a,b", 'say "hi"', "", "two\nlines", " pad ", "cr\rx", "#"]
-        ints = np.arange(len(labels)) * 7 - 3
-        values = np.array(
-            [math.inf, -math.inf, math.nan, -0.0, 1e-300, 0.1, 1 / 3, 1.2345678901234567e17]
-        )
-        rows = list(zip(labels, labels[::-1], ints.tolist(), values.tolist()))
-        expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
-        write_csv_reference(expected, header, rows)
-        cli._write_csv(got, header, [labels, labels[::-1], ints, values])
-        assert got.read_bytes() == expected.read_bytes()
-        # list columns of Python numbers format the same way
-        cli._write_csv(got, header, [labels, labels[::-1], ints.tolist(), values.tolist()])
-        assert got.read_bytes() == expected.read_bytes()
-
+    # report.csv and metrics.csv, the tables that hold text, are written by
+    # csv.writer itself; TestEvaluate reads quoted group labels back
     @pytest.mark.parametrize("extra", [-1, 0, 1, cli.CSV_CHUNK_ROWS + 3])
     def test_bytes_equal_the_csv_writer_path_across_chunks(self, tmp_path, extra):
         n = cli.CSV_CHUNK_ROWS + extra
@@ -1122,12 +1167,11 @@ class TestCsvWriter:
         specials = np.array([math.inf, -math.inf, math.nan, -0.0, 1e-300])
         values = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.standard_normal(n))
         ints = rng.integers(-10, 10, n)
-        labels = [("a,b", 'q"', "x\ny", "plain", "")[i % 5] + str(i) for i in range(n)]
-        header = ["label", "i", "value", "text"]
-        rows = list(zip(labels, ints.tolist(), values.tolist(), labels[::-1]))
+        header = ["i", "value", "j", "reversed"]
+        rows = list(zip(ints.tolist(), values.tolist(), ints[::-1].tolist(), values[::-1].tolist()))
         expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
         write_csv_reference(expected, header, rows)
-        cli._write_csv(got, header, [labels, ints, values, tuple(labels[::-1])])
+        cli._write_csv(got, header, [ints, values, ints[::-1], values[::-1]])
         assert got.read_bytes() == expected.read_bytes()
 
     def test_header_only_table(self, tmp_path):

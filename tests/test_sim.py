@@ -242,6 +242,19 @@ class TestRunReplications:
         parallel = run_replications(scn, ["kde-hpd", "secpr"], reps=6, threads=2)
         assert self.untimed(serial) == self.untimed(parallel)
 
+    @pytest.mark.parametrize("reps, most", [(2, 2), (1, 0)])  # one replication runs serially
+    def test_pool_forks_at_most_one_worker_per_replication(self, monkeypatch, reps, most):
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn, spawned = ProcessPoolExecutor._spawn_process, []
+        monkeypatch.setattr(
+            ProcessPoolExecutor, "_spawn_process", lambda pool: spawned.append(1) or spawn(pool)
+        )
+        scn = Scenario(tag="unimodal-symmetric", n_train=40, n_cal=40, n_test=5, seed=3)
+        parallel = run_replications(scn, ["secpr"], reps=reps, threads=4)
+        assert len(spawned) <= most
+        assert self.untimed(parallel) == self.untimed(run_replications(scn, ["secpr"], reps=reps))
+
     def test_reports_pinned_for_every_method(self):
         # every method, oracle and parametric included (the benchmark runs
         # neither), as the per-region scoring loops reported them
