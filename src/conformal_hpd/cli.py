@@ -339,6 +339,7 @@ def cmd_evaluate(args) -> int:
     # raw lengths summed per row in file order, without coalescing
     covered, sizes = score_intervals(row_id, lo, hi, y)
     out_rows = [
+        ("metric", "group", "value"),
         ("coverage", "ALL", float(covered.mean())),
         ("mean_size", "ALL", float(sizes.mean())),
         ("median_size", "ALL", float(np.median(sizes))),
@@ -351,8 +352,10 @@ def cmd_evaluate(args) -> int:
         for label, h, n in zip(labels.tolist(), hits.tolist(), counts.tolist()):
             out_rows.append(("coverage", label, h / n))
     os.makedirs(args.outdir, exist_ok=True)
+    # minimal quoting quotes "\n", the lineterminator, but not a bare \r: quote every cell then
+    quoting = csv.QUOTE_ALL if any("\r" in label for _, label, _ in out_rows) else csv.QUOTE_MINIMAL
     with open(os.path.join(args.outdir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([("metric", "group", "value"), *out_rows])
+        csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(out_rows)
     return 0
 
 

@@ -2,11 +2,11 @@
 
 The smallest set of mass 1 - alpha is the superlevel set {f > lambda} at the
 largest cutoff whose mass reaches 1 - alpha (Hyndman 1996; Lei, Robins &
-Wasserman 2013). ``find_cutoff`` finds it for any density and CDF: a grid
-brackets the cutoff and the intervals, the interval ends are refined on the
-exact density, and their mass is read off the exact CDF at those ends.
-``interpolated_level_set`` is the exact counterpart for a density that is
-itself piecewise linear, such as a binned KDE read by ``np.interp``.
+Wasserman 2013). ``find_cutoff`` finds it for the exact KDE (the scenario
+oracles are exact to the float in ``sim``): a grid brackets the cutoff and the
+intervals, the ends are refined on the exact density, and their mass is read
+off the exact CDF. ``interpolated_level_set`` is the exact counterpart for a
+density that is itself piecewise linear, such as a binned KDE read by ``np.interp``.
 """
 
 from __future__ import annotations

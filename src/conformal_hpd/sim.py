@@ -30,12 +30,12 @@ from conformal_hpd.core import (
     RegionBatch,
     SplitPlan,
     check_alpha,
+    first_float,
     hausdorff,
     region_contains,  # noqa: F401 - stays patchable here for tracing
     region_length,  # noqa: F401 - stays patchable here for tracing
     score_intervals,
 )
-from conformal_hpd.hpd import find_cutoff, superlevel_intervals
 from conformal_hpd.regress import ScaleConfig, _as_matrix
 
 __all__ = [
@@ -85,48 +85,32 @@ def _mean_fn(x: np.ndarray) -> np.ndarray:
 # Oracle residual laws and smallest 1-alpha sets
 
 
-def _level_set(pdf, cdf, lo: float, hi: float, alpha: float):
-    """Smallest 1-alpha set of an analytic law on [lo, hi], as a tuple of intervals."""
-    grid = np.linspace(lo, hi, 4096)
-    values = pdf(grid)
-    lam = find_cutoff(pdf, cdf, grid, values, alpha)
-    return tuple(map(tuple, superlevel_intervals(pdf, grid, values, lam).tolist()))
-
-
-# The laws' closed forms, written as scipy's distribution objects evaluate
-# them, so the oracle regions keep their bits without scipy.stats (about
-# 1 s to import). scipy.special (about 0.2 s and 25 MB) is imported where one is
-# computed, and by run_replications before its pool forks: other runs never load it.
-
-
-def _norm_pdf(z):
-    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
-
-
-@lru_cache(maxsize=4096)
-def _gamma_hpd(shape: float, rate: float, alpha: float):
-    from scipy.special import gammainc, gammaincinv, gammaln, xlogy
-
-    # The level-set search only evaluates z in [0, end], inside the support,
-    # so the formulas need no mask for z < 0.
-    scale = 1.0 / rate
-
-    def pdf(z):
-        y = z / scale
-        return np.exp(xlogy(shape - 1.0, y) - y - gammaln(shape)) / scale
-
-    cdf = lambda z: gammainc(shape, z / scale)
-    end = float(gammaincinv(shape, 1.0 - 1e-12) * scale)
-    return _level_set(pdf, cdf, 0.0, end, alpha)
+# The laws' closed forms, written as scipy's distribution objects evaluate them,
+# without scipy.stats (about 1 s to import). scipy.special (about 0.2 s and 25 MB)
+# is imported where one is computed, and by run_replications before its pool
+# forks: other runs never load it. A law that rises to its mode and falls after
+# it has one smallest set of mass m, [a, b(a)]: b(a) is the end of mass m above
+# a, and a the first float in (0, top] with pdf(a) >= pdf(b(a)), which fails below a.
 
 
 @lru_cache(maxsize=64)
 def _mixture_hpd(alpha: float):
     from scipy.special import ndtr
 
-    pdf = lambda z: 0.5 * _norm_pdf(z + 6.0) + 0.5 * _norm_pdf(z - 6.0)
+    # the right piece rises to its mode 6 and falls after it, and holds half the
+    # set; the left piece mirrors it, and where the two meet the set is one interval
+    phi = lambda z: np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+    pdf = lambda z: 0.5 * phi(z + 6.0) + 0.5 * phi(z - 6.0)
     cdf = lambda z: 0.5 * ndtr(z + 6.0) + 0.5 * ndtr(z - 6.0)
-    return _level_set(pdf, cdf, -14.0, 14.0, alpha)
+
+    def upper(a):  # the first float whose cdf reaches cdf(a) + (1 - alpha)/2; cdf(20) is 1
+        q = cdf(a) + (1.0 - alpha) / 2.0
+        return first_float(a, 20.0, lambda b: cdf(b) >= q)
+
+    holds = lambda a: pdf(a) >= pdf(upper(a))
+    a = 0.0 if holds(0.0) else float(first_float(0.0, 6.0, holds))
+    b = float(upper(a))
+    return ((-b, b),) if a == 0.0 else ((-b, -a), (a, b))
 
 
 class _NormalLaw:
@@ -151,9 +135,21 @@ class _GammaLaw:
         return rng.gamma(self.shape(x), 1.0 / self.rate(x))
 
     def hpd_intervals(self, alpha, x):
-        # Python's round keys the cache, one lookup per x
-        shapes, rates = ([round(v, 12) for v in f(x).tolist()] for f in (self.shape, self.rate))
-        return np.reshape([_gamma_hpd(s, r, alpha) for s, r in zip(shapes, rates)], (-1, 1, 2))
+        from scipy.special import gammainc, gammaincinv, gammaln, xlogy
+
+        shape, scale, mass = self.shape(x), 1.0 / self.rate(x), 1.0 - alpha
+
+        def pdf(z):  # the largest float stands in for inf, where the closed form reads inf - inf
+            y = np.minimum(z / scale, np.finfo(np.float64).max)
+            return np.exp(xlogy(shape - 1.0, y) - y - gammaln(shape)) / scale
+
+        def upper(a):  # the end of the mass above a: inf where less lies above
+            return gammaincinv(shape, np.minimum(gammainc(shape, a / scale) + mass, 1.0)) * scale
+
+        # a >= F^-1(alpha) leaves less than 1 - alpha above it; a >= mode holds
+        top = np.minimum(shape - 1.0, gammaincinv(shape, alpha)) * scale
+        a = first_float(0.0, top, lambda a: pdf(a) >= pdf(upper(a)))
+        return np.stack([a, upper(a)], axis=-1)[:, None]
 
 
 class _BimodalLaw:

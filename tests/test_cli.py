@@ -712,7 +712,7 @@ class TestEvaluate:
         assert rows == expected
 
     def test_group_labels_that_need_quoting_read_back(self, tmp_path):
-        labels = ["a,b", 'say "hi"', "two\nlines", "#first", "", " pad "]
+        labels = ["a,b", 'say "hi"', "two\nlines", "#first", "", " pad ", "a\rb"]
         preds = tmp_path / "predictions.csv"
         write_csv(
             preds,
@@ -720,8 +720,11 @@ class TestEvaluate:
             [[str(i), "0", "0.0", "1.0"] for i in range(len(labels))],
         )
         truth = tmp_path / "truth.csv"
-        y = [0.5, 2.0, 0.5, 0.5, 2.0, 0.5]
-        write_csv(truth, ["y", "g"], [[repr(v), g] for v, g in zip(y, labels)])
+        y = [0.5, 2.0, 0.5, 0.5, 2.0, 0.5, 0.5]
+        with open(truth, "w", newline="", encoding="utf-8") as fh:  # every label quoted
+            csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerows(
+                [["y", "g"], *zip(y, labels)]
+            )
         out = tmp_path / "m"
         assert run_cli(
             "evaluate", "--predictions", str(preds), "--truth", str(truth),
@@ -730,7 +733,7 @@ class TestEvaluate:
         per_label = sorted((g.strip(), repr(float(v <= 1.0))) for v, g in zip(y, labels))
         assert read_csv(out / "metrics.csv") == [
             ["metric", "group", "value"],
-            ["coverage", "ALL", repr(4 / 6)],
+            ["coverage", "ALL", repr(5 / 7)],
             ["mean_size", "ALL", "1.0"],
             ["median_size", "ALL", "1.0"],
             *(["coverage", g, v] for g, v in per_label),

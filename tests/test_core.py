@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hpd.core import (
@@ -13,6 +13,7 @@ from conformal_hpd.core import (
     coalesce,
     conformal_q,
     conformal_r,
+    first_float,
     hausdorff,
     region_contains,
     region_length,
@@ -77,6 +78,38 @@ class TestOrderStatistics:
         for n, delta, expect in [(99, 0.95, 95.0), (19, 0.95, 19.0)]:
             v = np.arange(1.0, n + 1.0)
             assert conformal_q(v, delta) == expect
+
+
+# every sign and magnitude: both zeros, subnormals, the infinities
+ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def float_brackets(draw):
+    """(below, above, t) with below < t <= above, or below == above == t: an empty bracket."""
+    below, above = sorted(draw(st.lists(ANY_FLOAT, min_size=2, max_size=2)))
+    if below == above:
+        return below, above, above
+    return below, above, draw(st.floats(below, above, exclude_min=True))
+
+
+class TestFirstFloat:
+    @given(st.lists(float_brackets(), min_size=1, max_size=8))
+    @example([(-1.0, 1.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 5e-324, 5e-324), (-5e-324, 1.0, -0.0)])
+    @example([(-math.inf, math.inf, math.inf), (-math.inf, -1e-310, -1e-308)])
+    @settings(max_examples=300, deadline=None)
+    def test_smallest_float_where_the_predicate_holds(self, brackets):
+        below, above, t = map(np.array, zip(*brackets))
+        got = first_float(below, above, lambda y: y >= t)
+        empty = below == above
+        # a non-empty bracket: the first float at or above t, and the float below it fails
+        assert (got == np.where(empty, above, t)).all()
+        with np.errstate(over="ignore"):  # the float below the most negative one is -inf
+            assert (np.nextafter(got, -math.inf) < t)[~empty].all()
+        assert ((below < got) & (got <= above))[~empty].all()
 
 
 class TestRegions:

@@ -11,7 +11,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 import conformal_hpd.sim as sim
-from conformal_hpd.core import ConfigError, PredictionRegion, region_length
+from conformal_hpd.core import ConfigError, PredictionRegion, first_float, region_length
 from conformal_hpd.sim import (
     METHOD_TAGS,
     MethodSummary,
@@ -175,31 +175,80 @@ class TestRegionRows:
             assert np.isnan(batch.lo[~present]).all() and np.isnan(batch.hi[~present]).all()
 
 
-class TestOracleClosedForms:
-    """Each law's oracle equals a scipy.stats reference bit for bit."""
+def gamma_reference(law, x):
+    """scipy.stats' gamma law of a gamma-family scenario at the covariate ``x``."""
+    shape, rate = (float(f(np.array([x]))[0]) for f in (law.shape, law.rate))
+    return gamma_dist(shape, scale=1.0 / rate)
 
-    @staticmethod
-    def reference(law, alpha, x):
-        # tests-only copy of every oracle, built on scipy.stats' distributions
-        if isinstance(law, sim._NormalLaw):
-            z = norm.ppf(1.0 - alpha / 2.0) * law.sd(np.array([x]))[0]
-            return ((-z, z),)
-        if isinstance(law, sim._BimodalLaw):
-            pdf = lambda z: 0.5 * norm.pdf(z + 6.0) + 0.5 * norm.pdf(z - 6.0)
-            cdf = lambda z: 0.5 * norm.cdf(z + 6.0) + 0.5 * norm.cdf(z - 6.0)
-            return sim._level_set(pdf, cdf, -14.0, 14.0, alpha)
-        shape, rate = (round(float(f(np.array([x]))[0]), 12) for f in (law.shape, law.rate))
-        ref = gamma_dist(shape, scale=1.0 / rate)
-        return sim._level_set(ref.pdf, ref.cdf, 0.0, float(ref.ppf(1.0 - 1e-12)), alpha)
+
+def mixture_cdf(z):
+    return 0.5 * norm.cdf(z + 6.0) + 0.5 * norm.cdf(z - 6.0)
+
+
+def mixture_pdf(z):
+    return 0.5 * norm.pdf(z + 6.0) + 0.5 * norm.pdf(z - 6.0)
+
+
+def mixture_upper(a, mass):
+    # the first float whose mixture CDF reaches cdf(a) + mass; the CDF is 1 at 20
+    q = mixture_cdf(a) + mass
+    return float(first_float(a, 20.0, lambda z: mixture_cdf(z) >= q))
+
+
+class TestOracleClosedForms:
+    """Each oracle is its law's smallest 1 - alpha set, checked with scipy.stats.
+
+    A normal law's set is closed-form. A gamma law's is [a, b(a)], b(a) the end
+    of mass 1 - alpha above a; the mixture's right piece is [a, b(a)] at mass
+    (1 - alpha)/2, mirrored. pdf(a) >= pdf(b(a)) holds at a, and not at the
+    float below a, unless a is 0.
+    """
 
     @pytest.mark.parametrize("tag", sim.SCENARIO_TAGS)
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
-    def test_intervals_bitwise_equal_to_scipy_stats(self, tag, alpha):
+    def test_intervals_are_the_smallest_sets(self, tag, alpha):
         law = sim._LAWS[tag]
         xs = (-4.7, -1.0, 0.0, 0.3, 2.5)
-        for x, got in zip(xs, law.hpd_intervals(alpha, np.array(xs))):
-            ref = np.array(self.reference(law, alpha, x))
-            assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes()), (tag, alpha, x)
+        for x, got in zip(xs, law.hpd_intervals(alpha, np.array(xs)).tolist()):
+            if isinstance(law, sim._NormalLaw):
+                z = norm.ppf(1.0 - alpha / 2.0) * law.sd(np.array([x]))[0]
+                assert got == [[-z, z]]
+                continue
+            if isinstance(law, sim._BimodalLaw):
+                (lo, hi), (a, b) = got
+                assert (lo, hi) == (-b, -a)
+                mass = (1.0 - alpha) / 2.0
+                pdf, cdf, upper = mixture_pdf, mixture_cdf, lambda a: mixture_upper(a, mass)
+            else:
+                ((a, b),) = got
+                ref, mass = gamma_reference(law, x), 1.0 - alpha
+                pdf, cdf, upper = ref.pdf, ref.cdf, lambda a: ref.ppf(ref.cdf(a) + mass)
+            assert b == upper(a)
+            assert abs(cdf(b) - cdf(a) - mass) <= 1e-14
+            assert pdf(a) >= pdf(b)
+            below = np.nextafter(a, -math.inf)
+            assert a == 0.0 or pdf(below) < pdf(upper(below)), (tag, alpha, x)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 0.01, 0.1, 0.5, 0.999])
+    def test_gamma_sets_finite_with_exact_mass_at_extreme_alpha(self, alpha):
+        # near-exponential laws (x near 0) put the lower end below 1e-14
+        cases = [("unimodal-skewed", 0.0)] + [
+            ("heteroscedastic", x) for x in (0.0, 1e-4, -1e-4, 0.037, -0.037, 3.0, -5.0)
+        ]
+        for tag, x in cases:
+            law = sim._LAWS[tag]
+            ((a, b),) = law.hpd_intervals(alpha, np.array([x]))[0].tolist()
+            ref = gamma_reference(law, x)
+            assert math.isfinite(a) and math.isfinite(b), (tag, x)
+            assert abs(ref.cdf(b) - ref.cdf(a) - (1.0 - alpha)) <= 1e-14, (tag, x)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 0.1, 0.999])
+    def test_mixture_set_symmetric_with_exact_mass_at_extreme_alpha(self, alpha):
+        got = sim._BimodalLaw().hpd_intervals(alpha, np.zeros(1))[0]
+        np.testing.assert_array_equal(got, -got[::-1, ::-1])
+        mass = sum(mixture_cdf(b) - mixture_cdf(a) for a, b in got)
+        assert abs(mass - (1.0 - alpha)) <= 1e-14
+        assert len(got) == (1 if alpha == 1e-12 else 2)  # the two pieces meet below ~2e-9
 
 
 class TestSummarize:
@@ -257,13 +306,14 @@ class TestRunReplications:
 
     def test_reports_pinned_for_every_method(self):
         # every method, oracle and parametric included (the benchmark runs
-        # neither), as the per-region scoring loops reported them
+        # neither), as the per-region scoring loops reported them; re-pinned
+        # when the oracle's ends became exact to the float (moves up to 3.3e-8)
         h = hashlib.sha256()
         for tag in sim.SCENARIO_TAGS:
             scn = Scenario(tag, n_train=60, n_cal=60, n_test=8, seed=11)
             h.update(repr(self.untimed(run_replications(scn, METHOD_TAGS, reps=2))).encode())
         assert h.hexdigest() == (
-            "ae548423cf02d153c73d2f4a1c1b3a67fc103247742e314f16c383fd4db69bae"
+            "583698beaadffeeeb1633f1e508931397b35708e6e010c83440afa7f7616b482"
         )
 
     @pytest.mark.parametrize("scale_on", [False, True])
