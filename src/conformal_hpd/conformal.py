@@ -26,7 +26,7 @@ from conformal_hpd.core import (  # noqa: F401
     conformal_r,
     first_float,
 )
-from conformal_hpd.hpd import interpolated_level_set, smallest_mass_region  # noqa: F401
+from conformal_hpd.hpd import level_set, smallest_mass_region  # noqa: F401
 from conformal_hpd.kde import binned_kde, fit_kde  # noqa: F401
 from conformal_hpd.regress import (
     KnnQuantiles,
@@ -99,11 +99,10 @@ class KdeHpdPipeline:
     """Highest-density conformal pipeline: {y : score(x, y) <= cutoff}.
 
     The score of y at x is -f(s), with s = (y - gh(x)) / sh(x) and f the
-    linear interpolation of the training-fold KDE ``density`` on ``grid``,
-    0 off the grid. The region at x is gh(x) + sh(x) * ``intervals``, where
-    ``intervals`` is the s-space level set {f >= -cutoff}, computed once,
-    when the region is first read. A cutoff of +inf, or any cutoff >= 0,
-    gives the whole line; a cutoff below -max(f) gives no interval.
+    ``score_density``. The region at x is gh(x) + sh(x) * ``intervals``, the
+    s-space level set {f >= -cutoff} of that same f, computed once, when the
+    region is first read. A cutoff of +inf, or any cutoff >= 0, gives the
+    whole line; a cutoff below -max(f) gives no interval.
     """
 
     method = "kde-hpd"
@@ -115,9 +114,13 @@ class KdeHpdPipeline:
     density: np.ndarray
     cutoff: float
 
+    def score_density(self, s) -> np.ndarray:
+        """The training-fold KDE ``density`` on ``grid``, linearly interpolated, 0 off the grid."""
+        return np.interp(s, self.grid, self.density, left=0.0, right=0.0)
+
     @cached_property
     def intervals(self) -> np.ndarray:
-        return interpolated_level_set(self.grid, self.density, -self.cutoff)
+        return level_set(self.grid, self.density, -self.cutoff, self.score_density)
 
     @property
     def n_intervals(self) -> int:
@@ -127,7 +130,7 @@ class KdeHpdPipeline:
         """Minus the score density at the standardized residuals of ``y`` at rows ``xs``."""
         y = np.asarray(y, dtype=np.float64)
         s = (y - predict_mean(self.gh, xs)) / predict_scale(self.sh, xs)
-        return -np.interp(s, self.grid, self.density, left=0.0, right=0.0)
+        return -self.score_density(s)
 
     def predict_regions(self, xs) -> RegionBatch:
         g = predict_mean(self.gh, xs)[:, None]

@@ -1,12 +1,13 @@
 """Smallest 1-alpha sets of a univariate density by one exact-mass level-set search.
 
-The smallest set of mass 1 - alpha is the superlevel set {f > lambda} at the
-largest cutoff whose mass reaches 1 - alpha (Hyndman 1996; Lei, Robins &
-Wasserman 2013). ``find_cutoff`` finds it for the exact KDE (the scenario
-oracles are exact to the float in ``sim``): a grid brackets the cutoff and the
-intervals, the ends are refined on the exact density, and their mass is read
-off the exact CDF. ``interpolated_level_set`` is the exact counterpart for a
-density that is itself piecewise linear, such as a binned KDE read by ``np.interp``.
+The smallest set of mass 1 - alpha is the superlevel set {f >= lambda} at
+the largest cutoff whose mass reaches 1 - alpha (Hyndman 1996; Lei, Robins &
+Wasserman 2013). ``level_set`` is the one extractor: the runs of a grid at or
+above the level, each inner end the outermost float of its cell where ``f``
+reaches the level, found by ``core.first_float``. kde-hpd reads it on its
+binned KDE, ``f`` the ``np.interp`` of the grid; ``find_cutoff`` on the exact
+KDE, where the grid brackets the cutoff and the mass comes off the exact CDF
+(the scenario oracles are exact to the float in ``sim``).
 """
 
 from __future__ import annotations
@@ -21,18 +22,15 @@ from conformal_hpd.kde import KdeModel, kde_cdf, kde_eval
 __all__ = [
     "HpdResult",
     "find_cutoff",
-    "superlevel_intervals",
-    "interpolated_level_set",
+    "level_set",
     "extract_intervals",
     "quantile_pairs",
     "smallest_mass_region",
 ]
 
-# Tolerances of the cutoff search (see find_cutoff) and of a crossing in grid
-# steps; a crossing still takes its last secant step, so its error is far smaller.
+# Tolerances of the cutoff search (see find_cutoff)
 MASS_TOL = 1e-10
 CUTOFF_TOL = 1e-12
-CROSSING_TOL = 1e-6
 MAX_STEPS = 100
 
 
@@ -51,62 +49,20 @@ def _runs(mask) -> tuple:
     return np.flatnonzero(rise), np.flatnonzero(fall) - 1
 
 
-def superlevel_intervals(density, grid, values, lam) -> np.ndarray:
-    """Maximal intervals where ``density`` exceeds ``lam``, as an (m, 2) array.
+def level_set(grid, values, level: float, f) -> np.ndarray:
+    """Closed intervals where the density ``f`` >= ``level``, as (m, 2).
 
-    ``values`` is ``density`` on the sorted ``grid``; each run of grid points
-    above ``lam`` is one interval. An end on the first or last grid point
-    stays there. The others are refined together inside their grid cells,
-    one ``density`` call per step: secant steps from the linear interpolation
-    of ``values`` (see ``_next``), until every step is below ``CROSSING_TOL``
-    grid steps (or 4 ulps of the grid). The ends depend only on the arguments.
-    ``lam == 0`` gives the whole line, the superlevel set of a positive
-    density; a ``lam`` that no grid value exceeds gives no interval.
-    """
-    if lam < 0:
-        raise ValueError("cutoff must be non-negative")
-    if lam == 0:
-        return np.array([[-np.inf, np.inf]])
-    starts, ends = _runs(values > lam)
-    edge = np.concatenate((starts, ends))  # grid index of every end, lows first
-    beyond = np.concatenate((starts - 1, ends + 1))  # its neighbour outside the run
-    inner = (beyond >= 0) & (beyond < grid.size)
-    a, b = grid[edge[inner]], grid[beyond[inner]]  # density(b) <= lam < density(a)
-    x_prev, f_prev = a, values[edge[inner]] - lam
-    f_b = values[beyond[inner]] - lam
-    x = a - f_prev * (a - b) / (f_prev - f_b)  # linear interpolation
-    done = np.zeros(x.size, dtype=bool)
-    xtol = max(CROSSING_TOL * (grid[1] - grid[0]), 4.0 * np.spacing(np.abs(grid).max()))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(MAX_STEPS):
-            if done.all():
-                break
-            fx = density(x) - lam
-            up = fx > 0
-            a, b = np.where(up, x, a), np.where(up, b, x)
-            step = _next(x_prev, f_prev, x, fx, a, b) - x
-            x_prev, f_prev = x, fx
-            x = np.where(done, x, x + step)
-            done |= np.abs(step) <= xtol
-        else:
-            raise RuntimeError("level-set crossing did not converge")
-    out = grid[edge]
-    out[inner] = x
-    return out.reshape(2, -1).T
-
-
-def interpolated_level_set(grid, values, level: float) -> np.ndarray:
-    """Closed intervals where ``np.interp(s, grid, values, 0, 0)`` >= ``level``, as (m, 2).
-
-    ``values`` are non-negative on the increasing ``grid``, and the function
-    is 0 off it. Each run of grid points at or above ``level`` is one
-    interval, in grid order; a grid point below ``level`` parts two runs, so
-    ``hi_j < lo_{j+1}``. An end on the first or last grid point stays there;
-    every other end is the first float of its cell where ``np.interp``
-    reaches ``level`` (the last, for an upper end), found by bisection within
-    a few roundings of the closed-form linear crossing, or within the whole
-    cell where that bracket misses. ``level <= 0`` gives the whole line; a
-    level above every value gives no interval.
+    ``f`` maps a 1-D array to a 1-D array, and ``values`` are its
+    non-negative values on the increasing ``grid``. Each run of grid points
+    at or above ``level`` is one interval, in grid order; a grid point below
+    ``level`` parts two runs, so ``hi_j < lo_{j+1}``. An end on the first or
+    last grid point stays there; every other end is the first float of its
+    cell where ``f`` reaches ``level`` (the last, for an upper end), found by
+    bisection within a few roundings of the closed-form linear crossing of
+    ``values``, or within the whole cell where that bracket misses. For the
+    ``np.interp`` of the grid the bracket holds; elsewhere it may not.
+    ``level <= 0`` gives the whole line; a level above every value gives no
+    interval.
     """
     if level <= 0:
         return np.array([[-np.inf, np.inf]])
@@ -124,7 +80,7 @@ def interpolated_level_set(grid, values, level: float) -> np.ndarray:
     ulps = np.spacing(np.maximum(v_lo, v_hi)) / np.abs(slope) + np.spacing(np.abs(lo) + np.abs(hi))
 
     def holds(s):  # at or past a lower end, or past an upper end
-        return (np.interp(s, grid, values, 0.0, 0.0) >= level) == rising
+        return (f(s) >= level) == rising
 
     below, above = np.maximum(guess - 4.0 * ulps, lo), np.minimum(guess + 4.0 * ulps, hi)
     first = first_float(np.where(holds(below), lo, below), np.where(holds(above), above, hi), holds)
@@ -144,7 +100,7 @@ def find_cutoff(density, cdf, grid, values, alpha: float) -> float:
     ``density`` and ``cdf`` map 1-D arrays to 1-D arrays; ``values`` is
     ``density`` on the sorted uniform ``grid``. The mass at a cutoff is the
     sum of 1 - a - b over the tail-mass pairs (a, b) that ``cdf`` gives at the
-    ends ``superlevel_intervals`` returns for it; extracting again at the
+    ends of its ``level_set`` on ``density``; extracting again at the
     returned cutoff gives the same ends and pairs. The search starts from the
     grid's Riemann estimate, takes one Newton step on the grid's slope, then
     secant steps, bisecting whenever the excess mass fails to halve.
@@ -160,13 +116,13 @@ def find_cutoff(density, cdf, grid, values, alpha: float) -> float:
     target = 1.0 - alpha
 
     def excess(lam):
-        pairs = _tail_pairs(cdf, superlevel_intervals(density, grid, values, lam))
+        pairs = _tail_pairs(cdf, level_set(grid, values, lam, density))
         return float((1.0 - pairs[:, 0] - pairs[:, 1]).sum()) - target
 
     top = values.max()
     step = grid[1] - grid[0]
     rise = np.abs(np.diff(values))
-    lo, hi = np.float64(0.0), top  # the whole line at 0; no grid point exceeds top
+    lo, hi = np.float64(0.0), top  # the whole line at 0; at most a sliver around the top
     desc = np.sort(values)[::-1]
     lam = desc[min(np.searchsorted(np.cumsum(desc) * step, target), desc.size - 1)]
     g_prev = None
@@ -189,13 +145,13 @@ def find_cutoff(density, cdf, grid, values, alpha: float) -> float:
 
 
 def extract_intervals(model: KdeModel, lambda_hat: float) -> np.ndarray:
-    """Maximal disjoint intervals where the KDE exceeds ``lambda_hat``, shape (m, 2).
+    """Maximal disjoint intervals where the KDE is at least ``lambda_hat``, shape (m, 2).
 
-    ``superlevel_intervals`` on the model's cached grid and exact density.
-    Raises if the cutoff is at or above the density maximum on the grid.
+    ``level_set`` on the model's cached grid and exact density. Raises if
+    the cutoff is above the density maximum on the grid.
     """
-    intervals = superlevel_intervals(
-        lambda z: kde_eval(model, z), model.grid, model.grid_density, lambda_hat
+    intervals = level_set(
+        model.grid, model.grid_density, lambda_hat, lambda z: kde_eval(model, z)
     )
     if intervals.size == 0:
         raise ValueError("empty HPD set")

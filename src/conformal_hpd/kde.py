@@ -77,9 +77,10 @@ def binned_kde(points) -> tuple:
 class KdeModel:
     """Gaussian KDE with a cached uniform evaluation grid.
 
-    The grid spans [min(points) - 4h, max(points) + 4h]. It only brackets
-    the level-set search (``hpd.find_cutoff``), whose mass comes from the
-    exact ``kde_cdf``.
+    The grid spans [min(points) - 4h, max(points) + 4h], and
+    ``grid_density`` is ``kde_eval`` there. They only bracket the exact
+    level set (``hpd.level_set`` on ``kde_eval``, each end to the float)
+    and its cutoff (``hpd.find_cutoff``, mass from ``kde_cdf``).
     """
 
     points: np.ndarray

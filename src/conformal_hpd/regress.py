@@ -96,7 +96,8 @@ class KnnQuantiles:
     every fitted row in blocks of ``KNN_BLOCK`` query rows. Ties in the
     window: of the windows whose rows are k nearest, the lowest-starting
     one is taken, so when two fitted rows are equally far from a query the
-    one at the lower sorted position wins.
+    one at the lower sorted position wins. Ties with more columns: of the
+    fitted rows tied at the k-th distance, the lowest row indices enter.
     """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, k: int, levels: np.ndarray):
@@ -126,8 +127,15 @@ class KnnQuantiles:
         for start in range(0, q.shape[0], KNN_BLOCK):
             block = q[start : start + KNN_BLOCK]
             d2 = ((block[:, None, :] - self.xs[None, :, :]) ** 2).sum(axis=2)
-            idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-            out[start : start + block.shape[0]] = self.targets[idx]
+            kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1 : self.k]
+            keep = d2 <= kth
+            # a query with more than k rows within its k-th distance takes the lowest-index ties
+            over = np.flatnonzero(keep.sum(axis=1) > self.k)
+            inside, tied = d2[over] < kth[over], d2[over] == kth[over]
+            room = self.k - inside.sum(axis=1, keepdims=True)  # >= 1: the k-th row ties
+            keep[over] = inside | (tied & (np.cumsum(tied, axis=1) <= room))
+            rows = np.nonzero(keep)[1].reshape(-1, self.k)  # k per query row, in index order
+            out[start : start + block.shape[0]] = self.targets[rows]
         return out
 
     def predict(self, x) -> np.ndarray:

@@ -144,10 +144,8 @@ class TestKdeHpdPipeline:
         # not at fit, where the cutoff is not yet known, and not again when
         # the regions are read a second time
         calls = []
-        level_set = conformal.interpolated_level_set
-        monkeypatch.setattr(
-            conformal, "interpolated_level_set", lambda *a: calls.append(a) or level_set(*a)
-        )
+        level_set = conformal.level_set
+        monkeypatch.setattr(conformal, "level_set", lambda *a: calls.append(a) or level_set(*a))
         scn = sim.Scenario("bimodal", n_train=200, n_cal=200, seed=1)
         draw = sim.generate(scn)
         pipe = sim.fit_draw(scn, "kde-hpd", draw, False)

@@ -19,10 +19,9 @@ from conformal_hpd.hpd import (
     MASS_TOL,
     extract_intervals,
     find_cutoff,
-    interpolated_level_set,
+    level_set,
     quantile_pairs,
     smallest_mass_region,
-    superlevel_intervals,
 )
 from conformal_hpd.kde import KdeModel, fit_kde, kde_cdf, kde_eval
 
@@ -45,9 +44,7 @@ def kde_cutoff(model, alpha):
 
 def kept_mass(model, lam):
     """Exact mass of every superlevel interval at ``lam``."""
-    intervals = superlevel_intervals(
-        lambda z: kde_eval(model, z), model.grid, model.grid_density, lam
-    )
+    intervals = level_set(model.grid, model.grid_density, lam, lambda z: kde_eval(model, z))
     return (1.0 - quantile_pairs(model, intervals).sum(axis=1)).sum()
 
 
@@ -132,9 +129,10 @@ class TestExtractIntervals:
         total = (u1 - l1) + (u2 - l2)
         assert total == pytest.approx(4 * Z90, abs=0.3)
 
-    def test_zero_cutoff_returns_full_span(self, normal_model):
-        # the superlevel set of a positive density at 0 is the whole line
-        ivals = extract_intervals(normal_model, 0.0)
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_zero_cutoff_returns_full_span(self, normal_model, lam):
+        # the superlevel set of a positive density at 0 or below is the whole line
+        ivals = extract_intervals(normal_model, lam)
         assert ivals.tolist() == [[-np.inf, np.inf]]
 
     def test_cutoff_above_max_raises(self, normal_model):
@@ -164,41 +162,64 @@ class TestExtractIntervals:
             assert kde_eval(bimodal_model, np.array([hi]))[0] == pytest.approx(lam, rel=1e-3)
 
 
-class TestSuperlevelIntervals:
+@st.composite
+def kde_cases(draw):
+    """An exact KDE of 20-400 draws from a two-component normal mixture with
+    random centres, sds and weight, and levels between 1% and 99% of its grid maximum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 400))
+    centre = np.where(rng.random(n) < rng.uniform(0.2, 0.8), 0.0, rng.uniform(1.0, 10.0))
+    model = fit_kde(rng.normal(centre, np.where(centre == 0.0, 1.0, rng.uniform(0.2, 2.0))))
+    levels = rng.uniform(0.01, 0.99, 5) * model.grid_density.max()
+    return model, levels
+
+
+class TestLevelSetOnADensity:
+    """``level_set`` on a density it does not interpolate: the normal pdf, the exact KDE."""
+
     @pytest.mark.parametrize("points", [20, 40])
     def test_interior_crossings_match_normal_root(self, points):
         # coarse grids: each crossing starts up to 0.6 from the root
         grid = np.linspace(-6.0, 6.0, points)
         lam = 0.1
         root = np.sqrt(-2.0 * np.log(lam * np.sqrt(2.0 * np.pi)))
-        (lo, hi), = superlevel_intervals(norm.pdf, grid, norm.pdf(grid), lam)
+        (lo, hi), = level_set(grid, norm.pdf(grid), lam, norm.pdf)
         assert abs(lo + root) <= 1e-12
         assert abs(hi - root) <= 1e-12
 
     def test_same_cutoff_gives_the_same_ends(self, bimodal_model):
         density = lambda z: kde_eval(bimodal_model, z)
         grid, values = bimodal_model.grid, bimodal_model.grid_density
-        first = superlevel_intervals(density, grid, values, 0.05)
-        np.testing.assert_array_equal(first, superlevel_intervals(density, grid, values, 0.05))
+        first = level_set(grid, values, 0.05, density)
+        np.testing.assert_array_equal(first, level_set(grid, values, 0.05, density))
 
     def test_runs_touching_the_grid_ends_stay_on_the_grid(self):
         lam = 0.1
         root = np.sqrt(-2.0 * np.log(lam * np.sqrt(2.0 * np.pi)))
         right = np.linspace(0.5, 3.0, 101)
-        (lo, hi), = superlevel_intervals(norm.pdf, right, norm.pdf(right), lam)
+        (lo, hi), = level_set(right, norm.pdf(right), lam, norm.pdf)
         assert lo == right[0]
         assert hi == pytest.approx(root, abs=1e-12)
         left = -right[::-1]
-        (lo, hi), = superlevel_intervals(norm.pdf, left, norm.pdf(left), lam)
+        (lo, hi), = level_set(left, norm.pdf(left), lam, norm.pdf)
         assert lo == pytest.approx(-root, abs=1e-12)
         assert hi == left[-1]
-        assert superlevel_intervals(norm.pdf, right, norm.pdf(right), 0.0).tolist() == [
-            [-np.inf, np.inf]
-        ]
+        assert level_set(right, norm.pdf(right), 0.0, norm.pdf).tolist() == [[-np.inf, np.inf]]
 
     def test_empty_when_nothing_exceeds_the_cutoff(self):
         grid = np.linspace(-3.0, 3.0, 61)
-        assert superlevel_intervals(norm.pdf, grid, norm.pdf(grid), 1.0).shape == (0, 2)
+        assert level_set(grid, norm.pdf(grid), 1.0, norm.pdf).shape == (0, 2)
+
+    @given(case=kde_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_kde_inner_ends_are_the_outermost_floats_at_the_level(self, case):
+        model, levels = case
+        for level in levels:
+            ends = extract_intervals(model, level).ravel()
+            inner = (ends != model.grid[0]) & (ends != model.grid[-1])
+            outward = np.where(np.arange(ends.size) % 2 == 0, -np.inf, np.inf)[inner]
+            assert (kde_eval(model, ends[inner]) >= level).all()
+            assert (kde_eval(model, np.nextafter(ends[inner], outward)) < level).all()
 
 
 @st.composite
@@ -223,12 +244,18 @@ def runs_at_or_above(values, level):
     return np.flatnonzero(above[1:] & ~above[:-1]), np.flatnonzero(~above[1:] & above[:-1]) - 1
 
 
-class TestInterpolatedLevelSet:
+def interpolated(grid, values):
+    return lambda s: np.interp(s, grid, values, 0.0, 0.0)
+
+
+class TestLevelSetOnAnInterpolant:
+    """``level_set`` on the ``np.interp`` of its grid values, as kde-hpd reads its binned KDE."""
+
     @given(case=interpolant_cases())
     @settings(max_examples=200, deadline=None)
     def test_dense_points_are_inside_exactly_where_the_interpolant_reaches_the_level(self, case):
         grid, values, level = case
-        ivals = interpolated_level_set(grid, values, level)
+        ivals = level_set(grid, values, level, interpolated(grid, values))
         s = np.concatenate((
             np.linspace(grid[0] - 1.0, grid[-1] + 1.0, 4001), grid, (grid[1:] + grid[:-1]) / 2.0
         ))
@@ -242,7 +269,7 @@ class TestInterpolatedLevelSet:
     @settings(max_examples=200, deadline=None)
     def test_each_end_lies_in_its_bracketing_cell(self, case):
         grid, values, level = case
-        ivals = interpolated_level_set(grid, values, level)
+        ivals = level_set(grid, values, level, interpolated(grid, values))
         starts, stops = runs_at_or_above(values, level)
         assert ivals.shape == (starts.size, 2)
         last = grid.size - 1
@@ -262,11 +289,11 @@ class TestInterpolatedLevelSet:
     @settings(max_examples=200, deadline=None)
     def test_inner_ends_are_the_outermost_floats_at_the_level(self, case):
         grid, values, level = case
-        ivals = interpolated_level_set(grid, values, level)
+        f = interpolated(grid, values)
+        ivals = level_set(grid, values, level, f)
         ends = ivals.ravel()
         inner = (ends != grid[0]) & (ends != grid[-1])
         outward = np.where(np.arange(ends.size) % 2 == 0, -np.inf, np.inf)[inner]
-        f = lambda s: np.interp(s, grid, values, 0.0, 0.0)  # noqa: E731
         assert (f(ends[inner]) >= level).all()
         assert (f(np.nextafter(ends[inner], outward)) < level).all()
 
@@ -275,7 +302,7 @@ class TestInterpolatedLevelSet:
         values = np.array([2.0, 1.0, 0.0, 1.0, 2.0])
         # np.interp gives 1.5 one ulp past 0.5 too, so the run ends there
         np.testing.assert_array_equal(
-            interpolated_level_set(grid, values, 1.5),
+            level_set(grid, values, 1.5, interpolated(grid, values)),
             [[0.0, np.nextafter(0.5, 1.0)], [3.5, 4.0]],
         )
 
@@ -284,14 +311,14 @@ class TestInterpolatedLevelSet:
         grid = np.linspace(-1.0, 1.0, 5)
         values = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
         np.testing.assert_array_equal(
-            interpolated_level_set(grid, values, level), [[-math.inf, math.inf]]
+            level_set(grid, values, level, interpolated(grid, values)), [[-math.inf, math.inf]]
         )
 
     @pytest.mark.parametrize("level", [np.nextafter(2.0, math.inf), 5.0, math.inf, math.nan])
     def test_level_above_every_value_gives_no_interval(self, level):
         grid = np.linspace(-1.0, 1.0, 5)
         values = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
-        assert interpolated_level_set(grid, values, level).shape == (0, 2)
+        assert level_set(grid, values, level, interpolated(grid, values)).shape == (0, 2)
 
 
 class TestQuantilePairs:
@@ -368,14 +395,14 @@ class TestSmallestMassRegion:
         regions, calls = [], []
 
         def counting_regions(*args):
-            regions.append(superlevel_intervals(*args))
+            regions.append(level_set(*args))
             return regions[-1]
 
         def counting_cdf(m, z):
             calls.append(np.shape(z))
             return kde_cdf(m, z)
 
-        monkeypatch.setattr(hpd, "superlevel_intervals", counting_regions)
+        monkeypatch.setattr(hpd, "level_set", counting_regions)
         monkeypatch.setattr(hpd, "kde_cdf", counting_cdf)
         res = smallest_mass_region(model, 0.10)
         assert calls == [(r.size,) for r in regions]
@@ -385,12 +412,13 @@ class TestSmallestMassRegion:
 class TestCoverageArithmetic:
     """Kept pairs carry 1 - alpha of the KDE's mass, and far clusters are covered."""
 
-    def test_far_cluster_keeps_its_mass(self):
-        # the grid step (4.9) is 35 bandwidths; the grid trapezoid search kept 0.481
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5])
+    def test_far_cluster_keeps_its_mass(self, alpha):
+        # the grid step (4.9) is 35 bandwidths; the grid trapezoid search kept 0.481 at 0.1
         rng = np.random.default_rng(0)
         pts = np.concatenate([rng.standard_normal(450), rng.normal(1e4, 1.0, 50)])
-        res = smallest_mass_region(fit_kde(pts), 0.1)
-        assert sum(1.0 - a - b for a, b in res.pairs) >= 0.9
+        res = smallest_mass_region(fit_kde(pts), alpha)
+        assert sum(1.0 - a - b for a, b in res.pairs) >= 1.0 - alpha
 
     def test_far_cluster_through_the_pipeline(self):
         # the grid step is about 35 bandwidths, so the binned density is a

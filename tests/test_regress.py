@@ -487,10 +487,11 @@ MEDIAN = np.array([0.5])
 class TestKnnBlocks:
     @staticmethod
     def unblocked(knn, x):
-        """All query rows in one distance tensor: the layout blocking replaces."""
+        """All query rows in one distance tensor, the k nearest by a stable sort:
+        of the rows tied at the k-th distance the lowest indices enter, in index order."""
         q = (x - knn.mu) / knn.sd
         d2 = ((q[:, None, :] - knn.xs[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argpartition(d2, knn.k - 1, axis=1)[:, : knn.k]
+        idx = np.sort(np.argsort(d2, kind="stable")[:, : knn.k], axis=1)
         return knn.targets[idx]
 
     @pytest.mark.parametrize("m", [KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, 2 * KNN_BLOCK + 3])
@@ -500,6 +501,23 @@ class TestKnnBlocks:
         x = rng.integers(-3, 4, size=(60, 2)).astype(float)
         knn = KnnQuantiles(x, rng.standard_normal(60), k=9, levels=MEDIAN)
         queries = rng.integers(-4, 5, size=(m, 2)).astype(float)
+        np.testing.assert_array_equal(
+            knn.neighbor_targets(queries), self.unblocked(knn, queries)
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ties_at_the_kth_distance_go_to_the_lowest_rows(self, data):
+        # integer covariates on a few values: most rows tie with others at the k-th distance
+        d = data.draw(st.sampled_from([2, 3]))
+        n = data.draw(st.integers(1, 400))
+        k = data.draw(st.integers(1, n))
+        m = data.draw(st.one_of(st.integers(1, 40), st.integers(KNN_BLOCK + 1, 2 * KNN_BLOCK)))
+        width = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.integers(0, width, size=(n, d)).astype(float)
+        queries = rng.integers(-1, width + 1, size=(m, d)).astype(float)
+        knn = KnnQuantiles(x, np.arange(n), k, MEDIAN)  # targets are the fitted row numbers
         np.testing.assert_array_equal(
             knn.neighbor_targets(queries), self.unblocked(knn, queries)
         )
